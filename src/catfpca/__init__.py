@@ -48,7 +48,6 @@ from .mfpca import (
     mercer_check,
     reconstruct,
     run_mfpca,
-    scores,
 )
 from .simulate import (
     ProcessSpec,

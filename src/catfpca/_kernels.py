@@ -1,43 +1,16 @@
-"""Hot numeric kernels: grid rasterization and cross-moment accumulation.
+"""Grid rasterization of piecewise-constant trajectories.
 
-The rasterization kernel has two interchangeable backends producing the
-same results: a numba ``@njit`` sweep (default when numba imports cleanly)
-and a pure-numpy fallback.  Selection happens once at import time from the
-``CATFPCA_BACKEND`` environment variable: ``auto`` (default), ``numba`` or
-``numpy``.  The cross-moment matrix always goes through BLAS, which beats
-a naive jitted loop; ``benchmarks/bench_kernels.py`` times all paths side
-by side.
+Each cell value is the length-weighted average of the step function over the
+cell, an exact integral.  On a grid that refines the trajectory every cell
+lies inside one segment, so the average is the segment value itself, bit for
+bit.
 """
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-_REQUESTED = os.environ.get("CATFPCA_BACKEND", "auto").strip().lower()
-if _REQUESTED not in ("auto", "numba", "numpy"):
-    warnings.warn(f"unknown CATFPCA_BACKEND={_REQUESTED!r}, using 'auto'")
-    _REQUESTED = "auto"
 
-NUMBA_ENABLED = False
-if _REQUESTED in ("auto", "numba"):
-    try:
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        if _REQUESTED == "numba":
-            warnings.warn("CATFPCA_BACKEND=numba but numba is not importable; using numpy")
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# cell averages: rasterize piecewise-constant trajectories onto a grid
-# ---------------------------------------------------------------------------
-
-def _cell_averages_numpy(breaks: np.ndarray, values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _cell_averages(breaks: np.ndarray, values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """(q, m) length-weighted averages of one step function over grid cells."""
     m = nodes.size - 1
     merged = np.union1d(breaks, nodes)
@@ -48,125 +21,14 @@ def _cell_averages_numpy(breaks: np.ndarray, values: np.ndarray, nodes: np.ndarr
     out = np.zeros((m, values.shape[1]))
     np.add.at(out, cell_idx, contrib)
     out /= np.diff(nodes)[:, None]
-    return np.ascontiguousarray(out.T)
-
-
-def _batch_cell_averages_numpy(breaks_flat, boffs, vals_flat, voffs, nodes):
-    n = boffs.size - 1
-    q = vals_flat.shape[1]
-    out = np.empty((n, q, nodes.size - 1))
-    for i in range(n):
-        b = breaks_flat[boffs[i]:boffs[i + 1]]
-        v = vals_flat[voffs[i]:voffs[i + 1]]
-        out[i] = _cell_averages_numpy(b, v, nodes)
-    return out
-
-
-def _cross_moment_numpy(Z: np.ndarray) -> np.ndarray:
-    C = Z.T @ Z
-    return 0.5 * (C + C.T)
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _cell_averages_sweep(b, v, nodes, out):
-        # two-pointer sweep over segments and cells; exact float comparisons
-        # are safe because segment ends and grid nodes are stored doubles
-        m = nodes.size - 1
-        q = v.shape[1]
-        k = 0
-        for a in range(m):
-            left = nodes[a]
-            right = nodes[a + 1]
-            while b[k + 1] <= left:
-                k += 1
-            if b[k + 1] >= right:
-                for j in range(q):
-                    out[j, a] = v[k, j]
-            else:
-                inv = 1.0 / (right - left)
-                for j in range(q):
-                    out[j, a] = 0.0
-                pos = left
-                kk = k
-                while True:
-                    seg_end = b[kk + 1]
-                    if seg_end > right:
-                        seg_end = right
-                    dt = seg_end - pos
-                    for j in range(q):
-                        out[j, a] += dt * v[kk, j] * inv
-                    pos = seg_end
-                    if seg_end >= right:
-                        break
-                    kk += 1
-
-    @njit(cache=True)
-    def _cell_averages_numba(b, v, nodes):
-        out = np.empty((v.shape[1], nodes.size - 1))
-        _cell_averages_sweep(b, v, nodes, out)
-        return out
-
-    @njit(parallel=True, cache=True)
-    def _batch_cell_averages_numba(breaks_flat, boffs, vals_flat, voffs, nodes):
-        n = boffs.size - 1
-        q = vals_flat.shape[1]
-        out = np.empty((n, q, nodes.size - 1))
-        for i in prange(n):
-            _cell_averages_sweep(
-                breaks_flat[boffs[i]:boffs[i + 1]],
-                vals_flat[voffs[i]:voffs[i + 1]],
-                nodes,
-                out[i],
-            )
-        return out
-
-    @njit(parallel=True, cache=True)
-    def _cross_moment_numba(Z):
-        n, K = Z.shape
-        C = np.empty((K, K))
-        for k in prange(K):
-            for l in range(k, K):
-                s = 0.0
-                for i in range(n):
-                    s += Z[i, k] * Z[i, l]
-                C[k, l] = s
-                C[l, k] = s
-        return C
-
-
-def cell_averages(breaks, values, nodes) -> np.ndarray:
-    """Exact per-cell averages (q, m) of one piecewise-constant vector function."""
-    breaks = np.ascontiguousarray(breaks, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _cell_averages_numba(breaks, values, nodes)
-    return _cell_averages_numpy(breaks, values, nodes)
+    return out.T
 
 
 def batch_cell_averages(breaks_list, values_list, nodes) -> np.ndarray:
     """Rasterize a whole panel at once; returns (n, q, m)."""
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    boffs = np.zeros(len(breaks_list) + 1, dtype=np.int64)
-    voffs = np.zeros(len(values_list) + 1, dtype=np.int64)
+    q = values_list[0].shape[1]
+    out = np.empty((len(breaks_list), q, nodes.size - 1))
     for i, (b, v) in enumerate(zip(breaks_list, values_list)):
-        boffs[i + 1] = boffs[i] + len(b)
-        voffs[i + 1] = voffs[i] + v.shape[0]
-    breaks_flat = np.ascontiguousarray(np.concatenate(breaks_list), dtype=np.float64)
-    vals_flat = np.ascontiguousarray(np.concatenate(values_list, axis=0), dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _batch_cell_averages_numba(breaks_flat, boffs, vals_flat, voffs, nodes)
-    return _batch_cell_averages_numpy(breaks_flat, boffs, vals_flat, voffs, nodes)
-
-
-def cross_moment(Z: np.ndarray) -> np.ndarray:
-    """Symmetric sum-of-products matrix Z^T Z (caller normalizes by n).
-
-    Always the BLAS path: bench_kernels.py shows dgemm ahead of the naive
-    numba loop by an order of magnitude at production sizes, so the backend
-    flag only affects the rasterization kernel.
-    """
-    Z = np.ascontiguousarray(Z, dtype=np.float64)
-    return _cross_moment_numpy(Z)
+        out[i] = _cell_averages(b, v, nodes)
+    return out

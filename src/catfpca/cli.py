@@ -1,7 +1,8 @@
 """Command-line front end: ingest, validate, mfpca, simulate, oracle-check.
 
-Exit codes: 0 success, 2 validation/protocol error, 3 numerical failure.
-Errors are emitted as one JSON object per line on stderr.
+Exit codes: 0 success, 2 validation/protocol error, 3 numerical failure
+(running out of memory included).  Errors are emitted as one JSON object
+per line on stderr.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import numpy as np
 
 from . import io
 from .errors import NumericalError, ValidationError
-from .estimation import estimate_field
+from .estimation import WeightScheme, estimate_field
 from .ingest import DEFAULT_TICK, apply_protocol_normalization, validate_panel
-from .mfpca import DEFAULT_MAX_CELLS, assemble_operator, run_mfpca
+from .mfpca import DEFAULT_MAX_CELLS, run_mfpca
 from .oracles import jacobi_eigenvalues, naive_operator_matrix, oracle_covariance
 from .simulate import ProcessSpec, simulate_panel
 from .trajectory import CellGrid
@@ -78,15 +79,7 @@ def _load_normalized_panel(args, tick: float):
 
 def cmd_ingest(args) -> int:
     cfg = RunConfig.load(args)
-    records = io.read_events_csv(args.events)
-    meta = io.read_meta(args.meta)
-    from .trajectory import StateSpace
-
-    space = StateSpace(meta["states"])
-    items = [tuple(x) for x in meta["items"]] if "items" in meta else None
-    from .ingest import parse_events
-
-    panel, report = parse_events(records, space, meta["mode"], meta["end_time"], items=items)
+    panel, report, _ = io.read_panel(args.events, args.meta)
     panel = apply_protocol_normalization(panel, tick=cfg.tick, report=report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,7 +112,7 @@ def cmd_mfpca(args) -> int:
     grid = None
     if cfg.grid == "uniform":
         grid = CellGrid.uniform(cfg.cells, panel.trajectories[0].horizon)
-    result, field = run_mfpca(panel, scheme=cfg.weights, grid=grid, max_cells=cfg.cells)
+    result = run_mfpca(panel, scheme=cfg.weights, grid=grid, max_cells=cfg.cells)
 
     if cfg.k is not None:
         k = min(cfg.k, result.R)
@@ -136,9 +129,9 @@ def cmd_mfpca(args) -> int:
     io.write_scores(result, out / "scores.csv", k)
     io.write_eigenfunctions(result, out / "eigenfunctions.csv", k)
     io.write_bands(result, out / "bands.csv", k, cfg.band_c)
-    io.write_mean_curves(field, out / "mean_curves.csv")
-    io.write_variance_curves(field, out / "variance_curves.csv")
-    io.write_selection_count(field, out / "selection_count.csv")
+    io.write_mean_curves(result, out / "mean_curves.csv")
+    io.write_variance_curves(result, out / "variance_curves.csv")
+    io.write_selection_count(result, out / "selection_count.csv")
     io._write_text(out / "summary.txt", _summary(result, k))
     print(_summary(result, k), end="")
     return 0
@@ -194,13 +187,12 @@ def cmd_oracle_check(args) -> int:
     mean_dev = float(np.abs(field.mean - oracle.mean).max())
     cov_dev = float(np.abs(field.cov_matrix - oracle.cov_matrix).max())
 
-    from .estimation import WeightScheme
-
+    # the eigenvalues of the path `mfpca` runs, zero-padded to all q*m of the oracle's
     weights = WeightScheme.equal(panel.space.q)
-    S = assemble_operator(field, weights)
-    S_naive = naive_operator_matrix(oracle, weights)
-    evals = np.sort(np.linalg.eigvalsh(S))[::-1]
-    evals_naive = jacobi_eigenvalues(S_naive)
+    result = run_mfpca(panel, grid=grid, weights=weights, retain="full")
+    evals = np.zeros(panel.space.q * grid.m)
+    evals[:result.R] = result.eigenvalues
+    evals_naive = jacobi_eigenvalues(naive_operator_matrix(oracle, weights))
     eig_dev = float(np.abs(evals - evals_naive).max())
 
     ok = mean_dev <= args.tol and cov_dev <= args.tol and eig_dev <= args.eig_tol
@@ -281,7 +273,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, MemoryError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3

@@ -8,12 +8,12 @@ quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .errors import GridError, NumericalError, ValidationError
+from .errors import GridError, ValidationError
 from .ingest import Panel
 from .trajectory import CellGrid, StateSpace
 
@@ -23,11 +23,9 @@ __all__ = [
     "WEIGHT_SCHEMES",
     "panel_cell_values",
     "estimate_field",
-    "estimate_field_from_cells",
     "mean_on_grid",
     "compute_weights",
     "selection_count_curve",
-    "coarsen_field",
 ]
 
 WEIGHT_SCHEMES = ("equal", "trace_normalizing", "inverse_mean_probability")
@@ -135,12 +133,13 @@ class WeightScheme:
 def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = None) -> np.ndarray:
     """Indicator cell values for the whole panel, shape (n, q, m).
 
-    With ``exact=True`` the grid must refine every trajectory and the values
-    are the constant segment values (GridError otherwise).  With
-    ``exact=False`` values are length-weighted cell averages, i.e. the L2
-    projection onto step functions on the grid.  ``exact=None`` picks the
-    exact path when the grid refines the panel and averaging otherwise.
+    Values are length-weighted cell averages, i.e. the L2 projection onto
+    step functions on the grid; on a grid that refines every trajectory
+    they are the constant 0/1 segment values.  ``exact=True`` requires such
+    a grid (GridError otherwise).
     """
+    if panel.n < 1:
+        raise ValidationError("need at least one trajectory")
     indicators = panel.indicators()
     mismatched = [it.key for it, ind in zip(panel.items, indicators)
                   if ind.horizon != grid.horizon]
@@ -148,17 +147,10 @@ def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = N
         raise GridError(
             f"items with horizon != {grid.horizon}: {', '.join(mismatched[:5])}"
         )
-    refines = all(ind.is_constant_on(grid) for ind in indicators)
-    if exact is True and not refines:
+    if exact is True:
         bad = [it.key for it, ind in zip(panel.items, indicators) if not ind.is_constant_on(grid)]
-        raise GridError(f"grid is not a refinement of: {', '.join(bad[:5])}")
-    if refines:
-        n, q, m = len(indicators), panel.space.q, grid.m
-        out = np.empty((n, q, m))
-        for i, ind in enumerate(indicators):
-            idx = np.searchsorted(ind.breakpoints, grid.nodes[:-1], side="right") - 1
-            out[i] = ind.values[idx].T
-        return out
+        if bad:
+            raise GridError(f"grid is not a refinement of: {', '.join(bad[:5])}")
     return _kernels.batch_cell_averages(
         [ind.breakpoints for ind in indicators],
         [ind.values for ind in indicators],
@@ -166,25 +158,9 @@ def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = N
     )
 
 
-def estimate_field_from_cells(Z: np.ndarray, grid: CellGrid, space: StateSpace,
-                              mode: str) -> ProbabilityField:
-    """Mean and covariance kernel from precomputed cell values (1/n convention)."""
-    n, q, m = Z.shape
-    if n < 1:
-        raise ValidationError("need at least one trajectory")
-    flat = np.ascontiguousarray(Z.reshape(n, q * m))
-    mean_flat = flat.mean(axis=0)
-    cov = _kernels.cross_moment(flat) / n
-    cov -= np.outer(mean_flat, mean_flat)
-    cov = 0.5 * (cov + cov.T)
-    if not np.all(np.isfinite(cov)):
-        raise NumericalError("non-finite covariance kernel entries")
-    return ProbabilityField(grid, space, mean_flat.reshape(q, m), cov, n, mode)
-
-
 def estimate_field(panel: Panel, grid: Optional[CellGrid] = None, *,
                    exact: Optional[bool] = True) -> ProbabilityField:
-    """Estimate mean curves and the q x q x m x m covariance kernel.
+    """Estimate mean curves and the q x q x m x m covariance kernel (1/n convention).
 
     Parameters
     ----------
@@ -200,7 +176,12 @@ def estimate_field(panel: Panel, grid: Optional[CellGrid] = None, *,
         grid = panel.grid()
         exact = True
     Z = panel_cell_values(panel, grid, exact=exact)
-    return estimate_field_from_cells(Z, grid, panel.space, panel.mode)
+    n, q, m = Z.shape
+    flat = Z.reshape(n, q * m)
+    mean_flat = flat.mean(axis=0)
+    cov = flat.T @ flat / n
+    cov -= np.outer(mean_flat, mean_flat)
+    return ProbabilityField(grid, panel.space, mean_flat.reshape(q, m), cov, n, panel.mode)
 
 
 def mean_on_grid(panel: Panel, grid: CellGrid) -> np.ndarray:
@@ -232,23 +213,26 @@ def compute_weights(field: ProbabilityField, scheme: str) -> WeightScheme:
     operator unit trace.  inverse_mean_probability: w_j is the reciprocal
     of the average probability of occurrence.
     """
+    return _weights_from_mean(field.mean, field.grid, field.space, scheme)
+
+
+def _weights_from_mean(mean: np.ndarray, grid: CellGrid, space: StateSpace,
+                       scheme: str) -> WeightScheme:
+    """:func:`compute_weights` from the (q, m) mean curves alone."""
     tag = _SCHEME_ALIASES.get(scheme.strip().lower())
     if tag is None:
         raise ValidationError(f"unknown weight scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
-    q = field.q
     if tag == "equal":
-        return WeightScheme.equal(q)
-    lengths = field.grid.lengths
+        return WeightScheme.equal(space.q)
     if tag == "trace_normalizing":
-        integrand = field.mean * (1.0 - field.mean)
-        integrals = integrand @ lengths
+        integrals = (mean * (1.0 - mean)) @ grid.lengths
         kind = "integrated variance"
     else:
-        integrals = field.mean @ lengths
+        integrals = mean @ grid.lengths
         kind = "mean occupancy"
     bad = np.nonzero(integrals <= 0.0)[0]
     if bad.size:
-        labels = ", ".join(field.space.states[j] for j in bad)
+        labels = ", ".join(space.states[j] for j in bad)
         raise ValidationError(
             f"states with zero {kind}: {labels}; drop them from the state space "
             "or use the equal weight scheme"
@@ -256,35 +240,15 @@ def compute_weights(field: ProbabilityField, scheme: str) -> WeightScheme:
     return WeightScheme(tag, 1.0 / integrals, normalized=False)
 
 
-def selection_count_curve(obj: Union[ProbabilityField, Panel],
-                          grid: Optional[CellGrid] = None) -> tuple[CellGrid, np.ndarray]:
+def selection_count_curve(obj, grid: Optional[CellGrid] = None) -> tuple[CellGrid, np.ndarray]:
     """Mean number of simultaneously selected states over time.
 
-    Identically 1 for TDS; for TCATA it varies in [0, q].
+    ``obj`` is a Panel, or anything carrying (q, m) mean curves on a grid
+    (a ProbabilityField or an MfpcaResult).  Identically 1 for TDS; for
+    TCATA it varies in [0, q].
     """
-    if isinstance(obj, ProbabilityField):
+    if not isinstance(obj, Panel):
         return obj.grid, obj.mean.sum(axis=0)
     if grid is None:
         grid = obj.grid()
     return grid, mean_on_grid(obj, grid).sum(axis=0)
-
-
-def coarsen_field(field: ProbabilityField, grid: CellGrid) -> ProbabilityField:
-    """Aggregate a field onto a coarser grid by length-weighted cell averaging.
-
-    Equal to estimating directly from cell-averaged indicators; kept as an
-    explicit operation for fields whose panel is no longer available.
-    """
-    fine, coarse = field.grid, grid
-    if fine.horizon != coarse.horizon:
-        raise GridError("grids must share the horizon")
-    # overlap weights W[A, a] = |cell_a intersect cell_A| / len(cell_A)
-    lo = np.maximum.outer(coarse.nodes[:-1], fine.nodes[:-1])
-    hi = np.minimum.outer(coarse.nodes[1:], fine.nodes[1:])
-    W = np.clip(hi - lo, 0.0, None) / coarse.lengths[:, None]
-    mean = field.mean @ W.T
-    q = field.q
-    cov4 = field.cov_matrix.reshape(q, fine.m, q, fine.m)
-    cov4 = np.einsum("Aa,jalb,Bb->jAlB", W, cov4, W, optimize=True)
-    cov_matrix = np.ascontiguousarray(cov4.reshape(q * coarse.m, q * coarse.m))
-    return ProbabilityField(coarse, field.space, mean, cov_matrix, field.n, field.mode)

@@ -165,28 +165,29 @@ def _overlay_intervals(intervals, end: float) -> CategoricalTrajectory:
     return CategoricalTrajectory(nodes, segments)
 
 
-def _parse_tds_group(recs, end, report) -> CategoricalTrajectory:
-    key = f"{recs[0].subject}/{recs[0].condition}"
-    has_offsets = [r.offset is not None for r in recs]
+def _parse_tds_group(pairs, end, report) -> CategoricalTrajectory:
+    first = pairs[0][0]
+    key = f"{first.subject}/{first.condition}"
+    has_offsets = [r.offset is not None for r, _ in pairs]
     if any(has_offsets) and not all(has_offsets):
-        rows = [r.row for r, h in zip(recs, has_offsets) if not h]
+        rows = [r.row for (r, _), h in zip(pairs, has_offsets) if not h]
         raise SchemaError(f"{key}: TDS rows mix present and missing offsets (rows {rows})")
 
-    ordered = sorted(recs, key=lambda r: (r.onset, r.row))
+    ordered = sorted(pairs, key=lambda p: (p[0].onset, p[0].row))
     if all(has_offsets):
-        intervals = [(r.onset, min(r.offset, end), r) for r in ordered]
+        intervals = [(r.onset, min(r.offset, end), j) for r, j in ordered]
     else:
         # dominance lasts until the next click; ties keep the last row in file order
-        dedup: dict[float, EventRecord] = {}
-        for r in ordered:
+        dedup: dict[float, tuple[EventRecord, int]] = {}
+        for r, j in ordered:
             if r.onset in dedup:
                 report.warnings["simultaneous_clicks_dropped"] += 1
-            dedup[r.onset] = r
-        ordered = sorted(dedup.values(), key=lambda r: r.onset)
-        onsets = [r.onset for r in ordered] + [end]
-        intervals = [(onsets[k], onsets[k + 1], ordered[k]) for k in range(len(ordered))]
+            dedup[r.onset] = (r, j)
+        ordered = sorted(dedup.values(), key=lambda p: p[0].onset)
+        onsets = [r.onset for r, _ in ordered] + [end]
+        intervals = [(onsets[k], onsets[k + 1], j) for k, (_, j) in enumerate(ordered)]
 
-    traj = _overlay_intervals([(on, off, r.state_index) for on, off, r in intervals], end)
+    traj = _overlay_intervals(intervals, end)
     # dominance must be exclusive and gap-free after the first click
     first_active = next((k for k, s in enumerate(traj.segments) if s), None)
     for k in range(first_active or 0, traj.n_segments):
@@ -203,9 +204,9 @@ def _parse_tds_group(recs, end, report) -> CategoricalTrajectory:
     return traj
 
 
-def _parse_tcata_group(recs, end, report) -> CategoricalTrajectory:
+def _parse_tcata_group(pairs, end, report) -> CategoricalTrajectory:
     intervals = []
-    for r in sorted(recs, key=lambda x: (x.onset, x.row)):
+    for r, j in sorted(pairs, key=lambda p: (p[0].onset, p[0].row)):
         off = r.offset
         if off is None:
             off = end
@@ -215,21 +216,8 @@ def _parse_tcata_group(recs, end, report) -> CategoricalTrajectory:
             report.warnings["intervals_clipped"] += 1
         if off == end:
             report.warnings["intervals_at_end"] += 1
-        intervals.append((r.onset, off, r.state_index))
+        intervals.append((r.onset, off, j))
     return _overlay_intervals(intervals, end)
-
-
-class _WithIndex:
-    """EventRecord plus its resolved state index (parse-internal)."""
-
-    __slots__ = ("rec", "state_index")
-
-    def __init__(self, rec: EventRecord, state_index: int):
-        self.rec = rec
-        self.state_index = state_index
-
-    def __getattr__(self, name):
-        return getattr(self.rec, name)
 
 
 def parse_events(
@@ -264,6 +252,7 @@ def parse_events(
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     report = IngestReport(mode=mode)
 
+    # (subject, condition) -> [(record, state index), ...]
     groups: dict[tuple[str, str], list] = {}
     if items is not None:
         for subject, condition in items:
@@ -285,12 +274,11 @@ def parse_events(
             raise SchemaError(
                 f"row {rec.row}: onset {rec.onset} at or after tasting end {end}"
             )
-        rec = _WithIndex(rec, j)
         if items is not None and key not in groups:
             raise SchemaError(
                 f"row {rec.row}: item {key[0]}/{key[1]} not declared in the item list"
             )
-        groups.setdefault(key, []).append(rec)
+        groups.setdefault(key, []).append((rec, j))
 
         stats = report.per_state.setdefault(rec.state, {"clicks": 0, "total_duration": 0.0})
         stats["clicks"] += 1
@@ -300,14 +288,14 @@ def parse_events(
     keys = list(groups) if items is not None else sorted(groups)
     panel_items = []
     for subject, condition in keys:
-        recs = groups[(subject, condition)]
+        pairs = groups[(subject, condition)]
         end = _end_for(end_time, subject, condition)
-        if not recs:
+        if not pairs:
             traj = CategoricalTrajectory([0.0, end], [frozenset()])
         elif mode == "TDS":
-            traj = _parse_tds_group(recs, end, report)
+            traj = _parse_tds_group(pairs, end, report)
         else:
-            traj = _parse_tcata_group(recs, end, report)
+            traj = _parse_tcata_group(pairs, end, report)
         panel_items.append(PanelItem(subject, condition, traj))
     report.n_items = len(panel_items)
     return Panel(mode, space, panel_items), report

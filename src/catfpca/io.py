@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .estimation import ProbabilityField, selection_count_curve
+from .estimation import selection_count_curve
 from .ingest import EventRecord, IngestReport, Panel, parse_events
 from .mfpca import MfpcaResult
 from .trajectory import StateSpace
@@ -192,18 +192,18 @@ def _curve_rows(states, nodes, values):
     return rows
 
 
-def write_mean_curves(field: ProbabilityField, path) -> None:
+def write_mean_curves(result: MfpcaResult, path) -> None:
     _write_csv(path, ("state", "t_left", "t_right", "value"),
-               _curve_rows(field.space.states, field.grid.nodes, field.mean))
+               _curve_rows(result.states, result.grid.nodes, result.mean))
 
 
-def write_variance_curves(field: ProbabilityField, path) -> None:
+def write_variance_curves(result: MfpcaResult, path) -> None:
     _write_csv(path, ("state", "t_left", "t_right", "value"),
-               _curve_rows(field.space.states, field.grid.nodes, field.variance_diagonal))
+               _curve_rows(result.states, result.grid.nodes, result.variance))
 
 
-def write_selection_count(field: ProbabilityField, path) -> None:
-    grid, curve = selection_count_curve(field)
+def write_selection_count(result: MfpcaResult, path) -> None:
+    grid, curve = selection_count_curve(result)
     rows = [(fmt(grid.nodes[a]), fmt(grid.nodes[a + 1]), fmt(curve[a]))
             for a in range(grid.m)]
     _write_csv(path, ("t_left", "t_right", "value"), rows)

@@ -1,15 +1,18 @@
 """Weighted multivariate functional PCA via an exact finite-dimensional reduction.
 
-Because every sample path is piecewise constant on the cell grid, the
-empirical covariance operator acts on step functions only, and its
-eigenproblem is exactly equivalent to the dense symmetric eigenproblem
+Every sample path is piecewise constant on the cell grid.  With Z the
+(n, q*m) matrix of cell values, p its column mean and D the diagonal of
+w_j * delta_a over the block index (j, a), the empirical covariance
+operator is exactly represented by A^T A / n with
 
-    S = D^{1/2} G D^{1/2},
+    A = (Z - p) D^{1/2}.
 
-where G is the stacked (q*m, q*m) kernel and D the diagonal of w_j * delta_a
-over the block index (j, a).  Eigenfunction cell values are recovered as
-D^{-1/2} times the eigenvectors.  Cost is O((q*m)^3); the uniform coarse
-grid (default cap 512 cells) keeps that tractable for large panels.
+One thin SVD A = U diag(s) V^T gives the whole decomposition: eigenvalues
+s^2 / n, eigenfunction cell values D^{-1/2} V and scores U diag(s).  The
+dense (q*m, q*m) kernel is never formed, and the cost is
+O(n * q*m * min(n, q*m)).  The kernel G (:func:`estimate_field`) and the
+symmetric matrix S = D^{1/2} G D^{1/2} (:func:`assemble_operator`) remain
+as the reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -22,8 +25,7 @@ from .errors import DomainError, NumericalError, ValidationError
 from .estimation import (
     ProbabilityField,
     WeightScheme,
-    compute_weights,
-    estimate_field_from_cells,
+    _weights_from_mean,
     panel_cell_values,
 )
 from .ingest import Panel
@@ -33,7 +35,6 @@ __all__ = [
     "MfpcaResult",
     "assemble_operator",
     "eigendecompose",
-    "scores",
     "importance",
     "reconstruct",
     "mercer_check",
@@ -45,8 +46,6 @@ DEFAULT_MAX_CELLS = 512
 
 # relative spectral cut for the "auto" retention policy
 _EIG_RTOL = 1e-12
-# eigenvalues below -1e-10 * max(1, trace) indicate a broken kernel
-_NEG_EIG_RTOL = 1e-10
 
 
 def _weight_diag(weights: WeightScheme, grid: CellGrid) -> np.ndarray:
@@ -73,87 +72,55 @@ def assemble_operator(field: ProbabilityField, weights: WeightScheme) -> np.ndar
 
 
 def eigendecompose(
-    S: np.ndarray,
+    A: np.ndarray,
     weights: WeightScheme,
     grid: CellGrid,
     retain: Union[int, str] = "auto",
-    n_cap: Optional[int] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues and piecewise-constant eigenfunction blocks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descending eigenvalues, eigenfunction blocks and scores from one thin SVD.
 
     Parameters
     ----------
-    S : (q*m, q*m) symmetric PSD matrix from :func:`assemble_operator`.
+    A : (n, q*m) centred cell values scaled by the square root of the
+        weight diagonal of ``weights`` on ``grid``.
     retain : "auto", "full" or int
         "auto" keeps eigenvalues above 1e-12 of the largest, capped by
-        ``n_cap - 1`` (the rank bound of an n-sample empirical operator);
-        "full" keeps everything.
-    n_cap : sample count backing S, required for the "auto" cap.
+        n - 1 (the rank bound of an n-sample empirical operator); "full"
+        keeps all min(n, q*m); an int keeps at most that many.
 
     Returns
     -------
-    (eigenvalues (R,), eigenfunctions (R, q, m))
+    (eigenvalues (R,), eigenfunctions (R, q, m), scores (n, R))
 
     Eigenfunctions are orthonormal under the weighted inner product, and
-    each is sign-fixed so its entry of largest absolute value is positive.
+    each is sign-fixed so its entry of largest absolute value is positive;
+    its score column follows the same sign.
     """
-    qm = S.shape[0]
-    m = grid.m
-    q = qm // m
-    trace = float(np.trace(S))
-    evals, evecs = np.linalg.eigh(S)
-    evals = evals[::-1].copy()
-    evecs = evecs[:, ::-1]
-
-    neg_tol = _NEG_EIG_RTOL * max(1.0, trace)
-    if evals[-1] < -neg_tol:
-        raise NumericalError(
-            f"eigenvalue {evals[-1]:.3e} below -{neg_tol:.1e}; kernel is not PSD"
-        )
-    np.clip(evals, 0.0, None, out=evals)
-
-    if retain == "full":
-        R = qm
-    elif retain == "auto":
-        R = int(np.count_nonzero(evals > _EIG_RTOL * evals[0])) if evals[0] > 0 else 0
-        if n_cap is not None:
-            R = min(R, max(n_cap - 1, 0))
-    elif isinstance(retain, int):
+    if isinstance(retain, int):
         if retain < 0:
             raise DomainError(f"retain must be >= 0, got {retain}")
-        R = min(retain, qm)
-    else:
+    elif retain not in ("auto", "full"):
         raise ValidationError(f"retain must be 'auto', 'full' or an int, got {retain!r}")
+    n = A.shape[0]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    evals = s * s / n
 
-    inv_sq = 1.0 / np.sqrt(_weight_diag(weights, grid))
-    phis = (evecs[:, :R].T * inv_sq[None, :])  # (R, qm)
+    if retain == "full":
+        R = s.size
+    elif retain == "auto":
+        R = int(np.count_nonzero(evals > _EIG_RTOL * evals[0])) if evals[0] > 0 else 0
+        R = min(R, n - 1)
+    else:
+        R = min(retain, s.size)
+
+    phis = Vt[:R]
+    phis /= np.sqrt(_weight_diag(weights, grid))
+    scores = U[:, :R] * s[:R]
     # deterministic sign: largest-|value| cell entry made positive
-    for r in range(R):
-        peak = np.argmax(np.abs(phis[r]))
-        if phis[r, peak] < 0:
-            phis[r] = -phis[r]
-    return evals[:R], phis.reshape(R, q, m)
-
-
-def scores(
-    Z: np.ndarray,
-    field: ProbabilityField,
-    weights: WeightScheme,
-    eigenfunctions: np.ndarray,
-) -> np.ndarray:
-    """Principal component scores, entry (i, r) = <X_i - p, phi_r>_H.
-
-    ``Z`` holds the panel cell values (n, q, m) on the field's grid; the
-    inner product is the exact weighted sum over cells.
-    """
-    n = Z.shape[0]
-    R = eigenfunctions.shape[0]
-    qm = field.q * field.m
-    if Z.shape[1:] != (field.q, field.m):
-        raise ValidationError(f"cell values {Z.shape[1:]} do not match field ({field.q}, {field.m})")
-    d = _weight_diag(weights, field.grid)
-    Zc = Z.reshape(n, qm) - field.mean.reshape(qm)[None, :]
-    return Zc @ (eigenfunctions.reshape(R, qm) * d[None, :]).T
+    flip = phis[np.arange(R), np.abs(phis).argmax(axis=1)] < 0
+    phis[flip] *= -1.0
+    scores[:, flip] *= -1.0
+    return evals[:R], phis.reshape(R, weights.q, grid.m), scores
 
 
 def importance(weights: WeightScheme, grid: CellGrid, eigenfunctions: np.ndarray) -> np.ndarray:
@@ -201,6 +168,7 @@ class MfpcaResult:
     importance: np.ndarray         # (R, q)
     total_variance: float          # sum of all eigenvalues = weighted trace
     mean: np.ndarray               # (q, m)
+    variance: np.ndarray           # (q, m) variance of each cell value
     weights: WeightScheme
     grid: CellGrid
     mode: str
@@ -240,8 +208,8 @@ def run_mfpca(
     grid: Optional[CellGrid] = None,
     max_cells: int = DEFAULT_MAX_CELLS,
     retain: Union[int, str] = "auto",
-) -> tuple[MfpcaResult, ProbabilityField]:
-    """Full pipeline: cell values -> field -> weights -> eigenproblem -> scores.
+) -> MfpcaResult:
+    """Full pipeline: cell values -> weights -> one thin SVD -> result.
 
     The union grid is used when it has at most ``max_cells`` cells; larger
     panels fall back to a uniform grid of ``max_cells`` cells, on which cell
@@ -251,23 +219,31 @@ def run_mfpca(
         grid = panel.grid()
         if grid.m > max_cells:
             grid = CellGrid.uniform(max_cells, grid.horizon)
-    Z = panel_cell_values(panel, grid, exact=None)
-    field = estimate_field_from_cells(Z, grid, panel.space, panel.mode)
+    Z = panel_cell_values(panel, grid)
+    n, q, m = Z.shape
+    # centred and weighted in place: A shares Z's memory, no second n x q*m copy
+    A = Z.reshape(n, q * m)
+    mean = A.mean(axis=0)
+    A -= mean
+    variance = np.einsum("ij,ij->j", A, A) / n
     if weights is None:
-        weights = compute_weights(field, scheme)
-    S = assemble_operator(field, weights)
-    evals, phis = eigendecompose(S, weights, field.grid, retain=retain, n_cap=panel.n)
-    result = MfpcaResult(
+        weights = _weights_from_mean(mean.reshape(q, m), grid, panel.space, scheme)
+    elif weights.q != q:
+        raise ValidationError(f"weights are for q={weights.q} states, panel has q={q}")
+    A *= np.sqrt(_weight_diag(weights, grid))
+    total_variance = float(np.vdot(A, A)) / n
+    evals, phis, scores = eigendecompose(A, weights, grid, retain=retain)
+    return MfpcaResult(
         eigenvalues=evals,
         eigenfunctions=phis,
-        scores=scores(Z, field, weights, phis),
-        importance=importance(weights, field.grid, phis),
-        total_variance=float(np.trace(S)),
-        mean=field.mean,
+        scores=scores,
+        importance=importance(weights, grid, phis),
+        total_variance=total_variance,
+        mean=mean.reshape(q, m),
+        variance=variance.reshape(q, m),
         weights=weights,
-        grid=field.grid,
+        grid=grid,
         mode=panel.mode,
         states=panel.space.states,
         items=tuple((it.subject, it.condition) for it in panel.items),
     )
-    return result, field

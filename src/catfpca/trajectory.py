@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GridError, ValidationError
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "StateSpace",
@@ -225,23 +225,6 @@ class IndicatorVectorTrajectory:
         if self.horizon != grid.horizon:
             return False
         return bool(np.isin(interior, grid.nodes).all())
-
-    def cell_values(self, grid: "CellGrid") -> np.ndarray:
-        """Exact (q, m) cell values; requires the grid to refine this trajectory."""
-        if not self.is_constant_on(grid):
-            raise GridError("grid does not refine trajectory; use cell_averages")
-        idx = np.searchsorted(self.breakpoints, grid.nodes[:-1], side="right") - 1
-        return self.values[idx].T.copy()
-
-    def cell_averages(self, grid: "CellGrid") -> np.ndarray:
-        """(q, m) length-weighted averages over grid cells (exact integrals)."""
-        from ._kernels import cell_averages
-
-        if self.horizon != grid.horizon:
-            raise GridError(
-                f"trajectory horizon {self.horizon} != grid horizon {grid.horizon}"
-            )
-        return cell_averages(self.breakpoints, self.values, grid.nodes)
 
     def __repr__(self) -> str:
         return (

@@ -57,7 +57,8 @@ def test_criterion_1_property_suite():
     while panels < 50:
         mode = "TDS" if panels % 2 == 0 else "TCATA"
         panel = random_panel(rng, mode)
-        result, field = run_mfpca(panel, retain="full")
+        result = run_mfpca(panel, retain="full")
+        field = estimate_field(panel, result.grid, exact=None)
         trace = result.total_variance
         scale = max(trace, 1e-30)
         R = result.R
@@ -130,7 +131,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_mirror_fixture():
     panel = mirror_panel()
-    result, field = run_mfpca(panel, retain="full")
+    result = run_mfpca(panel, retain="full")
     nonzero = result.eigenvalues[result.eigenvalues > 1e-12]
     if nonzero.size != 1 or abs(nonzero[0] - 0.25) > 1e-12:
         fail(3, f"eigenvalues {result.eigenvalues[:3]} != (0.25, 0, ...)")
@@ -138,8 +139,8 @@ def test_criterion_3_mirror_fixture():
         fail(3, f"scores {result.scores[:, 0]} != +-0.5")
     if np.abs(result.importance[0] - 0.5).max() > 1e-12:
         fail(3, f"importance {result.importance[0]} != (0.5, 0.5)")
-    Z = panel_cell_values(panel, field.grid)
-    d = _weight_diag(result.weights, field.grid)
+    Z = panel_cell_values(panel, result.grid)
+    d = _weight_diag(result.weights, result.grid)
     for i in range(2):
         r = (reconstruct(result, i, 1) - Z[i]).ravel()
         if np.sqrt(float(r @ (d * r))) > 1e-10:
@@ -153,14 +154,14 @@ def test_criterion_4_kl_optimality():
         n = int(rng.integers(3, 9))       # n <= 8
         q = int(rng.integers(2, 4))       # q <= 3
         panel = random_panel(rng, "TDS" if trial % 2 else "TCATA", n=n, q=q, lattice=12)
-        result, field = run_mfpca(panel, retain="full")
+        result = run_mfpca(panel, retain="full")
         live = [r for r in range(result.R) if result.eigenvalues[r] > 1e-13]
         if len(live) < 2:
             continue
-        d = _weight_diag(result.weights, field.grid)
+        d = _weight_diag(result.weights, result.grid)
         sq = np.sqrt(d)
-        Z = panel_cell_values(panel, field.grid)
-        Y = (Z.reshape(panel.n, -1) - field.mean.ravel()[None, :]) * sq[None, :]
+        Z = panel_cell_values(panel, result.grid)
+        Y = (Z.reshape(panel.n, -1) - result.mean.ravel()[None, :]) * sq[None, :]
         V = result.eigenfunctions.reshape(result.R, -1) * sq[None, :]
         for k in (1, 2):
             if len(live) < k:
@@ -218,7 +219,8 @@ def test_criterion_6_dataset_replication():
     panel, _, meta = read_panel(root / "tds.csv")
     if not meta.get("normalized"):
         panel = apply_protocol_normalization(panel)
-    result, field = run_mfpca(panel)
+    result = run_mfpca(panel)
+    field = estimate_field(panel, result.grid, exact=None)
     props = result.variance_proportions[:4] * 100
     for got, want in zip(props, (23.0, 11.0, 7.0, 6.0)):
         if abs(got - want) > 2.0:
@@ -237,12 +239,12 @@ def test_criterion_6_dataset_replication():
     panel, _, meta = read_panel(root / "tcata.csv")
     if not meta.get("normalized"):
         panel = apply_protocol_normalization(panel)
-    result, field = run_mfpca(panel)
+    result = run_mfpca(panel)
     props = result.variance_proportions[:2] * 100
     for got, want in zip(props, (19.0, 12.0)):
         if abs(got - want) > 2.0:
             fail(6, f"TCATA variance proportions {props} vs (19, 12)")
-    grid, curve = selection_count_curve(field)
+    grid, curve = selection_count_curve(result)
     peak = int(np.argmax(curve))
     t_peak = 0.5 * (grid.nodes[peak] + grid.nodes[peak + 1])
     if not (1.3 <= curve[peak] <= 1.7 and 0.5 <= t_peak <= 0.7):

@@ -1,5 +1,9 @@
 import json
 
+import numpy as np
+import pytest
+
+from catfpca import cli
 from catfpca.cli import main
 from catfpca.io import canonical_json, read_panel
 
@@ -186,6 +190,23 @@ def test_config_rejects_conflicting_truncations(tmp_path, capsys):
     code = run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "z",
                 "--k", 1, "--var-frac", 0.9])
     assert code == 2
+
+
+@pytest.mark.parametrize("exc", [MemoryError, np.linalg.LinAlgError])
+def test_resource_and_solver_failures_exit_3(tmp_path, capsys, monkeypatch, exc):
+    events, meta = write_inputs(tmp_path, "TDS")
+    ingested = tmp_path / "ingested"
+    run(["ingest", events, "--meta", meta, "--out", ingested])
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise exc("cannot allocate the decomposition")
+
+    monkeypatch.setattr(cli, "run_mfpca", fail)
+    assert run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "res"]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == exc.__name__
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):

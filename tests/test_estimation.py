@@ -16,7 +16,7 @@ from catfpca import (
     panel_cell_values,
     selection_count_curve,
 )
-from catfpca.estimation import WeightScheme, coarsen_field
+from catfpca.estimation import WeightScheme
 
 from conftest import mirror_panel, random_panel
 
@@ -196,12 +196,3 @@ def test_cell_averages_project_exactly():
     # first half-cell holds state A for 0.25/0.5 of its length
     assert np.allclose(Z[0], [[0.5, 0.0], [0.5, 1.0]])
 
-
-def test_coarsening_equals_estimating_on_coarse_grid(rng):
-    panel = random_panel(rng, "TCATA", n=8, q=3)
-    fine = estimate_field(panel)
-    coarse_grid = CellGrid.uniform(7)
-    direct = estimate_field(panel, coarse_grid, exact=False)
-    aggregated = coarsen_field(fine, coarse_grid)
-    assert np.abs(direct.mean - aggregated.mean).max() <= 1e-12
-    assert np.abs(direct.cov_matrix - aggregated.cov_matrix).max() <= 1e-12

@@ -8,6 +8,7 @@ from catfpca import (
     SchemaError,
     StateSpace,
     apply_protocol_normalization,
+    panel_cell_values,
     parse_events,
     union_grid,
     validate_panel,
@@ -124,8 +125,8 @@ def test_tds_sum_to_one_after_normalization():
             rec("s2", "B", 0.5), rec("s2", "A", 3.0)]
     panel = apply_protocol_normalization(parse_events(rows, SP2, "TDS", 10.0)[0])
     grid = panel.grid()
-    for ind in panel.indicators():
-        assert np.array_equal(ind.cell_values(grid).sum(axis=0), np.ones(grid.m))
+    Z = panel_cell_values(panel, grid, exact=True)
+    assert np.array_equal(Z.sum(axis=1), np.ones((panel.n, grid.m)))
 
 
 def test_tcata_normalization_keeps_latency_and_empty_ends():

@@ -1,52 +1,10 @@
-"""Both kernel backends must agree; the numpy path is the reference."""
+"""Rasterization: exact on refining grids, integral-preserving on any grid."""
 import numpy as np
-import pytest
 
-from catfpca import _kernels
 from catfpca import panel_cell_values
 from catfpca.trajectory import CellGrid
 
 from conftest import random_panel
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba backend not active"
-)
-
-
-def panel_csr(panel):
-    inds = panel.indicators()
-    return [i.breakpoints for i in inds], [i.values for i in inds]
-
-
-def test_selected_backend_is_reported():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    assert _kernels.BACKEND == ("numba" if _kernels.NUMBA_ENABLED else "numpy")
-
-
-@needs_numba
-def test_cell_averages_backends_agree(rng):
-    nodes = CellGrid.uniform(13).nodes
-    for mode in ("TDS", "TCATA"):
-        panel = random_panel(rng, mode, n=8, q=3)
-        breaks, vals = panel_csr(panel)
-        boffs = np.cumsum([0] + [len(b) for b in breaks]).astype(np.int64)
-        voffs = np.cumsum([0] + [v.shape[0] for v in vals]).astype(np.int64)
-        got = _kernels._batch_cell_averages_numba(
-            np.concatenate(breaks), boffs, np.concatenate(vals), voffs, nodes
-        )
-        want = _kernels._batch_cell_averages_numpy(
-            np.concatenate(breaks), boffs, np.concatenate(vals), voffs, nodes
-        )
-        assert np.abs(got - want).max() <= 1e-14
-
-
-@needs_numba
-def test_cross_moment_backends_agree(rng):
-    Z = rng.random((40, 33))
-    got = _kernels._cross_moment_numba(Z)
-    want = _kernels._cross_moment_numpy(Z)
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-    assert np.array_equal(got, got.T)
 
 
 def test_exact_cells_are_binary_on_refining_grids(rng):
@@ -58,10 +16,9 @@ def test_exact_cells_are_binary_on_refining_grids(rng):
 def test_cell_averages_integrate_exactly(rng):
     # averaging onto any grid preserves the integral of each indicator
     panel = random_panel(rng, "TCATA", n=6, q=3)
-    inds = panel.indicators()
     coarse = CellGrid.uniform(7)
-    for ind in inds:
-        avg = ind.cell_averages(coarse)
+    Z = panel_cell_values(panel, coarse)
+    for ind, avg in zip(panel.indicators(), Z):
         integral_coarse = avg @ coarse.lengths
         integral_exact = ind.values.T @ np.diff(ind.breakpoints)
         assert np.abs(integral_coarse - integral_exact).max() <= 1e-14

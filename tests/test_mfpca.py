@@ -18,7 +18,6 @@ from catfpca.mfpca import (
     eigendecompose,
     importance,
     run_mfpca,
-    scores,
 )
 
 from conftest import mirror_panel, random_panel
@@ -32,10 +31,10 @@ def h_gram(result):
     return (P * d[None, :]) @ P.T
 
 
-def mean_residual_sq(panel, result, field, k):
+def mean_residual_sq(panel, result, k):
     """Empirical mean squared H-norm of the rank-k reconstruction residual."""
-    Z = panel_cell_values(panel, field.grid)
-    d = _weight_diag(result.weights, field.grid)
+    Z = panel_cell_values(panel, result.grid)
+    d = _weight_diag(result.weights, result.grid)
     total = 0.0
     for i in range(panel.n):
         resid = (reconstruct(result, i, k) - Z[i]).ravel()
@@ -46,15 +45,15 @@ def mean_residual_sq(panel, result, field, k):
 # -- hand-computed fixture ----------------------------------------------------
 
 def test_mirror_panel_full_decomposition(mirror):
-    result, field = run_mfpca(mirror)
+    result = run_mfpca(mirror)
     assert result.R == 1
     assert result.eigenvalues[0] == pytest.approx(0.25, abs=1e-14)
     assert np.sort(result.scores[:, 0]) == pytest.approx([-0.5, 0.5], abs=1e-12)
     assert result.importance[0] == pytest.approx([0.5, 0.5], abs=1e-12)
     assert result.variance_proportions[0] == pytest.approx(1.0, abs=1e-12)
-    assert mean_residual_sq(mirror, result, field, 1) <= 1e-20
-    full, _ = run_mfpca(mirror, retain="full")
-    assert mercer_check(full, field) <= 1e-10
+    assert mean_residual_sq(mirror, result, 1) <= 1e-20
+    full = run_mfpca(mirror, retain="full")
+    assert mercer_check(full, estimate_field(mirror, full.grid, exact=None)) <= 1e-10
 
 
 def test_zero_kernel_single_sample():
@@ -67,7 +66,7 @@ def test_zero_kernel_single_sample():
     field = estimate_field(panel)
     S = assemble_operator(field, WeightScheme.equal(2))
     assert np.all(S == 0.0)
-    result, _ = run_mfpca(panel)
+    result = run_mfpca(panel)
     assert result.R == 0
     assert result.scores.shape == (1, 0)
 
@@ -82,14 +81,16 @@ def test_synthetic_identity_kernel_gives_diagonal_eigenvalues():
     S = assemble_operator(field, weights)
     d = _weight_diag(weights, grid)
     assert np.allclose(S, np.diag(d), atol=1e-15)
-    evals, phis = eigendecompose(S, weights, grid, retain="full")
+    # A = sqrt(n) D^{1/2} with n = q*m rows has A^T A / n = S
+    A = np.sqrt(qm) * np.diag(np.sqrt(d))
+    evals, phis, _ = eigendecompose(A, weights, grid, retain="full")
     assert np.allclose(evals, np.sort(d)[::-1], atol=1e-15)
 
 
 def test_weight_scaling_equivariance(rng):
     panel = random_panel(rng, "TCATA", n=8, q=3)
-    base, _ = run_mfpca(panel)
-    scaled, _ = run_mfpca(panel, weights=base.weights.scaled(7.5))
+    base = run_mfpca(panel)
+    scaled = run_mfpca(panel, weights=base.weights.scaled(7.5))
     np.testing.assert_allclose(scaled.eigenvalues, 7.5 * base.eigenvalues, rtol=1e-10)
     np.testing.assert_allclose(
         scaled.variance_proportions, base.variance_proportions, atol=1e-10
@@ -106,9 +107,10 @@ def test_weight_scaling_equivariance(rng):
 def test_spectral_invariants_random_panels(rng, mode):
     for _ in range(5):
         panel = random_panel(rng, mode)
-        result, field = run_mfpca(panel)
+        result = run_mfpca(panel)
         if result.R == 0:
             continue
+        field = estimate_field(panel, result.grid, exact=None)
         assert np.all(np.diff(result.eigenvalues) <= 0) and result.eigenvalues[-1] >= 0
         gram = h_gram(result)
         assert np.abs(gram - np.eye(result.R)).max() <= 1e-8
@@ -126,9 +128,22 @@ def test_spectral_invariants_random_panels(rng, mode):
             assert full_sum <= result.weights.weights.max() * field.grid.horizon + 1e-12
 
 
+def test_svd_eigenvalues_match_dense_operator(rng):
+    # the thin SVD of the weighted centred cell values and eigh of the
+    # assembled operator S = D^{1/2} G D^{1/2} give the same spectrum
+    for mode in ("TDS", "TCATA") * 10:
+        panel = random_panel(rng, mode)
+        result = run_mfpca(panel, retain="full")
+        field = estimate_field(panel, result.grid, exact=None)
+        dense = np.linalg.eigvalsh(assemble_operator(field, result.weights))[::-1]
+        svd = np.zeros_like(dense)
+        svd[:result.R] = result.eigenvalues
+        assert np.abs(svd - dense).max() <= 1e-12 * max(dense[0], 1e-30)
+
+
 def test_zero_eigenvalue_components_have_zero_scores(rng):
     panel = random_panel(rng, "TDS", n=3, q=3)
-    result, field = run_mfpca(panel, retain="full")
+    result = run_mfpca(panel, retain="full")
     null = result.eigenvalues <= 1e-14
     if null.any():
         assert np.abs(result.scores[:, null]).max() <= 1e-8
@@ -136,16 +151,16 @@ def test_zero_eigenvalue_components_have_zero_scores(rng):
 
 def test_parseval_residuals(rng):
     panel = random_panel(rng, "TCATA", n=6, q=3)
-    result, field = run_mfpca(panel, retain="full")
+    result = run_mfpca(panel, retain="full")
     for k in (0, 1, min(3, result.R)):
         expected = result.total_variance - result.eigenvalues[:k].sum()
-        got = mean_residual_sq(panel, result, field, k)
+        got = mean_residual_sq(panel, result, k)
         assert abs(got - expected) <= 1e-8 * max(result.total_variance, 1e-30)
 
 
 def test_reconstruct_contracts(mirror):
-    result, field = run_mfpca(mirror)
-    assert np.array_equal(reconstruct(result, 0, 0), field.mean)
+    result = run_mfpca(mirror)
+    assert np.array_equal(reconstruct(result, 0, 0), estimate_field(mirror).mean)
     with pytest.raises(DomainError):
         reconstruct(result, 0, result.R + 1)
     with pytest.raises(DomainError):
@@ -154,20 +169,21 @@ def test_reconstruct_contracts(mirror):
 
 def test_mercer_deviation_decreases_with_rank(rng):
     panel = random_panel(rng, "TDS", n=8, q=3)
-    full, field = run_mfpca(panel, retain="full")
+    full = run_mfpca(panel, retain="full")
+    field = estimate_field(panel, full.grid, exact=None)
     trace = full.total_variance
     assert mercer_check(full, field) <= 1e-8 * max(trace, 1e-30)
     devs = []
     for k in (1, 2, full.R):
-        truncated, _ = run_mfpca(panel, retain=k)
+        truncated = run_mfpca(panel, retain=k)
         devs.append(mercer_check(truncated, field))
     assert devs[0] >= devs[1] >= devs[2]
 
 
 def test_sign_convention_and_determinism(rng):
     panel = random_panel(rng, "TCATA", n=7, q=3)
-    r1, _ = run_mfpca(panel)
-    r2, _ = run_mfpca(panel)
+    r1 = run_mfpca(panel)
+    r2 = run_mfpca(panel)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
     assert np.array_equal(r1.eigenfunctions, r2.eigenfunctions)
     assert np.array_equal(r1.scores, r2.scores)
@@ -195,25 +211,18 @@ def test_assemble_operator_error_paths():
         assemble_operator(field, WeightScheme.equal(2))
 
 
-def test_eigendecompose_rejects_indefinite_matrix():
-    grid = CellGrid.uniform(2)
-    weights = WeightScheme.equal(2)
-    with pytest.raises(NumericalError, match="PSD"):
-        eigendecompose(-np.eye(4), weights, grid, retain="full")
-
-
 def test_retained_count_is_capped_by_sample_size(rng):
     panel = random_panel(rng, "TCATA", n=4, q=3)
-    result, _ = run_mfpca(panel)
+    result = run_mfpca(panel)
     assert result.R <= panel.n - 1
 
 
 def test_union_grid_cap_falls_back_to_uniform(rng):
     panel = random_panel(rng, "TCATA", n=10, q=3)
     assert panel.grid().m > 8
-    result, field = run_mfpca(panel, max_cells=8)
-    assert field.grid.m == 8
-    assert np.allclose(np.diff(field.grid.nodes), 1.0 / 8)
+    result = run_mfpca(panel, max_cells=8)
+    assert result.grid.m == 8
+    assert np.allclose(np.diff(result.grid.nodes), 1.0 / 8)
     # spectral identities survive the projection onto the coarse grid
     var = (result.scores ** 2).mean(axis=0) - result.scores.mean(axis=0) ** 2
     assert np.abs(var - result.eigenvalues).max() <= 1e-10
@@ -234,7 +243,7 @@ def test_scores_separate_known_subpopulations(rng):
             items.append(PanelItem(f"{label}-{i:02d}", label,
                                    CategoricalTrajectory(b, [{s} for s in order])))
     panel = Panel("TDS", space, items)
-    result, _ = run_mfpca(panel)
+    result = run_mfpca(panel)
     assert result.variance_proportions[0] > 0.25
 
     pcs = result.scores[:, :2]
@@ -254,10 +263,10 @@ def test_kl_truncation_beats_alternative_subspaces(rng):
     # eigenvectors and among random H-orthonormal frames
     for _ in range(3):
         panel = random_panel(rng, "TDS", n=6, q=3, lattice=10)
-        result, field = run_mfpca(panel, retain="full")
-        Z = panel_cell_values(panel, field.grid)
-        d = _weight_diag(result.weights, field.grid)
-        Zc = Z.reshape(panel.n, -1) - field.mean.ravel()[None, :]
+        result = run_mfpca(panel, retain="full")
+        Z = panel_cell_values(panel, result.grid)
+        d = _weight_diag(result.weights, result.grid)
+        Zc = Z.reshape(panel.n, -1) - result.mean.ravel()[None, :]
         Y = Zc * np.sqrt(d)[None, :]  # symmetrized coordinates
         total = (Y ** 2).sum() / panel.n
         V = result.eigenfunctions.reshape(result.R, -1) * np.sqrt(d)[None, :]

@@ -7,8 +7,11 @@ from catfpca import (
     CategoricalTrajectory,
     CellGrid,
     DomainError,
+    Panel,
+    PanelItem,
     StateSpace,
     ValidationError,
+    panel_cell_values,
     to_indicators,
     union_grid,
 )
@@ -176,8 +179,12 @@ def test_union_grid_refines_inputs(cases):
     grid = union_grid(inds)
     for ind in inds:
         assert ind.is_constant_on(grid)
-        # direct check: cell values and cell averages agree exactly
-        np.testing.assert_array_equal(ind.cell_values(grid), ind.cell_averages(grid))
+    # on a refining grid the cell values are exactly the 0/1 indicator values
+    panel = Panel("TDS", sp, [PanelItem(f"s{i}", "c", traj) for i, (traj, _) in enumerate(cases)])
+    indicator_values = np.stack([
+        np.stack([ind.evaluate(t) for t in grid.midpoints], axis=1) for ind in inds
+    ])
+    np.testing.assert_array_equal(panel_cell_values(panel, panel.grid()), indicator_values)
 
 
 def test_random_generator_produces_canonical_tds(rng):
