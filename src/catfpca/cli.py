@@ -64,6 +64,8 @@ class RunConfig:
             raise ValidationError(f"variance fraction must be in (0, 1], got {cfg.var_frac}")
         if cfg.cells < 1:
             raise ValidationError("cells must be >= 1")
+        if cfg.k is not None and cfg.k < 0:
+            raise ValidationError(f"k must be >= 0, got {cfg.k}")
         return cfg
 
     def to_dict(self) -> dict:
@@ -109,10 +111,12 @@ def cmd_validate(args) -> int:
 def cmd_mfpca(args) -> int:
     cfg = RunConfig.load(args)
     panel, report, meta = _load_normalized_panel(args, cfg.tick)
-    grid = None
+    union = panel.grid()
     if cfg.grid == "uniform":
-        grid = CellGrid.uniform(cfg.cells, panel.trajectories[0].horizon)
-    result = run_mfpca(panel, scheme=cfg.weights, grid=grid, max_cells=cfg.cells)
+        grid = CellGrid.uniform(cfg.cells, union.horizon)
+    else:
+        grid = union.capped(cfg.cells)
+    result = run_mfpca(panel, scheme=cfg.weights, grid=grid)
 
     if cfg.k is not None:
         k = min(cfg.k, result.R)
@@ -132,15 +136,20 @@ def cmd_mfpca(args) -> int:
     io.write_mean_curves(result, out / "mean_curves.csv")
     io.write_variance_curves(result, out / "variance_curves.csv")
     io.write_selection_count(result, out / "selection_count.csv")
-    io._write_text(out / "summary.txt", _summary(result, k))
-    print(_summary(result, k), end="")
+    summary = _summary(result, k, union)
+    io._write_text(out / "summary.txt", summary)
+    print(summary, end="")
     return 0
 
 
-def _summary(result, k: int) -> str:
+def _summary(result, k: int, union: CellGrid) -> str:
+    if result.grid == union:
+        cells = f"cells={result.grid.m} (union)"
+    else:
+        cells = f"cells={result.grid.m} (uniform; union grid has {union.m})"
     lines = [
         f"mode={result.mode} n={result.n} q={len(result.states)} "
-        f"cells={result.grid.m} scheme={result.weights.scheme}",
+        f"{cells} scheme={result.weights.scheme}",
         "normalized weights: " + " ".join(
             f"{s}={w:.4f}" for s, w in zip(result.states, result.weights.normalized_weights)
         ),

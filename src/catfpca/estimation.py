@@ -209,23 +209,24 @@ def compute_weights(field: ProbabilityField, scheme: str) -> WeightScheme:
     """Weights for the inner product under one of the three schemes.
 
     equal: w_j = 1/q.  trace_normalizing: w_j is the reciprocal of the
-    integrated variance of state j, which gives every per-state covariance
-    operator unit trace.  inverse_mean_probability: w_j is the reciprocal
-    of the average probability of occurrence.
+    integrated variance of state j's cell values, which gives every
+    per-state covariance operator unit trace on any grid.
+    inverse_mean_probability: w_j is the reciprocal of the average
+    probability of occurrence.
     """
-    return _weights_from_mean(field.mean, field.grid, field.space, scheme)
+    return _weights(field.mean, field.variance_diagonal, field.grid, field.space, scheme)
 
 
-def _weights_from_mean(mean: np.ndarray, grid: CellGrid, space: StateSpace,
-                       scheme: str) -> WeightScheme:
-    """:func:`compute_weights` from the (q, m) mean curves alone."""
+def _weights(mean: np.ndarray, variance: np.ndarray, grid: CellGrid, space: StateSpace,
+             scheme: str) -> WeightScheme:
+    """:func:`compute_weights` from the (q, m) mean and variance curves alone."""
     tag = _SCHEME_ALIASES.get(scheme.strip().lower())
     if tag is None:
         raise ValidationError(f"unknown weight scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
     if tag == "equal":
         return WeightScheme.equal(space.q)
     if tag == "trace_normalizing":
-        integrals = (mean * (1.0 - mean)) @ grid.lengths
+        integrals = variance @ grid.lengths
         kind = "integrated variance"
     else:
         integrals = mean @ grid.lengths

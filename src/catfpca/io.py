@@ -1,19 +1,23 @@
 """File formats: events CSV + JSON sidecar for panels, CSV/JSON exports.
 
-All floats are written with 17 significant digits (exact double round-trip)
-and all JSON objects with sorted keys, so identical inputs produce
-byte-identical output files.
+Export contract: every float is written with 17 significant digits (an exact
+double round-trip) and a non-finite value raises ValidationError before its
+file is opened; JSON objects have sorted keys; CSV text fields are quoted as
+csv.writer quotes them.  CSV files are streamed in blocks of rows, so no file's
+whole text is held in memory.  Identical inputs give byte-identical files.
 """
 from __future__ import annotations
 
 import csv
 import json
+from io import StringIO
+from itertools import product
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError
+from .errors import DomainError, SchemaError, ValidationError
 from .estimation import selection_count_curve
 from .ingest import EventRecord, IngestReport, Panel, parse_events
 from .mfpca import MfpcaResult
@@ -37,6 +41,9 @@ __all__ = [
 ]
 
 EVENT_COLUMNS = ("subject", "product", "descriptor", "onset", "offset")
+
+_F17 = "{:.17g}".format  # fmt's digits for a Python float
+_BLOCK_ROWS = 8192  # rows formatted and written at a time
 
 
 def fmt(x: float) -> str:
@@ -75,11 +82,40 @@ def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_csv(path, header, rows) -> None:
+def _csv_fields(*fields) -> str:
+    """``fields`` quoted as csv.writer quotes them inside a row, each followed by a comma."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((*fields, ""))
+    return buf.getvalue()[:-1]
+
+
+def _write_csv(path, header, blocks) -> None:
+    """The header line, then each block of row strings as soon as it is made."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            fh.write("".join(block))
+
+
+def _table_blocks(prefixes: list[str], keys: list[str], *columns):
+    """Blocks of rows ``prefix + key + "," + values``, every key under every prefix.
+
+    ``columns`` hold len(prefixes) * len(keys) floats each, in row order.  All
+    are checked before the first block; a block formats about _BLOCK_ROWS rows.
+    """
+    cols = [np.reshape(col, (len(prefixes), len(keys))) for col in columns]
+    for col in cols:
+        if not np.isfinite(col).all():
+            raise ValidationError(f"cannot serialize non-finite value {col[~np.isfinite(col)][0]}")
+    step = max(1, _BLOCK_ROWS // max(1, len(keys)))
+
+    def block(g):
+        values = np.stack([col[g:g + step] for col in cols], axis=-1).ravel().tolist()
+        texts = iter(map(_F17, values))
+        rows = zip(product(prefixes[g:g + step], keys), zip(*[texts] * len(cols)))
+        return [f"{p}{key},{','.join(v)}\n" for (p, key), v in rows]
+
+    return map(block, range(0, len(prefixes), step))
 
 
 def read_events_csv(path) -> list[EventRecord]:
@@ -127,33 +163,29 @@ def read_meta(path) -> dict:
     return meta
 
 
+def _event_rows(panel: Panel):
+    """One block of event rows (as written by write_panel) per panel item."""
+    labels = [_csv_fields(s) for s in panel.space.states]
+    for it in panel.items:
+        segments = it.trajectory.segments
+        prefix = _csv_fields(it.subject, it.condition)
+        t = list(map(_F17, it.trajectory.breakpoints.tolist()))
+        if panel.mode == "TDS":
+            # an empty segment is the latency; the parser restores it from the first onset
+            yield [f"{prefix}{labels[j]}{t[k]},\n" for k, s in enumerate(segments) for j in s]
+            continue
+        runs, opened, prev = [], {}, frozenset()
+        for k, s in enumerate((*segments, frozenset())):
+            opened.update((j, k) for j in s - prev)
+            runs.extend((j, opened.pop(j), k) for j in prev - s)
+            prev = s
+        yield [f"{prefix}{labels[j]}{t[start]},{t[end]}\n" for j, start, end in sorted(runs)]
+
+
 def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
     """Serialize a panel in the ingestion schema (events CSV + sidecar)."""
     meta_path = meta_path or sidecar_path(csv_path)
-    rows = []
-    for it in panel.items:
-        traj = it.trajectory
-        if panel.mode == "TDS":
-            for k, subset in enumerate(traj.segments):
-                if not subset:
-                    continue  # latency; reconstructed by the parser from the first onset
-                (j,) = subset
-                rows.append((it.subject, it.condition, panel.space.states[j],
-                             fmt(traj.breakpoints[k]), ""))
-        else:
-            for j in range(panel.space.q):
-                active = [j in s for s in traj.segments]
-                k = 0
-                while k < len(active):
-                    if active[k]:
-                        start = traj.breakpoints[k]
-                        while k < len(active) and active[k]:
-                            k += 1
-                        rows.append((it.subject, it.condition, panel.space.states[j],
-                                     fmt(start), fmt(traj.breakpoints[k])))
-                    else:
-                        k += 1
-    _write_csv(csv_path, EVENT_COLUMNS, rows)
+    _write_csv(csv_path, EVENT_COLUMNS, _event_rows(panel))
 
     horizons = sorted({it.trajectory.horizon for it in panel.items})
     end_time: Union[float, dict] = horizons[0] if len(horizons) == 1 else {
@@ -184,66 +216,59 @@ def read_panel(csv_path, meta_path=None) -> tuple[Panel, IngestReport, dict]:
 # analysis exports
 # ---------------------------------------------------------------------------
 
-def _curve_rows(states, nodes, values):
-    rows = []
-    for j, label in enumerate(states):
-        for a in range(len(nodes) - 1):
-            rows.append((label, fmt(nodes[a]), fmt(nodes[a + 1]), fmt(values[j, a])))
-    return rows
+def _components(result: MfpcaResult, k: Optional[int]) -> tuple[int, list[str]]:
+    """k (all retained when None) and the "state,r," prefix of each exported curve."""
+    k = result.R if k is None else k
+    if not 0 <= k <= result.R:
+        raise DomainError(f"cannot export {k} components; the result has {result.R}")
+    labels = [_csv_fields(s) for s in result.states]
+    return k, [f"{label}{r}," for r in range(1, k + 1) for label in labels]
+
+
+def _cells(grid) -> list[str]:
+    """The "t_left,t_right" text of every cell, each node formatted once."""
+    nodes = list(map(_F17, grid.nodes.tolist()))
+    return [f"{a},{b}" for a, b in zip(nodes[:-1], nodes[1:])]
 
 
 def write_mean_curves(result: MfpcaResult, path) -> None:
-    _write_csv(path, ("state", "t_left", "t_right", "value"),
-               _curve_rows(result.states, result.grid.nodes, result.mean))
+    _write_csv(path, ("state", "t_left", "t_right", "value"), _table_blocks(
+        [_csv_fields(s) for s in result.states], _cells(result.grid), result.mean))
 
 
 def write_variance_curves(result: MfpcaResult, path) -> None:
-    _write_csv(path, ("state", "t_left", "t_right", "value"),
-               _curve_rows(result.states, result.grid.nodes, result.variance))
+    _write_csv(path, ("state", "t_left", "t_right", "value"), _table_blocks(
+        [_csv_fields(s) for s in result.states], _cells(result.grid), result.variance))
 
 
 def write_selection_count(result: MfpcaResult, path) -> None:
     grid, curve = selection_count_curve(result)
-    rows = [(fmt(grid.nodes[a]), fmt(grid.nodes[a + 1]), fmt(curve[a]))
-            for a in range(grid.m)]
-    _write_csv(path, ("t_left", "t_right", "value"), rows)
+    _write_csv(path, ("t_left", "t_right", "value"), _table_blocks([""], _cells(grid), curve))
 
 
 def write_scores(result: MfpcaResult, path, k: Optional[int] = None) -> None:
-    k = result.R if k is None else k
-    rows = []
-    for i, (subject, condition) in enumerate(result.items):
-        for r in range(k):
-            rows.append((subject, condition, r + 1, fmt(result.scores[i, r])))
-    _write_csv(path, ("subject", "condition", "r", "value"), rows)
+    k, _ = _components(result, k)
+    _write_csv(path, ("subject", "condition", "r", "value"), _table_blocks(
+        [_csv_fields(subject, condition) for subject, condition in result.items],
+        [str(r) for r in range(1, k + 1)], result.scores[:, :k]))
 
 
 def write_eigenfunctions(result: MfpcaResult, path, k: Optional[int] = None) -> None:
-    k = result.R if k is None else k
-    nodes = result.grid.nodes
-    rows = []
-    for r in range(k):
-        for j, label in enumerate(result.states):
-            for a in range(result.grid.m):
-                rows.append((label, r + 1, fmt(nodes[a]), fmt(nodes[a + 1]),
-                             fmt(result.eigenfunctions[r, j, a])))
-    _write_csv(path, ("state", "r", "t_left", "t_right", "value"), rows)
+    k, prefixes = _components(result, k)
+    _write_csv(path, ("state", "r", "t_left", "t_right", "value"), _table_blocks(
+        prefixes, _cells(result.grid), result.eigenfunctions[:k]))
 
 
 def write_bands(result: MfpcaResult, path, k: Optional[int] = None, c: float = 1.0) -> None:
     """Variation bands p_j(t) +- c * sqrt(lambda_r) * phi_rj(t) for plotting."""
-    k = result.R if k is None else k
-    nodes = result.grid.nodes
-    rows = []
-    for r in range(k):
-        amp = c * np.sqrt(result.eigenvalues[r])
-        for j, label in enumerate(result.states):
-            for a in range(result.grid.m):
-                mu = result.mean[j, a]
-                dev = amp * result.eigenfunctions[r, j, a]
-                rows.append((label, r + 1, fmt(nodes[a]), fmt(nodes[a + 1]),
-                             fmt(mu), fmt(mu - dev), fmt(mu + dev)))
-    _write_csv(path, ("state", "r", "t_left", "t_right", "mean", "lower", "upper"), rows)
+    k, prefixes = _components(result, k)
+    phis = result.eigenfunctions[:k]
+    mean = np.broadcast_to(result.mean, phis.shape)
+    dev = (c * np.sqrt(result.eigenvalues[:k]))[:, None, None] * phis
+    lower = mean - dev
+    upper = np.add(mean, dev, out=dev)
+    _write_csv(path, ("state", "r", "t_left", "t_right", "mean", "lower", "upper"), _table_blocks(
+        prefixes, _cells(result.grid), mean, lower, upper))
 
 
 def result_to_dict(result: MfpcaResult, config_echo: Optional[dict] = None) -> dict:

@@ -25,7 +25,7 @@ from .errors import DomainError, NumericalError, ValidationError
 from .estimation import (
     ProbabilityField,
     WeightScheme,
-    _weights_from_mean,
+    _weights,
     panel_cell_values,
 )
 from .ingest import Panel
@@ -216,9 +216,7 @@ def run_mfpca(
     values are exact length-weighted averages (an L2 projection).
     """
     if grid is None:
-        grid = panel.grid()
-        if grid.m > max_cells:
-            grid = CellGrid.uniform(max_cells, grid.horizon)
+        grid = panel.grid().capped(max_cells)
     Z = panel_cell_values(panel, grid)
     n, q, m = Z.shape
     # centred and weighted in place: A shares Z's memory, no second n x q*m copy
@@ -227,7 +225,7 @@ def run_mfpca(
     A -= mean
     variance = np.einsum("ij,ij->j", A, A) / n
     if weights is None:
-        weights = _weights_from_mean(mean.reshape(q, m), grid, panel.space, scheme)
+        weights = _weights(mean.reshape(q, m), variance.reshape(q, m), grid, panel.space, scheme)
     elif weights.q != q:
         raise ValidationError(f"weights are for q={weights.q} states, panel has q={q}")
     A *= np.sqrt(_weight_diag(weights, grid))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catfpca
 from catfpca import cli
 from catfpca.cli import main
 from catfpca.io import canonical_json, read_panel
@@ -224,3 +229,43 @@ def test_uniform_grid_policy(tmp_path):
                 "--grid", "uniform", "--cells", 16]) == 0
     result = json.loads((out / "result.json").read_text())
     assert result["grid"]["cells"] == 16
+
+
+def test_summary_names_the_grid(tmp_path, capsys):
+    events, meta = write_inputs(tmp_path, "TCATA")
+    ingested = tmp_path / "ingested"
+    run(["ingest", events, "--meta", meta, "--out", ingested])
+    union_m = read_panel(ingested / "panel.csv")[0].grid().m
+    cases = [([], f"cells={union_m} (union)"),
+             (["--cells", 2], f"cells=2 (uniform; union grid has {union_m})"),
+             (["--grid", "uniform", "--cells", 16], f"cells=16 (uniform; union grid has {union_m})")]
+    for i, (flags, line) in enumerate(cases):
+        capsys.readouterr()
+        out = tmp_path / f"res{i}"
+        assert run(["mfpca", ingested / "panel.csv", "--out", out, *flags]) == 0
+        first = (out / "summary.txt").read_text().splitlines()[0]
+        assert line in first
+        assert capsys.readouterr().out.splitlines()[0] == first
+
+
+def test_negative_k_exits_2(tmp_path):
+    events, meta = write_inputs(tmp_path, "TDS")
+    ingested = tmp_path / "ingested"
+    run(["ingest", events, "--meta", meta, "--out", ingested])
+    assert run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "res", "--k", -1]) == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    events, meta = write_inputs(tmp_path, "TDS")
+    ingested = tmp_path / "ingested"
+    run(["ingest", events, "--meta", meta, "--out", ingested])
+    src = str(Path(catfpca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "catfpca", "mfpca", str(ingested / "panel.csv"),
+         "--out", str(tmp_path / "res")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "res" / "result.json").exists()

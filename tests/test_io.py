@@ -1,0 +1,202 @@
+"""CSV exports: byte-identical to a row-by-row csv.writer reference."""
+import csv
+import dataclasses
+
+import numpy as np
+import pytest
+
+from catfpca import CategoricalTrajectory, Panel, PanelItem, StateSpace, io, run_mfpca
+from catfpca.errors import ValidationError
+from catfpca.estimation import selection_count_curve
+from catfpca.io import fmt, read_panel, write_panel
+
+from conftest import random_panel, random_tcata_trajectory, random_tds_trajectory
+
+# a comma, a quote, a newline, non-ASCII text and an empty field
+STATES = ("sweet, sour", 'say "hi"', "crème brûlée", "plain")
+SUBJECTS = ("a,b", 'q"uote', "naïve", "", "new\nline", "s5", "s6", "s7")
+
+
+# --- reference: one fmt call per value, one csv.writer row per tuple -------
+
+def reference_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def curve_rows(states, nodes, values):
+    for j, label in enumerate(states):
+        for a in range(len(nodes) - 1):
+            yield label, fmt(nodes[a]), fmt(nodes[a + 1]), fmt(values[j, a])
+
+
+def reference_scores(result, path, k):
+    rows = [(subject, condition, r + 1, fmt(result.scores[i, r]))
+            for i, (subject, condition) in enumerate(result.items) for r in range(k)]
+    reference_csv(path, ("subject", "condition", "r", "value"), rows)
+
+
+def reference_eigenfunctions(result, path, k):
+    nodes = result.grid.nodes
+    rows = [(label, r + 1, fmt(nodes[a]), fmt(nodes[a + 1]), fmt(result.eigenfunctions[r, j, a]))
+            for r in range(k) for j, label in enumerate(result.states)
+            for a in range(result.grid.m)]
+    reference_csv(path, ("state", "r", "t_left", "t_right", "value"), rows)
+
+
+def reference_bands(result, path, k, c=1.0):
+    nodes = result.grid.nodes
+    rows = []
+    for r in range(k):
+        amp = c * np.sqrt(result.eigenvalues[r])
+        for j, label in enumerate(result.states):
+            for a in range(result.grid.m):
+                mu = result.mean[j, a]
+                dev = amp * result.eigenfunctions[r, j, a]
+                rows.append((label, r + 1, fmt(nodes[a]), fmt(nodes[a + 1]),
+                             fmt(mu), fmt(mu - dev), fmt(mu + dev)))
+    reference_csv(path, ("state", "r", "t_left", "t_right", "mean", "lower", "upper"), rows)
+
+
+def reference_curves(result, path, values):
+    reference_csv(path, ("state", "t_left", "t_right", "value"),
+                  curve_rows(result.states, result.grid.nodes, values))
+
+
+def reference_selection_count(result, path):
+    grid, curve = selection_count_curve(result)
+    rows = [(fmt(grid.nodes[a]), fmt(grid.nodes[a + 1]), fmt(curve[a])) for a in range(grid.m)]
+    reference_csv(path, ("t_left", "t_right", "value"), rows)
+
+
+def reference_panel(panel, path):
+    rows = []
+    for it in panel.items:
+        traj = it.trajectory
+        if panel.mode == "TDS":
+            for k, subset in enumerate(traj.segments):
+                if subset:
+                    (j,) = subset
+                    rows.append((it.subject, it.condition, panel.space.states[j],
+                                 fmt(traj.breakpoints[k]), ""))
+            continue
+        for j in range(panel.space.q):
+            active = [j in s for s in traj.segments]
+            k = 0
+            while k < len(active):
+                if active[k]:
+                    start = traj.breakpoints[k]
+                    while k < len(active) and active[k]:
+                        k += 1
+                    rows.append((it.subject, it.condition, panel.space.states[j],
+                                 fmt(start), fmt(traj.breakpoints[k])))
+                else:
+                    k += 1
+    reference_csv(path, io.EVENT_COLUMNS, rows)
+
+
+# --- fixtures ---------------------------------------------------------------
+
+def labelled_panel(rng, mode, n=len(SUBJECTS), lattice=20):
+    gen = random_tds_trajectory if mode == "TDS" else random_tcata_trajectory
+    subjects = [SUBJECTS[i % len(SUBJECTS)] for i in range(n)]
+    items = [PanelItem(s, f"p{i // len(SUBJECTS)}, x", gen(rng, len(STATES), lattice))
+             for i, s in enumerate(subjects)]
+    return Panel(mode, StateSpace(STATES), items)
+
+
+@pytest.fixture(params=["TDS", "TCATA"])
+def result(request, rng):
+    return run_mfpca(labelled_panel(rng, request.param))
+
+
+def same_bytes(a, b):
+    return a.read_bytes() == b.read_bytes()
+
+
+# --- tests ------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [None, 0, 2])
+def test_component_writers_match_reference(tmp_path, result, k):
+    assert result.R > 2
+    kk = result.R if k is None else k
+    for name, write, reference in (
+        ("scores", io.write_scores, reference_scores),
+        ("eigenfunctions", io.write_eigenfunctions, reference_eigenfunctions),
+        ("bands", io.write_bands, reference_bands),
+    ):
+        write(result, tmp_path / f"{name}.csv", k)
+        reference(result, tmp_path / f"{name}.ref", kk)
+        assert same_bytes(tmp_path / f"{name}.csv", tmp_path / f"{name}.ref"), name
+    if k == 0:
+        assert (tmp_path / "scores.csv").read_text() == "subject,condition,r,value\n"
+
+
+def test_band_multiplier_matches_reference(tmp_path, result):
+    io.write_bands(result, tmp_path / "bands.csv", 3, c=2.5)
+    reference_bands(result, tmp_path / "bands.ref", 3, c=2.5)
+    assert same_bytes(tmp_path / "bands.csv", tmp_path / "bands.ref")
+
+
+def test_curve_writers_match_reference(tmp_path, result):
+    io.write_mean_curves(result, tmp_path / "mean.csv")
+    reference_curves(result, tmp_path / "mean.ref", result.mean)
+    io.write_variance_curves(result, tmp_path / "var.csv")
+    reference_curves(result, tmp_path / "var.ref", result.variance)
+    io.write_selection_count(result, tmp_path / "sel.csv")
+    reference_selection_count(result, tmp_path / "sel.ref")
+    for name in ("mean", "var", "sel"):
+        assert same_bytes(tmp_path / f"{name}.csv", tmp_path / f"{name}.ref"), name
+
+
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_outputs_larger_than_one_block(tmp_path, rng, monkeypatch, block_rows):
+    # n * k and k * q * m both exceed the default block of rows
+    result = run_mfpca(labelled_panel(rng, "TCATA", n=200, lattice=60))
+    assert result.n * result.R > io._BLOCK_ROWS
+    assert result.eigenfunctions.size > io._BLOCK_ROWS
+    if block_rows is not None:  # blocks that split the rows of one component
+        monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+    for name, write, reference in (
+        ("scores", io.write_scores, reference_scores),
+        ("eigenfunctions", io.write_eigenfunctions, reference_eigenfunctions),
+        ("bands", io.write_bands, reference_bands),
+    ):
+        write(result, tmp_path / f"{name}.csv")
+        reference(result, tmp_path / f"{name}.ref", result.R)
+        assert same_bytes(tmp_path / f"{name}.csv", tmp_path / f"{name}.ref"), name
+
+
+def test_more_components_than_retained_is_rejected(tmp_path, result):
+    with pytest.raises(ValidationError):
+        io.write_scores(result, tmp_path / "scores.csv", result.R + 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_eigenfunction_raises(tmp_path, result, bad):
+    phis = result.eigenfunctions.copy()
+    phis[1, 2, 3] = bad
+    broken = dataclasses.replace(result, eigenfunctions=phis)
+    for write in (io.write_eigenfunctions, io.write_bands):
+        with pytest.raises(ValidationError, match="non-finite"):
+            write(broken, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+def test_panel_round_trip_matches_reference(tmp_path, rng, mode):
+    panel = labelled_panel(rng, mode, n=40)
+    if mode == "TCATA":  # a state active over several consecutive segments
+        traj = CategoricalTrajectory([0.0, 0.25, 0.5, 1.0], [{0, 1}, {1}, {1, 2}])
+        panel = Panel(mode, panel.space, [*panel.items, PanelItem("run", "p", traj)])
+    write_panel(panel, tmp_path / "panel.csv")
+    reference_panel(panel, tmp_path / "panel.ref")
+    assert same_bytes(tmp_path / "panel.csv", tmp_path / "panel.ref")
+    back, _, meta = read_panel(tmp_path / "panel.csv")
+    assert back.mode == mode and back.space == panel.space
+    assert [(it.subject, it.condition) for it in back.items] == \
+        [(it.subject, it.condition) for it in panel.items]
+    for a, b in zip(panel.items, back.items):
+        assert a.trajectory == b.trajectory

@@ -1,7 +1,8 @@
 """Rasterization: exact on refining grids, integral-preserving on any grid."""
 import numpy as np
+import pytest
 
-from catfpca import panel_cell_values
+from catfpca import _kernels, panel_cell_values
 from catfpca.trajectory import CellGrid
 
 from conftest import random_panel
@@ -22,3 +23,39 @@ def test_cell_averages_integrate_exactly(rng):
         integral_coarse = avg @ coarse.lengths
         integral_exact = ind.values.T @ np.diff(ind.breakpoints)
         assert np.abs(integral_coarse - integral_exact).max() <= 1e-14
+
+
+def per_item_cell_averages(breaks, values, nodes):
+    """Reference: one trajectory at a time, pieces added to cells in time order."""
+    merged = np.union1d(breaks, nodes)
+    seg_idx = np.searchsorted(breaks, merged[:-1], side="right") - 1
+    cell_idx = np.searchsorted(nodes, merged[:-1], side="right") - 1
+    out = np.zeros((nodes.size - 1, values.shape[1]))
+    np.add.at(out, cell_idx, np.diff(merged)[:, None] * values[seg_idx])
+    out /= np.diff(nodes)[:, None]
+    return out.T
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+def test_panel_rasterization_equals_per_item_reference(rng, monkeypatch, mode):
+    panel = random_panel(rng, mode, n=40, q=4)
+    union = panel.grid()
+    grids = [
+        union,                                                    # refining
+        CellGrid(np.union1d(union.nodes, np.linspace(0.0, 1.0, 9))),  # refining, finer
+        CellGrid.uniform(7),                                      # not refining
+        CellGrid(np.sort(np.concatenate([[0.0, 1.0], rng.random(30)]))),
+    ]
+    indicators = panel.indicators()
+    breaks = [ind.breakpoints for ind in indicators]
+    values = [ind.values for ind in indicators]
+    for block in (None, 1):
+        if block is not None:  # one item per pass
+            monkeypatch.setattr(_kernels, "_BLOCK_VALUES", block)
+        for grid in grids:
+            got = _kernels.batch_cell_averages(breaks, values, grid.nodes)
+            want = np.stack([per_item_cell_averages(b, v, grid.nodes)
+                             for b, v in zip(breaks, values)])
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert set(np.unique(_kernels.batch_cell_averages(breaks, values, union.nodes))) <= {0.0, 1.0}

@@ -6,6 +6,7 @@ from catfpca import (
     DomainError,
     NumericalError,
     StateSpace,
+    compute_weights,
     estimate_field,
     mercer_check,
     panel_cell_values,
@@ -226,6 +227,21 @@ def test_union_grid_cap_falls_back_to_uniform(rng):
     # spectral identities survive the projection onto the coarse grid
     var = (result.scores ** 2).mean(axis=0) - result.scores.mean(axis=0) ** 2
     assert np.abs(var - result.eigenvalues).max() <= 1e-10
+
+
+def test_trace_normalizing_gives_unit_traces_on_a_coarse_grid(rng):
+    # 64 uniform cells do not refine the 1/20 lattice, so cell values are averages
+    panel = random_panel(rng, "TCATA", n=60, q=4)
+    grid = CellGrid.uniform(64)
+    result = run_mfpca(panel, grid=grid, scheme="trace_normalizing", retain="full")
+    field = estimate_field(panel, grid, exact=None)
+    assert not set(np.unique(panel_cell_values(panel, grid))) <= {0.0, 1.0}
+    traces = result.weights.weights * (field.variance_diagonal @ grid.lengths)
+    assert np.abs(traces - 1.0).max() <= 1e-12
+    assert abs(result.total_variance - panel.space.q) <= 1e-12
+    assert abs(result.eigenvalues.sum() - panel.space.q) <= 1e-12
+    w = compute_weights(field, "trace_normalizing").weights
+    assert np.abs(w / result.weights.weights - 1.0).max() <= 1e-12
 
 
 def test_scores_separate_known_subpopulations(rng):
