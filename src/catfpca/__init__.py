@@ -24,6 +24,7 @@ from .trajectory import (
 )
 from .ingest import (
     EventRecord,
+    EventTable,
     IngestReport,
     Panel,
     PanelItem,

@@ -4,10 +4,22 @@ TDS records carry an onset only (a dominance lasts until the next click);
 TCATA records carry onset/offset pairs per descriptor.  Protocol
 normalization shifts TDS trajectories to their first click and rescales
 every trajectory to the unit horizon; TCATA keeps its latency.
+
+Both steps make whole-panel array passes.  ``parse_events`` takes the rows
+as an ``EventTable`` of columns, checks them all with masks, sorts them once
+by (item, onset, row), turns them into state intervals, and overlays the
+intervals of every item with one cumulative count.
+``apply_protocol_normalization`` shifts, rescales and tick-rounds the
+breakpoints of every item in one pass.  Each step constructs each trajectory
+once.  When a check fails, the first failing row (input order) or item
+(panel order) is checked again on its own, so the error raised is the one a
+row-by-row, item-by-item parse meets first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -24,6 +36,7 @@ from .trajectory import (
 
 __all__ = [
     "EventRecord",
+    "EventTable",
     "PanelItem",
     "Panel",
     "IngestReport",
@@ -136,92 +149,180 @@ class IngestReport:
         }
 
 
+class EventTable:
+    """Raw click rows as columns, in input order.
+
+    ``item`` codes index ``keys``, the (subject, condition) pairs, and
+    ``label`` codes index ``labels``; both are numbered in order of first
+    appearance.  ``offset`` is NaN where a row has none, and ``row`` holds
+    the source row numbers used in error messages.
+    """
+
+    __slots__ = ("keys", "labels", "item", "label", "onset", "offset", "row")
+
+    def __init__(self, keys: tuple, labels: tuple, item: np.ndarray, label: np.ndarray,
+                 onset: np.ndarray, offset: np.ndarray, row: np.ndarray):
+        self.keys, self.labels, self.item, self.label = keys, labels, item, label
+        self.onset, self.offset, self.row = onset, offset, row
+
+    def __len__(self) -> int:
+        return self.item.size
+
+    @classmethod
+    def from_rows(cls, rows, where: str = "") -> "EventTable":
+        """Columns of (subject, condition, state, onset, offset, row) tuples, taken one at a time.
+
+        ``offset`` is None for a row without one.  A NaN onset or offset raises
+        SchemaError naming its row; ``where`` prefixes the message.
+        """
+        keys: dict = {}
+        labels: dict = {}
+        item, label, onset, offset, row_no = [], [], [], [], []
+        for subject, condition, state, on, off, row in rows:
+            on = float(on)
+            if on != on:
+                raise SchemaError(f"{where}row {row}: onset {on} is not a number")
+            if off is None:
+                off = math.nan
+            else:
+                off = float(off)
+                if off != off:
+                    raise SchemaError(f"{where}row {row}: offset {off} is not a number")
+            item.append(keys.setdefault((subject, condition), len(keys)))
+            label.append(labels.setdefault(state, len(labels)))
+            onset.append(on)
+            offset.append(off)
+            row_no.append(row)
+        return cls(tuple(keys), tuple(labels), np.array(item, dtype=np.int64),
+                   np.array(label, dtype=np.int64), np.array(onset, dtype=np.float64),
+                   np.array(offset, dtype=np.float64), np.array(row_no, dtype=np.int64))
+
+    @classmethod
+    def from_records(cls, records: Iterable[EventRecord]) -> "EventTable":
+        return cls.from_rows((r.subject, r.condition, r.state, r.onset, r.offset, r.row)
+                             for r in records)
+
+
 def _end_for(end_time, subject: str, condition: str) -> float:
+    value = end_time
     if isinstance(end_time, Mapping):
-        for key in (f"{subject}/{condition}", subject, "default"):
-            if key in end_time:
-                return float(end_time[key])
-        raise SchemaError(f"no end time declared for {subject}/{condition}")
-    return float(end_time)
+        keys = [k for k in (f"{subject}/{condition}", subject, "default") if k in end_time]
+        if not keys:
+            raise SchemaError(f"no end time declared for {subject}/{condition}")
+        value = end_time[keys[0]]
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(
+            f"end time of {subject}/{condition} is not a number: {value!r}") from None
 
 
-def _overlay_intervals(intervals, end: float) -> CategoricalTrajectory:
-    """Build the subset-valued step function from state intervals [on, off)."""
-    times = {0.0, end}
-    for on, off, _ in intervals:
-        times.add(on)
-        times.add(off)
-    nodes = np.array(sorted(times))
-    # active-count overlay: +1 at onset cell, -1 at offset cell, cumulative sum
-    q_max = max((j for *_, j in intervals), default=-1) + 1
-    diff = np.zeros((nodes.size, max(q_max, 1)), dtype=np.int64)
-    for on, off, j in intervals:
-        a = int(np.searchsorted(nodes, on))
-        b = int(np.searchsorted(nodes, off))
-        diff[a, j] += 1
-        diff[b, j] -= 1
-    active = np.cumsum(diff[:-1], axis=0)
-    segments = [frozenset(np.nonzero(active[k] > 0)[0].tolist()) for k in range(nodes.size - 1)]
-    return CategoricalTrajectory(nodes, segments)
+def _end_times(end_time, keys) -> tuple[np.ndarray, np.ndarray]:
+    """The end time of every (subject, condition) key, and whether it was found.
+
+    A failed lookup leaves NaN; its error is raised again by the first check
+    that needs that end time.
+    """
+    ends = np.full(len(keys), np.nan)
+    found = np.ones(len(keys), dtype=bool)
+    for i, (subject, condition) in enumerate(keys):
+        try:
+            ends[i] = _end_for(end_time, subject, condition)
+        except SchemaError:
+            found[i] = False
+    return ends, found
 
 
-def _parse_tds_group(pairs, end, report) -> CategoricalTrajectory:
-    first = pairs[0][0]
-    key = f"{first.subject}/{first.condition}"
-    has_offsets = [r.offset is not None for r, _ in pairs]
-    if any(has_offsets) and not all(has_offsets):
-        rows = [r.row for (r, _), h in zip(pairs, has_offsets) if not h]
-        raise SchemaError(f"{key}: TDS rows mix present and missing offsets (rows {rows})")
-
-    ordered = sorted(pairs, key=lambda p: (p[0].onset, p[0].row))
-    if all(has_offsets):
-        intervals = [(r.onset, min(r.offset, end), j) for r, j in ordered]
-    else:
-        # dominance lasts until the next click; ties keep the last row in file order
-        dedup: dict[float, tuple[EventRecord, int]] = {}
-        for r, j in ordered:
-            if r.onset in dedup:
-                report.warnings["simultaneous_clicks_dropped"] += 1
-            dedup[r.onset] = (r, j)
-        ordered = sorted(dedup.values(), key=lambda p: p[0].onset)
-        onsets = [r.onset for r, _ in ordered] + [end]
-        intervals = [(onsets[k], onsets[k + 1], j) for k, (_, j) in enumerate(ordered)]
-
-    traj = _overlay_intervals(intervals, end)
-    # dominance must be exclusive and gap-free after the first click
-    first_active = next((k for k, s in enumerate(traj.segments) if s), None)
-    for k in range(first_active or 0, traj.n_segments):
-        card = len(traj.segments[k])
-        if card > 1:
-            raise ProtocolError(
-                f"{key}: overlapping dominance intervals near "
-                f"t={traj.breakpoints[k]:g}"
-            )
-        if card == 0 and first_active is not None and k > first_active:
-            raise ProtocolError(
-                f"{key}: dominance gap near t={traj.breakpoints[k]:g}"
-            )
-    return traj
+def _state_codes(space: StateSpace, labels) -> np.ndarray:
+    """The state index of every label, -1 for a label outside ``space``."""
+    codes = np.full(len(labels), -1, dtype=np.int64)
+    for i, label in enumerate(labels):
+        try:
+            codes[i] = space.index(label)
+        except ValidationError:
+            pass
+    return codes
 
 
-def _parse_tcata_group(pairs, end, report) -> CategoricalTrajectory:
-    intervals = []
-    for r, j in sorted(pairs, key=lambda p: (p[0].onset, p[0].row)):
-        off = r.offset
-        if off is None:
-            off = end
-            report.warnings["unclosed_intervals"] += 1
-        if off > end:
-            off = end
-            report.warnings["intervals_clipped"] += 1
-        if off == end:
-            report.warnings["intervals_at_end"] += 1
-        intervals.append((r.onset, off, j))
-    return _overlay_intervals(intervals, end)
+def _raise_row_error(table: EventTable, r: int, space: StateSpace, end_time) -> None:
+    """Run the row checks on row ``r`` of ``table`` one by one; raise the first that fails."""
+    subject, condition = table.keys[table.item[r]]
+    onset, offset, row = float(table.onset[r]), float(table.offset[r]), int(table.row[r])
+    if onset < 0:
+        raise SchemaError(f"row {row}: negative onset {onset}")
+    if offset <= onset:
+        raise SchemaError(f"row {row}: offset {offset} must exceed onset {onset}")
+    space.index(table.labels[table.label[r]])  # raises ValidationError on unknown label
+    end = _end_for(end_time, subject, condition)
+    if end <= 0:
+        raise SchemaError(f"{subject}/{condition}: end time must be positive")
+    if onset >= end:
+        raise SchemaError(f"row {row}: onset {onset} at or after tasting end {end}")
+    raise SchemaError(f"row {row}: item {subject}/{condition} not declared in the item list")
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Offset of each run in a concatenation of runs of the given lengths."""
+    out = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> list[CategoricalTrajectory]:
+    """The trajectory of each of ``ends.size`` items from its state intervals [start, stop).
+
+    An item's nodes are 0, its end and its interval bounds.  Each interval
+    adds +1 to its state at its start node and -1 at its stop node; an item's
+    entries net to zero, so one cumulative sum over the nodes of the whole
+    panel counts the open intervals of every state on every segment.
+    """
+    n, m = ends.size, item.size
+    owner = np.concatenate([np.arange(n), np.arange(n), item, item])
+    t = np.concatenate([np.zeros(n), ends, start, stop])
+    order = np.lexsort((t, owner))  # stable, so a node at zero keeps the sign of 0.0
+    t, owner = t[order], owner[order]
+    new = np.ones(t.size, dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (t[1:] != t[:-1])
+    node_of = np.empty(t.size, dtype=np.int64)
+    node_of[order] = np.cumsum(new) - 1
+    nodes, node_owner = t[new], owner[new]
+    size = nodes.size * q
+    diff = (np.bincount(node_of[2 * n:2 * n + m] * q + state, minlength=size)
+            - np.bincount(node_of[2 * n + m:] * q + state, minlength=size))
+    active = np.cumsum(diff.reshape(nodes.size, q), axis=0) > 0
+
+    # a segment starts at every node but an item's last; equal neighbours merge
+    is_end = np.ones(nodes.size, dtype=bool)
+    is_end[:-1] = node_owner[1:] != node_owner[:-1]
+    seg = np.flatnonzero(~is_end)
+    packed = np.packbits(active[seg], axis=1)  # one bytes key per subset
+    width = packed.shape[1]
+    patterns, pattern = np.unique(packed.view(f"V{width}").ravel(), return_inverse=True)
+    patterns = np.unpackbits(patterns.view(np.uint8).reshape(-1, width), axis=1, count=q)
+    keep = np.ones(seg.size, dtype=bool)
+    keep[1:] = (pattern[1:] != pattern[:-1]) | (node_owner[seg[1:]] != node_owner[seg[:-1]])
+    kept_nodes = is_end.copy()
+    kept_nodes[seg[keep]] = True
+    subsets = [frozenset(np.flatnonzero(p).tolist()) for p in patterns]
+    segments = [subsets[k] for k in pattern[keep].tolist()]
+    counts = np.bincount(node_owner[kept_nodes], minlength=n)
+    breakpoints = np.split(nodes[kept_nodes], np.cumsum(counts)[:-1])
+    first = (_starts(counts) - np.arange(n)).tolist()
+    return [CategoricalTrajectory(b, segments[f:f + b.size - 1])
+            for b, f in zip(breakpoints, first)]
+
+
+def _flat(trajectories) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+    """All breakpoints and segments, concatenated; segments per trajectory; subset sizes."""
+    breakpoints = np.concatenate([t.breakpoints for t in trajectories])
+    segments = list(chain.from_iterable(t.segments for t in trajectories))
+    counts = np.fromiter((t.n_segments for t in trajectories), np.int64, len(trajectories))
+    sizes = np.fromiter(map(len, segments), np.int64, len(segments))
+    return breakpoints, segments, counts, sizes
 
 
 def parse_events(
-    records: Iterable[EventRecord],
+    events: Union[EventTable, Iterable[EventRecord]],
     space: StateSpace,
     mode: str,
     end_time: Union[float, Mapping[str, float]],
@@ -232,10 +333,11 @@ def parse_events(
 
     Parameters
     ----------
-    records : iterable of EventRecord
-        Raw click rows; ``row`` indices are used in error messages.
+    events : EventTable or iterable of EventRecord
+        Raw click rows; ``row`` indices are used in error messages.  Records
+        are converted once with ``EventTable.from_records``.
     space : StateSpace
-        Declared descriptor list; unknown labels raise SchemaError.
+        Declared descriptor list; unknown labels raise ValidationError.
     mode : {'TDS', 'TCATA'}
     end_time : float or mapping
         Tasting end, either one value for all items or a mapping keyed by
@@ -247,73 +349,100 @@ def parse_events(
     Returns
     -------
     (Panel, IngestReport)
+
+    Rows are checked in input order, then items in panel order; the first
+    failure raises.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    report = IngestReport(mode=mode)
+    table = events if isinstance(events, EventTable) else EventTable.from_records(events)
+    report = IngestReport(mode=mode, n_rows=len(table))
 
-    # (subject, condition) -> [(record, state index), ...]
-    groups: dict[tuple[str, str], list] = {}
+    # panel order: the declared items, else all items seen, sorted; undeclared ones after
     if items is not None:
-        for subject, condition in items:
-            groups[(str(subject), str(condition))] = []
-    for rec in records:
-        report.n_rows += 1
-        key = (rec.subject, rec.condition)
-        if rec.onset < 0:
-            raise SchemaError(f"row {rec.row}: negative onset {rec.onset}")
-        if rec.offset is not None and rec.offset <= rec.onset:
+        keys = list(dict.fromkeys((str(s), str(c)) for s, c in items))
+    else:
+        keys = sorted(table.keys)
+    n = len(keys)
+    position = {key: i for i, key in enumerate(keys)}
+    for key in table.keys:
+        position.setdefault(key, len(position))
+    ends, found = _end_times(end_time, list(position))
+    row_item = np.array([position[key] for key in table.keys], dtype=np.int64)[table.item]
+    state = _state_codes(space, table.labels)[table.label]
+    onset, offset = table.onset, table.offset
+    row_end = ends[row_item]
+    bad = ((onset < 0) | (offset <= onset) | (state < 0) | ~found[row_item]
+           | (row_end <= 0) | (onset >= row_end) | (row_item >= n))
+    if bad.any():
+        _raise_row_error(table, int(np.argmax(bad)), space, end_time)
+
+    has_offset = ~np.isnan(offset)
+    duration = np.where(has_offset, np.minimum(offset, row_end) - onset, 0.0)
+    clicks = np.bincount(table.label, minlength=len(table.labels)).tolist()
+    totals = np.bincount(table.label, weights=duration, minlength=len(table.labels)).tolist()
+    report.per_state = {label: {"clicks": c, "total_duration": d}
+                        for label, c, d in zip(table.labels, clicks, totals)}
+    rows = np.bincount(row_item, minlength=n)
+    with_offset = np.bincount(row_item[has_offset], minlength=n)
+    mixed = (mode == "TDS") & (with_offset > 0) & (with_offset < rows)
+
+    # an item whose end time no trajectory can have fails below; its rows are left out
+    ends = ends[:n]
+    end_ok = found[:n] & (ends > 0) & np.isfinite(ends)
+    ends[~end_ok] = 1.0
+    order = np.lexsort((table.row, onset, row_item))
+    order = order[end_ok[row_item[order]]]
+    item, state, onset, offset = row_item[order], state[order], onset[order], offset[order]
+    end = ends[item]
+    if mode == "TDS":
+        # dominance lasts until the next click; ties keep the last row in file order
+        chained = (with_offset < rows)[item]
+        tie = np.zeros(item.size, dtype=bool)
+        tie[:-1] = chained[:-1] & (item[1:] == item[:-1]) & (onset[1:] == onset[:-1])
+        report.warnings["simultaneous_clicks_dropped"] = int(tie.sum())
+        item, state, onset, offset, end, chained = (
+            a[~tie] for a in (item, state, onset, offset, end, chained))
+        last = np.ones(item.size, dtype=bool)
+        last[:-1] = item[1:] != item[:-1]
+        following = np.where(last, end, np.append(onset[1:], 0.0))
+        stop = np.where(chained, following, np.minimum(offset, end))
+    else:
+        unclosed = np.isnan(offset)
+        stop = np.where(unclosed, end, offset)
+        clipped = stop > end
+        stop[clipped] = end[clipped]
+        report.warnings["unclosed_intervals"] = int(unclosed.sum())
+        report.warnings["intervals_clipped"] = int(clipped.sum())
+        report.warnings["intervals_at_end"] = int((stop == end).sum())
+    trajectories = _overlay(item, onset, stop, state, ends, space.q)
+
+    bad_item = ~end_ok | mixed
+    if mode == "TDS" and n:
+        # dominance must be exclusive and gap-free after the first click
+        breakpoints, _, counts, sizes = _flat(trajectories)
+        owner = np.repeat(np.arange(n), counts)
+        active_before = np.cumsum(sizes > 0) - (sizes > 0)
+        active_before -= active_before[_starts(counts)][owner]
+        bad_segment = (sizes > 1) | ((sizes == 0) & (active_before > 0))
+        bad_item |= np.bincount(owner[bad_segment], minlength=n) > 0
+    if bad_item.any():
+        i = int(np.argmax(bad_item))
+        subject, condition = keys[i]
+        end_i = _end_for(end_time, subject, condition)
+        if mixed[i]:
+            missing = table.row[(row_item == i) & ~has_offset]
             raise SchemaError(
-                f"row {rec.row}: offset {rec.offset} must exceed onset {rec.onset}"
-            )
-        j = space.index(rec.state)  # raises ValidationError on unknown label
-        end = _end_for(end_time, rec.subject, rec.condition)
-        if end <= 0:
-            raise SchemaError(f"{rec.subject}/{rec.condition}: end time must be positive")
-        if rec.onset >= end:
-            raise SchemaError(
-                f"row {rec.row}: onset {rec.onset} at or after tasting end {end}"
-            )
-        if items is not None and key not in groups:
-            raise SchemaError(
-                f"row {rec.row}: item {key[0]}/{key[1]} not declared in the item list"
-            )
-        groups.setdefault(key, []).append((rec, j))
+                f"{subject}/{condition}: TDS rows mix present and missing offsets "
+                f"(rows {missing.tolist()})")
+        CategoricalTrajectory([0.0, end_i], [frozenset()])  # raises for an impossible end time
+        k = int(np.flatnonzero(bad_segment & (owner == i))[0])
+        kind = "overlapping dominance intervals" if sizes[k] > 1 else "dominance gap"
+        raise ProtocolError(f"{subject}/{condition}: {kind} near t={breakpoints[k + i]:g}")
 
-        stats = report.per_state.setdefault(rec.state, {"clicks": 0, "total_duration": 0.0})
-        stats["clicks"] += 1
-        if rec.offset is not None:
-            stats["total_duration"] += min(rec.offset, end) - rec.onset
-
-    keys = list(groups) if items is not None else sorted(groups)
-    panel_items = []
-    for subject, condition in keys:
-        pairs = groups[(subject, condition)]
-        end = _end_for(end_time, subject, condition)
-        if not pairs:
-            traj = CategoricalTrajectory([0.0, end], [frozenset()])
-        elif mode == "TDS":
-            traj = _parse_tds_group(pairs, end, report)
-        else:
-            traj = _parse_tcata_group(pairs, end, report)
-        panel_items.append(PanelItem(subject, condition, traj))
-    report.n_items = len(panel_items)
-    return Panel(mode, space, panel_items), report
-
-
-def _quantize(traj: CategoricalTrajectory, tick: float) -> CategoricalTrajectory:
-    """Round breakpoints to the tick lattice so union_grid can use exact equality."""
-    if tick <= 0:
-        return traj
-    b = np.round(traj.breakpoints / tick) * tick
-    b[0] = 0.0
-    b[-1] = traj.horizon
-    keep = np.diff(b) > 0
-    if not keep.any():
-        raise ValidationError(f"tick {tick} coarser than the whole trajectory")
-    nodes = np.concatenate([b[:1], b[1:][keep]])
-    segments = [s for s, k in zip(traj.segments, keep) if k]
-    return CategoricalTrajectory(nodes, segments)
+    report.n_items = n
+    return Panel(mode, space, [PanelItem(subject, condition, traj)
+                               for (subject, condition), traj in zip(keys, trajectories)]), report
 
 
 def apply_protocol_normalization(
@@ -328,31 +457,94 @@ def apply_protocol_normalization(
     first click, then rescaled) so exactly one state is active on all of
     [0, 1]; trajectories with no clicks raise ProtocolError naming their
     subjects.  TCATA: the latency is kept and the trajectory is rescaled.
+    Breakpoints are then rounded to the ``tick`` lattice (not when
+    ``tick <= 0``) so union_grid can use exact equality; segments rounded to
+    zero length are dropped.
     """
+    n = panel.n
+    if n == 0:
+        return Panel(panel.mode, panel.space, [])
+    b, segments, counts, sizes = _flat(panel.trajectories)
+    seg_start = _starts(counts)
+    node_start = seg_start + np.arange(n)
+    node_end = node_start + counts
+    owner = np.repeat(np.arange(n), counts)
+    node_owner = np.repeat(np.arange(n), counts + 1)
+    left = np.arange(sizes.size) + owner  # each segment's left node
+    if panel.mode == "TDS":
+        active_before = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes > 0, out=active_before[1:])
+        rejected = active_before[seg_start + counts] == active_before[seg_start]
+        first = np.searchsorted(active_before, active_before[seg_start] + 1) - 1 - seg_start
+        first[rejected] = 0
+    else:
+        rejected = np.zeros(n, dtype=bool)
+        first = np.zeros(n, dtype=np.int64)
+    # the segments from the first click on (TCATA: all), and their first node
+    live = (np.arange(sizes.size) - seg_start[owner] >= first[owner]) & ~rejected[owner]
+    start = node_start + first
+
+    def any_segment(mask):
+        return np.bincount(owner[mask], minlength=n) > 0
+
+    t0 = b[start]
+    latency = (t0 / b[node_end]).tolist()
+    shifted = b - t0[node_owner]
+    scaled = shifted / shifted[node_end][node_owner]  # exactly 1 at each end
+    scaled[start] = 0.0
+    if tick <= 0:
+        rounded, keep = scaled, live
+    else:
+        rounded = np.round(scaled / tick) * tick
+        rounded[start] = 0.0
+        rounded[node_end] = 1.0
+        keep = live & (rounded[left + 1] - rounded[left] > 0)
+    # the first step each item fails: 1 shift, 2 singleton check, 3 rescale, 4 tick rounding
+    error = np.select([
+        any_segment(live & (shifted[left + 1] <= shifted[left])),
+        any_segment(live & (sizes != 1)) & (panel.mode == "TDS"),
+        any_segment(live & (scaled[left + 1] <= scaled[left])),
+        ~any_segment(keep),
+    ], [1, 2, 3, 4], 0)
+
+    def construct(values, i):
+        """Item i from its first click on, with breakpoints ``values``."""
+        return CategoricalTrajectory(values[start[i]:node_end[i] + 1],
+                                     segments[seg_start[i] + first[i]:seg_start[i] + counts[i]])
+
+    kept_nodes = np.zeros(b.size, dtype=bool)
+    kept_nodes[start[~rejected]] = True
+    kept_nodes[left[keep] + 1] = True
+    node_counts = np.bincount(node_owner[kept_nodes], minlength=n)
+    nodes = np.split(rounded[kept_nodes], np.cumsum(node_counts)[:-1])
+    kept = list(compress(segments, keep))
+    kept_start = _starts(np.bincount(owner[keep], minlength=n)).tolist()
+
     new_items = []
-    rejected = []
-    for it in panel.items:
-        traj = it.trajectory
-        if panel.mode == "TDS":
-            first_active = next((k for k, s in enumerate(traj.segments) if s), None)
-            if first_active is None:
-                rejected.append(it.key)
-                continue
-            t0 = float(traj.breakpoints[first_active])
-            latency = t0 / traj.horizon
-            if t0 > 0.0:
-                traj = traj.shift_origin(t0)
-            if any(len(s) != 1 for s in traj.segments):
-                raise ProtocolError(f"{it.key}: TDS trajectory is not singleton-valued after its first click")
-            if report is not None:
-                report.latency[it.key] = latency
-        traj = _quantize(traj.normalize_time(), tick)
-        new_items.append(PanelItem(it.subject, it.condition, traj))
-    if rejected:
+    rejected_keys = []
+    for i, it in enumerate(panel.items):
+        if rejected[i]:
+            rejected_keys.append(it.key)
+            continue
+        if error[i] == 1:
+            construct(shifted, i)  # raises: the shift made two breakpoints equal
+        if error[i] == 2:
+            raise ProtocolError(
+                f"{it.key}: TDS trajectory is not singleton-valued after its first click")
+        if report is not None and panel.mode == "TDS":
+            report.latency[it.key] = latency[i]
+        if error[i] == 3:
+            construct(scaled, i)  # raises: the rescale made two breakpoints equal
+        if error[i] == 4:
+            raise ValidationError(f"tick {tick} coarser than the whole trajectory")
+        segments_i = kept[kept_start[i]:kept_start[i] + nodes[i].size - 1]
+        new_items.append(PanelItem(it.subject, it.condition,
+                                   CategoricalTrajectory(nodes[i], segments_i)))
+    if rejected_keys:
         if report is not None:
-            report.rejected_subjects.extend(rejected)
+            report.rejected_subjects.extend(rejected_keys)
         raise ProtocolError(
-            "TDS items without any click: " + ", ".join(rejected)
+            "TDS items without any click: " + ", ".join(rejected_keys)
         )
     return Panel(panel.mode, panel.space, new_items)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from io import StringIO
-from itertools import product
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional, Union
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, SchemaError, ValidationError
 from .estimation import selection_count_curve
-from .ingest import EventRecord, IngestReport, Panel, parse_events
+from .ingest import EventTable, IngestReport, Panel, parse_events
 from .mfpca import MfpcaResult
 from .trajectory import StateSpace
 
@@ -97,54 +97,83 @@ def _write_csv(path, header, blocks) -> None:
             fh.write("".join(block))
 
 
-def _table_blocks(prefixes: list[str], keys: list[str], *columns):
-    """Blocks of rows ``prefix + key + "," + values``, every key under every prefix.
+def _check_finite(*arrays) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValidationError(f"cannot serialize non-finite value {a[~np.isfinite(a)][0]}")
 
-    ``columns`` hold len(prefixes) * len(keys) floats each, in row order.  All
-    are checked before the first block; a block formats about _BLOCK_ROWS rows.
+
+def _table_blocks(prefixes: list[str], keys: list[list[str]], *columns):
+    """Blocks of rows ``prefix + key + "," + values``; prefix i takes each key of keys[i % len(keys)].
+
+    The key lists have equal lengths and ``columns`` hold one float per row
+    each, in row order.  All are checked before the first block; a block
+    formats about _BLOCK_ROWS rows.
     """
-    cols = [np.reshape(col, (len(prefixes), len(keys))) for col in columns]
-    for col in cols:
-        if not np.isfinite(col).all():
-            raise ValidationError(f"cannot serialize non-finite value {col[~np.isfinite(col)][0]}")
-    step = max(1, _BLOCK_ROWS // max(1, len(keys)))
+    width = len(keys[0])
+    cols = [np.reshape(col, (len(prefixes), width)) for col in columns]
+    _check_finite(*cols)
+    step = max(1, _BLOCK_ROWS // max(1, width))
 
     def block(g):
         values = np.stack([col[g:g + step] for col in cols], axis=-1).ravel().tolist()
         texts = iter(map(_F17, values))
-        rows = zip(product(prefixes[g:g + step], keys), zip(*[texts] * len(cols)))
+        pairs = chain.from_iterable(zip(repeat(p), keys[i % len(keys)])
+                                    for i, p in enumerate(prefixes[g:g + step], start=g))
+        rows = zip(pairs, zip(*[texts] * len(cols)))
         return [f"{p}{key},{','.join(v)}\n" for (p, key), v in rows]
 
     return map(block, range(0, len(prefixes), step))
 
 
-def read_events_csv(path) -> list[EventRecord]:
-    """Rows of (subject, product, descriptor, onset[, offset]); 1-based row numbers."""
-    records = []
+def read_events_csv(path) -> EventTable:
+    """Rows of (subject, product, descriptor, onset[, offset]) as an EventTable.
+
+    Rows are streamed from the file into the table's columns.  Row numbers are
+    1-based with the header as row 1; blank lines are skipped and not counted.
+    A timestamp that does not parse, or parses to NaN, raises SchemaError
+    naming its row; so does text that is not UTF-8 CSV.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file")
-        missing = [c for c in EVENT_COLUMNS[:4] if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
-        has_offset = "offset" in reader.fieldnames
-        for lineno, row in enumerate(reader, start=2):
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            missing = [c for c in EVENT_COLUMNS[:4] if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
+            return EventTable.from_rows(_csv_events(path, reader, header), where=f"{path} ")
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: unreadable after line {reader.line_num}: {exc}") from None
+
+
+def _csv_events(path, reader, header):
+    """(subject, product, descriptor, onset, offset, row) of each non-blank row of ``reader``.
+
+    A repeated column name refers to its last column; a short row reads None
+    for the columns it lacks.
+    """
+    column = {name: i for i, name in enumerate(header)}
+    subject, product, descriptor, onset = (column[c] for c in EVENT_COLUMNS[:4])
+    offset = column.get("offset")
+    width = len(header)
+    for lineno, row in enumerate(filter(None, reader), start=2):
+        if len(row) < width:
+            row = row + [None] * (width - len(row))
+        try:
+            on = float(row[onset])
+        except (TypeError, ValueError):
+            raise SchemaError(f"{path} row {lineno}: bad onset {row[onset]!r}") from None
+        off = None
+        if offset is not None and row[offset]:
             try:
-                onset = float(row["onset"])
-            except (TypeError, ValueError):
-                raise SchemaError(f"{path} row {lineno}: bad onset {row.get('onset')!r}") from None
-            offset = None
-            if has_offset and row.get("offset") not in (None, ""):
-                try:
-                    offset = float(row["offset"])
-                except ValueError:
-                    raise SchemaError(f"{path} row {lineno}: bad offset {row['offset']!r}") from None
-            records.append(EventRecord(
-                subject=row["subject"], condition=row["product"],
-                state=row["descriptor"], onset=onset, offset=offset, row=lineno,
-            ))
-    return records
+                off = float(row[offset])
+            except ValueError:
+                raise SchemaError(f"{path} row {lineno}: bad offset {row[offset]!r}") from None
+        if row[subject] is None or row[product] is None or row[descriptor] is None:
+            raise SchemaError(f"{path} row {lineno}: too few fields")
+        yield row[subject], row[product], row[descriptor], on, off, lineno
 
 
 def sidecar_path(csv_path) -> Path:
@@ -205,10 +234,10 @@ def read_panel(csv_path, meta_path=None) -> tuple[Panel, IngestReport, dict]:
     """Parse a serialized panel; normalization is left to the caller."""
     meta_path = meta_path or sidecar_path(csv_path)
     meta = read_meta(meta_path)
-    records = read_events_csv(csv_path)
+    events = read_events_csv(csv_path)
     space = StateSpace(meta["states"])
     items = [tuple(x) for x in meta["items"]] if "items" in meta else None
-    panel, report = parse_events(records, space, meta["mode"], meta["end_time"], items=items)
+    panel, report = parse_events(events, space, meta["mode"], meta["end_time"], items=items)
     return panel, report, meta
 
 
@@ -233,42 +262,48 @@ def _cells(grid) -> list[str]:
 
 def write_mean_curves(result: MfpcaResult, path) -> None:
     _write_csv(path, ("state", "t_left", "t_right", "value"), _table_blocks(
-        [_csv_fields(s) for s in result.states], _cells(result.grid), result.mean))
+        [_csv_fields(s) for s in result.states], [_cells(result.grid)], result.mean))
 
 
 def write_variance_curves(result: MfpcaResult, path) -> None:
     _write_csv(path, ("state", "t_left", "t_right", "value"), _table_blocks(
-        [_csv_fields(s) for s in result.states], _cells(result.grid), result.variance))
+        [_csv_fields(s) for s in result.states], [_cells(result.grid)], result.variance))
 
 
 def write_selection_count(result: MfpcaResult, path) -> None:
     grid, curve = selection_count_curve(result)
-    _write_csv(path, ("t_left", "t_right", "value"), _table_blocks([""], _cells(grid), curve))
+    _write_csv(path, ("t_left", "t_right", "value"), _table_blocks([""], [_cells(grid)], curve))
 
 
 def write_scores(result: MfpcaResult, path, k: Optional[int] = None) -> None:
     k, _ = _components(result, k)
     _write_csv(path, ("subject", "condition", "r", "value"), _table_blocks(
         [_csv_fields(subject, condition) for subject, condition in result.items],
-        [str(r) for r in range(1, k + 1)], result.scores[:, :k]))
+        [[str(r) for r in range(1, k + 1)]], result.scores[:, :k]))
 
 
 def write_eigenfunctions(result: MfpcaResult, path, k: Optional[int] = None) -> None:
     k, prefixes = _components(result, k)
     _write_csv(path, ("state", "r", "t_left", "t_right", "value"), _table_blocks(
-        prefixes, _cells(result.grid), result.eigenfunctions[:k]))
+        prefixes, [_cells(result.grid)], result.eigenfunctions[:k]))
 
 
 def write_bands(result: MfpcaResult, path, k: Optional[int] = None, c: float = 1.0) -> None:
-    """Variation bands p_j(t) +- c * sqrt(lambda_r) * phi_rj(t) for plotting."""
+    """Variation bands p_j(t) +- c * sqrt(lambda_r) * phi_rj(t) for plotting.
+
+    The mean column repeats for every component, so each (state, cell) mean is
+    formatted once, into the key that follows the state's prefixes.
+    """
     k, prefixes = _components(result, k)
-    phis = result.eigenfunctions[:k]
-    mean = np.broadcast_to(result.mean, phis.shape)
-    dev = (c * np.sqrt(result.eigenvalues[:k]))[:, None, None] * phis
-    lower = mean - dev
-    upper = np.add(mean, dev, out=dev)
+    dev = (c * np.sqrt(result.eigenvalues[:k]))[:, None, None] * result.eigenfunctions[:k]
+    lower = result.mean - dev
+    upper = np.add(result.mean, dev, out=dev)
+    _check_finite(np.broadcast_to(result.mean, dev.shape))  # the mean as its rows repeat it
+    cells = _cells(result.grid)
+    keys = [[f"{cell},{value}" for cell, value in zip(cells, map(_F17, row))]
+            for row in result.mean.tolist()]
     _write_csv(path, ("state", "r", "t_left", "t_right", "mean", "lower", "upper"), _table_blocks(
-        prefixes, _cells(result.grid), mean, lower, upper))
+        prefixes, keys, lower, upper))
 
 
 def result_to_dict(result: MfpcaResult, config_echo: Optional[dict] = None) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimation import WeightScheme, estimate_field, mean_on_grid
-from .ingest import Panel, PanelItem, _overlay_intervals
+from .ingest import Panel, PanelItem, _overlay
 from .mfpca import assemble_operator
 from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, union_grid
 
@@ -185,7 +185,8 @@ def _simulate_tds(spec: ProcessSpec, rng: np.random.Generator) -> CategoricalTra
     return CategoricalTrajectory(np.array(breaks), states)
 
 
-def _simulate_tcata(spec: ProcessSpec, rng: np.random.Generator) -> CategoricalTrajectory:
+def _tcata_intervals(spec: ProcessSpec, rng: np.random.Generator) -> list[tuple]:
+    """One trajectory's (on, off, state) intervals."""
     # states drawn in index order, each state's whole renewal sequence at once
     T = spec.horizon
     intervals = []
@@ -203,7 +204,7 @@ def _simulate_tcata(spec: ProcessSpec, rng: np.random.Generator) -> CategoricalT
             if t_off >= T:
                 break
             t = t_off
-    return _overlay_intervals(intervals, T)
+    return intervals
 
 
 def simulate_panel(spec: ProcessSpec, n: int, seed: int) -> Panel:
@@ -213,11 +214,17 @@ def simulate_panel(spec: ProcessSpec, n: int, seed: int) -> Panel:
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
     space = StateSpace(spec.states)
-    items = []
-    sim = _simulate_tcata if spec.mode == "TCATA" else _simulate_tds
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, i]))
-        items.append(PanelItem(f"sim{i:06d}", "sim", sim(spec, rng)))
+    rngs = (np.random.default_rng(np.random.SeedSequence(entropy=[seed, i])) for i in range(n))
+    if spec.mode == "TCATA":
+        drawn = [_tcata_intervals(spec, rng) for rng in rngs]
+        item = np.repeat(np.arange(n), [len(d) for d in drawn])
+        intervals = np.array([iv for d in drawn for iv in d], dtype=np.float64).reshape(-1, 3)
+        on, off, state = intervals.T
+        trajectories = _overlay(item, on, off, state.astype(np.int64),
+                                np.full(n, spec.horizon), spec.q)
+    else:
+        trajectories = [_simulate_tds(spec, rng) for rng in rngs]
+    items = [PanelItem(f"sim{i:06d}", "sim", traj) for i, traj in enumerate(trajectories)]
     return Panel(spec.mode, space, items)
 
 

@@ -6,6 +6,7 @@ All types are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+from operator import eq
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,11 +69,11 @@ def _as_breakpoints(breakpoints) -> np.ndarray:
     b = np.asarray(breakpoints, dtype=np.float64)
     if b.ndim != 1 or b.size < 2:
         raise ValidationError("breakpoints must be a 1-d array with at least two entries")
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValidationError("breakpoints must be finite")
     if b[0] != 0.0:
         raise ValidationError(f"first breakpoint must be 0, got {b[0]}")
-    if np.any(np.diff(b) <= 0.0):
+    if (b[1:] <= b[:-1]).any():
         raise ValidationError("breakpoints must be strictly increasing (zero-length segments are rejected)")
     b.setflags(write=False)
     return b
@@ -91,17 +92,21 @@ class CategoricalTrajectory:
 
     def __init__(self, breakpoints, segments: Iterable[Iterable[int]]):
         b = _as_breakpoints(breakpoints)
-        segs = [frozenset(int(j) for j in s) for s in segments]
+        segs = list(map(frozenset, segments))
+        states = frozenset().union(*segs)
+        if any(type(j) is not int for j in states):  # every state index becomes an int
+            segs = [frozenset(map(int, s)) for s in segs]
+            states = frozenset().union(*segs)
         if len(segs) != b.size - 1:
             raise ValidationError(
                 f"got {len(segs)} segments for {b.size - 1} intervals"
             )
-        for s in segs:
-            if any(j < 0 for j in s):
-                raise ValidationError(f"negative state index in segment subset {sorted(s)}")
+        if min(states, default=0) < 0:
+            s = next(s for s in segs if min(s, default=0) < 0)
+            raise ValidationError(f"negative state index in segment subset {sorted(s)}")
         # merge adjacent equal subsets so the representation is canonical
-        keep = [0] + [k for k in range(1, len(segs)) if segs[k] != segs[k - 1]]
-        if len(keep) != len(segs):
+        if any(map(eq, segs[1:], segs)):
+            keep = [0] + [k for k in range(1, len(segs)) if segs[k] != segs[k - 1]]
             b = np.concatenate([b[keep], b[-1:]])
             b.setflags(write=False)
             segs = [segs[k] for k in keep]
@@ -130,33 +135,10 @@ class CategoricalTrajectory:
         return self.segments[k]
 
     def max_state_index(self) -> int:
-        return max((max(s) for s in self.segments if s), default=-1)
+        return max(frozenset().union(*self.segments), default=-1)
 
     def is_tds(self) -> bool:
         return all(len(s) == 1 for s in self.segments)
-
-    def normalize_time(self) -> "CategoricalTrajectory":
-        """Rescale to horizon 1 keeping subsets and segment-length proportions."""
-        T = self.horizon
-        if T <= 0:
-            raise ValidationError(f"horizon must be positive, got {T}")
-        if T == 1.0:
-            return self
-        b = self.breakpoints / T
-        b = b.copy()
-        b[0] = 0.0
-        b[-1] = 1.0
-        return CategoricalTrajectory(b, self.segments)
-
-    def shift_origin(self, t0: float) -> "CategoricalTrajectory":
-        """Restrict to [t0, T] and move the origin to t0."""
-        b = self.breakpoints
-        if not (b[0] <= t0 < b[-1]):
-            raise DomainError(f"shift origin t0={t0} outside [0, {b[-1]})")
-        k = int(np.searchsorted(b, t0, side="right")) - 1
-        new_b = np.concatenate([[t0], b[k + 1:]]) - t0
-        new_b[0] = 0.0
-        return CategoricalTrajectory(new_b, self.segments[k:])
 
     def __eq__(self, other) -> bool:
         return (

@@ -89,6 +89,26 @@ def test_overlapping_tds_rows_exit_code_2(tmp_path, capsys):
     assert "bad1" in err["message"]
 
 
+@pytest.mark.parametrize("mode,row", [
+    ("TDS", "s1,p1,B,nan,"),
+    ("TCATA", "s1,p1,B,nan,5.0"),
+    ("TCATA", "s1,p1,B,2.0,nan"),
+])
+def test_nan_timestamp_exits_2_naming_the_row(tmp_path, capsys, mode, row):
+    events = tmp_path / "events.csv"
+    events.write_text("subject,product,descriptor,onset,offset\n"
+                      f"s1,p1,A,1.0,{'' if mode == 'TDS' else '3.0'}\n{row}\n")
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({"mode": mode, "states": ["A", "B"], "end_time": 10.0}))
+    code = run(["ingest", events, "--meta", meta, "--out", tmp_path / "x"])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "SchemaError"
+    assert "row 3" in err["message"] and "nan" in err["message"]
+
+
 def test_validate_exit_code_on_violation(tmp_path, capsys):
     # hand-written panel that claims normalization but breaks TDS exclusivity
     (tmp_path / "panel.csv").write_text(

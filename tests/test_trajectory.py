@@ -11,6 +11,7 @@ from catfpca import (
     PanelItem,
     StateSpace,
     ValidationError,
+    apply_protocol_normalization,
     panel_cell_values,
     to_indicators,
     union_grid,
@@ -80,6 +81,12 @@ def test_canonical_merge_and_zero_length_rejection():
         CategoricalTrajectory([0.1, 1.0], [{0}])  # must start at 0
 
 
+def normalized(traj, mode="TCATA", report=None):
+    """``traj`` normalized to the unit horizon as the only item of a panel, with no tick rounding."""
+    panel = Panel(mode, StateSpace(["S0", "S1", "S2"]), [PanelItem("s", "c", traj)])
+    return apply_protocol_normalization(panel, tick=0.0, report=report).items[0].trajectory
+
+
 @pytest.mark.parametrize(
     "breaks,horizon,expected",
     [
@@ -92,7 +99,7 @@ def test_normalize_time(breaks, horizon, expected):
     segs = [{k % 2} for k in range(len(breaks) - 1)]
     traj = CategoricalTrajectory(breaks, segs)
     assert traj.horizon == horizon
-    out = traj.normalize_time()
+    out = normalized(traj)
     assert out.horizon == 1.0
     assert np.allclose(out.breakpoints, expected, rtol=0, atol=1e-15)
     assert out.segments == traj.segments
@@ -125,10 +132,15 @@ def test_cell_grid():
 
 
 def test_shift_origin():
+    # TDS normalization restricts to [t0, T] from the first click t0, then rescales by T - t0
+    from catfpca import IngestReport
+
     traj = CategoricalTrajectory([0.0, 2.0, 5.0, 12.0], [set(), {0}, {1}])
-    shifted = traj.shift_origin(2.0)
-    assert np.allclose(shifted.breakpoints, [0.0, 3.0, 10.0])
+    report = IngestReport(mode="TDS")
+    shifted = normalized(traj, "TDS", report)
+    assert np.allclose(shifted.breakpoints * 10.0, [0.0, 3.0, 10.0])
     assert shifted.segments == (frozenset({0}), frozenset({1}))
+    assert report.latency == {"s/c": 2.0 / 12.0}
 
 
 # -- properties --------------------------------------------------------------
@@ -161,7 +173,7 @@ def test_indicator_round_trip_property(case):
 def test_normalize_preserves_proportions(case, scale):
     traj, q = case
     stretched = CategoricalTrajectory(traj.breakpoints * scale, traj.segments)
-    out = stretched.normalize_time()
+    out = normalized(stretched, "TDS")
     assert out.horizon == 1.0
     assert out.segments == stretched.segments
     np.testing.assert_allclose(
