@@ -17,9 +17,7 @@ from .errors import (
 from .trajectory import (
     CategoricalTrajectory,
     CellGrid,
-    IndicatorVectorTrajectory,
     StateSpace,
-    to_indicators,
     union_grid,
 )
 from .ingest import (

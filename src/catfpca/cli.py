@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class RunConfig:
     var_frac: Optional[float] = None
     band_c: float = 1.0
     tick: float = DEFAULT_TICK
-    seed: int = 0
 
     @classmethod
     def load(cls, args) -> "RunConfig":
@@ -47,9 +46,14 @@ class RunConfig:
         if getattr(args, "config", None):
             with open(args.config, encoding="utf-8") as fh:
                 file_values = json.load(fh)
+            if not isinstance(file_values, dict):
+                raise ValidationError("config file must hold a JSON object")
             unknown = set(file_values) - set(cfg.__dict__)
             if unknown:
                 raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+            hints = get_type_hints(cls)
+            for key, value in file_values.items():
+                _check_config_value(key, value, hints[key])
         for key in cfg.__dict__:
             if key in file_values:
                 setattr(cfg, key, file_values[key])
@@ -70,6 +74,24 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_config_value(key: str, value, hint) -> None:
+    """Raise ValidationError unless ``value`` has the type of the field annotated ``hint``.
+
+    A bool is not an int, an int is accepted for a float, and None fits an
+    Optional field only.
+    """
+    args = get_args(hint)  # Optional[X] gives (X, NoneType)
+    kind = args[0] if args else hint
+    optional = type(None) in args
+    if (value is None and optional) or type(value) is kind or (kind is float and type(value) is int):
+        return
+    wanted = _JSON_TYPES[kind] + (" or null" if optional else "")
+    raise ValidationError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
 
 
 def _load_normalized_panel(args, tick: float):

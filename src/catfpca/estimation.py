@@ -1,9 +1,10 @@
 """Empirical probability curves, covariance kernels and weighting schemes.
 
-Everything is computed exactly on a cell grid: when the grid refines all
-sample paths (the union grid does by construction), cell values are the
-constant segment values and every time integral is a finite sum with no
-quadrature error.
+Everything is computed exactly on a cell grid from the panel's flat
+encoding (``ingest._flat``: breakpoints, segment counts and (segment,
+state) memberships): when the grid refines all sample paths (the union grid
+does by construction), cell values are the constant 0/1 segment values and
+every time integral is a finite sum with no quadrature error.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import GridError, ValidationError
-from .ingest import Panel
+from .ingest import Panel, _flat, _grid_misfits
 from .trajectory import CellGrid, StateSpace
 
 __all__ = [
@@ -130,32 +131,38 @@ class WeightScheme:
         return WeightScheme(self.scheme, self.weights * c, normalized=False)
 
 
+def _keys(panel: Panel, mask: np.ndarray) -> str:
+    return ", ".join(panel.items[i].key for i in np.flatnonzero(mask)[:5])
+
+
+def _flat_on(panel: Panel, grid: CellGrid) -> tuple[tuple, np.ndarray]:
+    """The panel's flat encoding and which items the grid does not refine.
+
+    Items whose horizon is not the grid's raise GridError.
+    """
+    if panel.n < 1:
+        raise ValidationError("need at least one trajectory")
+    flat = _flat(panel.trajectories)
+    breakpoints, _, counts, _, _ = flat
+    off_horizon, not_refined = _grid_misfits(breakpoints, counts, grid.nodes)
+    if off_horizon.any():
+        raise GridError(f"items with horizon != {grid.horizon}: {_keys(panel, off_horizon)}")
+    return flat, not_refined
+
+
 def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = None) -> np.ndarray:
-    """Indicator cell values for the whole panel, shape (n, q, m).
+    """Cell values of every item's 0/1 state functions, shape (n, q, m).
 
     Values are length-weighted cell averages, i.e. the L2 projection onto
     step functions on the grid; on a grid that refines every trajectory
     they are the constant 0/1 segment values.  ``exact=True`` requires such
     a grid (GridError otherwise).
     """
-    if panel.n < 1:
-        raise ValidationError("need at least one trajectory")
-    indicators = panel.indicators()
-    mismatched = [it.key for it, ind in zip(panel.items, indicators)
-                  if ind.horizon != grid.horizon]
-    if mismatched:
-        raise GridError(
-            f"items with horizon != {grid.horizon}: {', '.join(mismatched[:5])}"
-        )
-    if exact is True:
-        bad = [it.key for it, ind in zip(panel.items, indicators) if not ind.is_constant_on(grid)]
-        if bad:
-            raise GridError(f"grid is not a refinement of: {', '.join(bad[:5])}")
-    return _kernels.batch_cell_averages(
-        [ind.breakpoints for ind in indicators],
-        [ind.values for ind in indicators],
-        grid.nodes,
-    )
+    (breakpoints, _, counts, sizes, states), not_refined = _flat_on(panel, grid)
+    if exact is True and not_refined.any():
+        raise GridError(f"grid is not a refinement of: {_keys(panel, not_refined)}")
+    return _kernels.batch_cell_averages(breakpoints, counts, sizes, states, panel.space.q,
+                                        grid.nodes)
 
 
 def estimate_field(panel: Panel, grid: Optional[CellGrid] = None, *,
@@ -187,22 +194,22 @@ def estimate_field(panel: Panel, grid: Optional[CellGrid] = None, *,
 def mean_on_grid(panel: Panel, grid: CellGrid) -> np.ndarray:
     """(q, m) mean curves via segment accumulation, without the dense tensor.
 
-    Exact-integer accumulation: each segment adds +-1 at its boundary cells
-    and a cumulative sum recovers occupancy counts.  Requires the grid to
-    refine the panel.
+    Exact-integer accumulation: each (segment, state) membership adds +1 at
+    the segment's first node and -1 at its last, and a cumulative sum over
+    the nodes recovers occupancy counts.  Requires the grid to refine the
+    panel.
     """
+    (breakpoints, _, counts, sizes, states), not_refined = _flat_on(panel, grid)
+    if not_refined.any():
+        raise GridError(f"{panel.items[np.argmax(not_refined)].key}: breakpoints are not grid nodes")
     q, m = panel.space.q, grid.m
-    diff = np.zeros((q, m + 1))
-    for it in panel.items:
-        traj = it.trajectory
-        idx = np.searchsorted(grid.nodes, traj.breakpoints)
-        if (idx >= grid.nodes.size).any() or not np.array_equal(grid.nodes[idx], traj.breakpoints):
-            raise GridError(f"{it.key}: breakpoints are not grid nodes")
-        for k, subset in enumerate(traj.segments):
-            for j in subset:
-                diff[j, idx[k]] += 1.0
-                diff[j, idx[k + 1]] -= 1.0
-    return np.cumsum(diff[:, :-1], axis=1) / panel.n
+    node = np.searchsorted(grid.nodes, breakpoints)
+    # each membership's segment: segment s of item i runs from breakpoint s + i to s + i + 1
+    left = np.repeat(np.arange(sizes.size) + np.repeat(np.arange(panel.n), counts), sizes)
+    at = states * (m + 1)
+    diff = np.bincount(np.concatenate([at + node[left], at + node[left + 1]]),
+                       weights=np.repeat([1.0, -1.0], left.size), minlength=q * (m + 1))
+    return np.cumsum(diff.reshape(q, m + 1)[:, :-1], axis=1) / panel.n
 
 
 def compute_weights(field: ProbabilityField, scheme: str) -> WeightScheme:

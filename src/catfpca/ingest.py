@@ -25,14 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ProtocolError, SchemaError, ValidationError
-from .trajectory import (
-    CategoricalTrajectory,
-    CellGrid,
-    IndicatorVectorTrajectory,
-    StateSpace,
-    to_indicators,
-    union_grid,
-)
+from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, union_grid
 
 __all__ = [
     "EventRecord",
@@ -104,9 +97,6 @@ class Panel:
     @property
     def trajectories(self) -> list[CategoricalTrajectory]:
         return [it.trajectory for it in self.items]
-
-    def indicators(self) -> list[IndicatorVectorTrajectory]:
-        return [to_indicators(it.trajectory, self.space) for it in self.items]
 
     def grid(self) -> CellGrid:
         return union_grid(self.trajectories)
@@ -312,13 +302,34 @@ def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> list[Categor
             for b, f in zip(breakpoints, first)]
 
 
-def _flat(trajectories) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
-    """All breakpoints and segments, concatenated; segments per trajectory; subset sizes."""
+def _flat(trajectories) -> tuple[np.ndarray, list, np.ndarray, np.ndarray, np.ndarray]:
+    """The flat encoding of a panel's step functions, the one every whole-panel pass reads.
+
+    Returns all breakpoints and all segment subsets, trajectory after
+    trajectory; the segment count of each trajectory; the subset size of
+    each segment; and the state index of each (segment, state) membership,
+    segment after segment.  State j's 0/1 step function is 1 on exactly the
+    segments with a membership of j.
+    """
     breakpoints = np.concatenate([t.breakpoints for t in trajectories])
     segments = list(chain.from_iterable(t.segments for t in trajectories))
     counts = np.fromiter((t.n_segments for t in trajectories), np.int64, len(trajectories))
     sizes = np.fromiter(map(len, segments), np.int64, len(segments))
-    return breakpoints, segments, counts, sizes
+    states = np.fromiter(chain.from_iterable(segments), np.int64, int(sizes.sum()))
+    return breakpoints, segments, counts, sizes, states
+
+
+def _grid_misfits(breakpoints: np.ndarray, counts: np.ndarray,
+                  nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per trajectory of a flat encoding: its horizon is not the grid's; a breakpoint is not a node.
+
+    A trajectory with neither is constant on every cell of the grid.
+    """
+    node_start = _starts(counts + 1)
+    off_horizon = breakpoints[node_start + counts] != nodes[-1]
+    at = np.minimum(np.searchsorted(nodes, breakpoints), nodes.size - 1)
+    not_refined = np.logical_or.reduceat(nodes[at] != breakpoints, node_start)
+    return off_horizon, not_refined
 
 
 def parse_events(
@@ -420,7 +431,7 @@ def parse_events(
     bad_item = ~end_ok | mixed
     if mode == "TDS" and n:
         # dominance must be exclusive and gap-free after the first click
-        breakpoints, _, counts, sizes = _flat(trajectories)
+        breakpoints, _, counts, sizes, _ = _flat(trajectories)
         owner = np.repeat(np.arange(n), counts)
         active_before = np.cumsum(sizes > 0) - (sizes > 0)
         active_before -= active_before[_starts(counts)][owner]
@@ -464,7 +475,7 @@ def apply_protocol_normalization(
     n = panel.n
     if n == 0:
         return Panel(panel.mode, panel.space, [])
-    b, segments, counts, sizes = _flat(panel.trajectories)
+    b, segments, counts, sizes, _ = _flat(panel.trajectories)
     seg_start = _starts(counts)
     node_start = seg_start + np.arange(n)
     node_end = node_start + counts
@@ -572,8 +583,8 @@ def validate_panel(panel: Panel) -> list[str]:
     if panel.n and not problems:
         # grid refinement: by construction of the union grid every trajectory
         # must be constant on every cell; re-check directly
-        grid = panel.grid()
-        for it, ind in zip(panel.items, panel.indicators()):
-            if not ind.is_constant_on(grid):
-                problems.append(f"{it.key}: not constant on the union grid")
+        breakpoints, _, counts, _, _ = _flat(panel.trajectories)
+        misfit = np.logical_or(*_grid_misfits(breakpoints, counts, panel.grid().nodes))
+        problems += [f"{panel.items[i].key}: not constant on the union grid"
+                     for i in np.flatnonzero(misfit)]
     return problems

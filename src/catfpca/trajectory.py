@@ -1,8 +1,12 @@
-"""Piecewise-constant categorical and 0/1 indicator trajectories on [0, T].
+"""Piecewise-constant categorical trajectories on [0, T], and cell grids.
 
 Segments follow the right-continuous convention: the value on [t_k, t_{k+1})
 is segments[k], and the value at the horizon T is the last segment's value.
-All types are immutable after construction and safe to share across threads.
+State j of a trajectory is the 0/1 step function that is 1 on the segments
+whose subset holds j; whole-panel passes read these step functions from one
+flat encoding of breakpoints and (segment, state) memberships
+(``ingest._flat``).  All types are immutable after construction and safe to
+share across threads.
 """
 from __future__ import annotations
 
@@ -16,9 +20,7 @@ from .errors import DomainError, ValidationError
 __all__ = [
     "StateSpace",
     "CategoricalTrajectory",
-    "IndicatorVectorTrajectory",
     "CellGrid",
-    "to_indicators",
     "union_grid",
 ]
 
@@ -157,64 +159,6 @@ class CategoricalTrajectory:
         )
 
 
-class IndicatorVectorTrajectory:
-    """Vector of q 0/1 step functions sharing one breakpoint sequence."""
-
-    __slots__ = ("breakpoints", "values")
-
-    def __init__(self, breakpoints, values):
-        b = _as_breakpoints(breakpoints)
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != b.size - 1:
-            raise ValidationError(
-                f"values must have shape (m, q) with m={b.size - 1}, got {v.shape}"
-            )
-        if not np.isin(v, (0.0, 1.0)).all():
-            raise ValidationError("indicator values must be 0 or 1")
-        v.setflags(write=False)
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "values", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndicatorVectorTrajectory is immutable")
-
-    @property
-    def horizon(self) -> float:
-        return float(self.breakpoints[-1])
-
-    @property
-    def q(self) -> int:
-        return self.values.shape[1]
-
-    def evaluate(self, t: float) -> np.ndarray:
-        b = self.breakpoints
-        if not (b[0] <= t <= b[-1]):
-            raise DomainError(f"t={t} outside [0, {b[-1]}]")
-        k = min(int(np.searchsorted(b, t, side="right")) - 1, self.values.shape[0] - 1)
-        return self.values[k]
-
-    def argmax_categories(self) -> CategoricalTrajectory:
-        """Recover the categorical trajectory of a TDS-derived indicator vector."""
-        sums = self.values.sum(axis=1)
-        if not np.all(sums == 1.0):
-            raise ValidationError("argmax recovery requires exactly one active state per segment")
-        segs = [frozenset([int(np.argmax(row))]) for row in self.values]
-        return CategoricalTrajectory(self.breakpoints, segs)
-
-    def is_constant_on(self, grid: "CellGrid") -> bool:
-        """True when every grid cell lies inside a single segment."""
-        interior = self.breakpoints[1:-1]
-        if self.horizon != grid.horizon:
-            return False
-        return bool(np.isin(interior, grid.nodes).all())
-
-    def __repr__(self) -> str:
-        return (
-            f"IndicatorVectorTrajectory(T={self.horizon:g}, q={self.q}, "
-            f"{self.values.shape[0]} segments)"
-        )
-
-
 class CellGrid:
     """Strictly increasing nodes 0 = u_0 < ... < u_m = T defining m quadrature cells."""
 
@@ -260,24 +204,6 @@ class CellGrid:
 
     def __repr__(self) -> str:
         return f"CellGrid(m={self.m}, T={self.horizon:g})"
-
-
-def to_indicators(traj: CategoricalTrajectory, space: StateSpace) -> IndicatorVectorTrajectory:
-    """Encode a categorical trajectory as q 0/1 indicator functions.
-
-    Entry j at time t is 1 exactly when j belongs to the trajectory's subset
-    at t; breakpoints are preserved.
-    """
-    q = space.q
-    values = np.zeros((traj.n_segments, q))
-    for k, subset in enumerate(traj.segments):
-        for j in subset:
-            if j >= q:
-                raise ValidationError(
-                    f"segment {k} references state index {j}, but the state space has q={q}"
-                )
-            values[k, j] = 1.0
-    return IndicatorVectorTrajectory(traj.breakpoints, values)
 
 
 def union_grid(trajectories: Sequence) -> CellGrid:

@@ -217,6 +217,32 @@ def test_config_rejects_conflicting_truncations(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("config,key", [
+    ({"cells": "512"}, "cells"),
+    ({"k": 2.5}, "k"),
+    ({"weights": 3}, "weights"),
+    ({"band_c": "x"}, "band_c"),
+    ({"var_frac": "0.5"}, "var_frac"),
+    ({"k": True}, "k"),
+    ({"band_c": True}, "band_c"),
+    ({"seed": 3}, "seed"),
+    ([{"k": 2}], "JSON object"),
+], ids=["cells-str", "k-float", "weights-int", "band_c-str", "var_frac-str", "k-bool",
+        "band_c-bool", "seed", "not-an-object"])
+def test_ill_typed_config_values_exit_2(tmp_path, capsys, config, key):
+    events, meta = write_inputs(tmp_path, "TDS")
+    ingested = tmp_path / "ingested"
+    run(["ingest", events, "--meta", meta, "--out", ingested])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "res", "--config", cfg]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValidationError" and key in error["message"]
+
+
 @pytest.mark.parametrize("exc", [MemoryError, np.linalg.LinAlgError])
 def test_resource_and_solver_failures_exit_3(tmp_path, capsys, monkeypatch, exc):
     events, meta = write_inputs(tmp_path, "TDS")

@@ -113,6 +113,46 @@ def test_mean_on_grid_matches_estimate(rng):
     assert np.abs(mean_on_grid(panel, grid) - estimate_field(panel, grid).mean).max() <= 1e-15
 
 
+def per_segment_mean_on_grid(panel, grid):
+    """Reference: +-1 per segment and state at its boundary nodes, one item at a time."""
+    q, m = panel.space.q, grid.m
+    diff = np.zeros((q, m + 1))
+    for it in panel.items:
+        traj = it.trajectory
+        idx = np.searchsorted(grid.nodes, traj.breakpoints)
+        for k, subset in enumerate(traj.segments):
+            for j in subset:
+                diff[j, idx[k]] += 1.0
+                diff[j, idx[k + 1]] -= 1.0
+    return np.cumsum(diff[:, :-1], axis=1) / panel.n
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+def test_mean_on_grid_equals_per_segment_reference(rng, mode):
+    for _ in range(30):
+        panel = random_panel(rng, mode, n=int(rng.integers(1, 40)), q=int(rng.integers(2, 7)))
+        union = panel.grid()
+        for grid in (union, CellGrid(np.union1d(union.nodes, rng.random(10)))):
+            got = mean_on_grid(panel, grid)
+            want = per_segment_mean_on_grid(panel, grid)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_grid_with_another_horizon_is_rejected_everywhere():
+    space = StateSpace(["A", "B"])
+    traj = CategoricalTrajectory([0.0, 0.2, 0.5], [{0}, {1}])
+    panel = Panel("TDS", space, [PanelItem("s", "c", traj)])
+    grid = CellGrid([0.0, 0.2, 0.5, 1.0])  # holds every breakpoint, but ends at 1
+    for call in (lambda: panel_cell_values(panel, grid),
+                 lambda: mean_on_grid(panel, grid),
+                 lambda: selection_count_curve(panel, grid)):
+        with pytest.raises(GridError, match="items with horizon != 1.0: s/c"):
+            call()
+    with pytest.raises(GridError, match="breakpoints are not grid nodes"):
+        mean_on_grid(panel, CellGrid([0.0, 0.3, 0.5]))
+
+
 def test_equal_weights_match_reported_table():
     space = StateSpace([f"S{j}" for j in range(8)])
     panel = Panel("TDS", space, [

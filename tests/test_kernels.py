@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from catfpca import _kernels, panel_cell_values
+from catfpca.ingest import _flat
 from catfpca.trajectory import CellGrid
 
 from conftest import random_panel
@@ -19,10 +20,18 @@ def test_cell_averages_integrate_exactly(rng):
     panel = random_panel(rng, "TCATA", n=6, q=3)
     coarse = CellGrid.uniform(7)
     Z = panel_cell_values(panel, coarse)
-    for ind, avg in zip(panel.indicators(), Z):
+    for traj, avg in zip(panel.trajectories, Z):
         integral_coarse = avg @ coarse.lengths
-        integral_exact = ind.values.T @ np.diff(ind.breakpoints)
+        integral_exact = segment_values(traj, panel.space.q).T @ np.diff(traj.breakpoints)
         assert np.abs(integral_coarse - integral_exact).max() <= 1e-14
+
+
+def segment_values(traj, q):
+    """(segments, q) 0/1 values: entry (k, j) is 1 when segment k holds state j."""
+    values = np.zeros((traj.n_segments, q))
+    for k, subset in enumerate(traj.segments):
+        values[k, list(subset)] = 1.0
+    return values
 
 
 def per_item_cell_averages(breaks, values, nodes):
@@ -46,16 +55,18 @@ def test_panel_rasterization_equals_per_item_reference(rng, monkeypatch, mode):
         CellGrid.uniform(7),                                      # not refining
         CellGrid(np.sort(np.concatenate([[0.0, 1.0], rng.random(30)]))),
     ]
-    indicators = panel.indicators()
-    breaks = [ind.breakpoints for ind in indicators]
-    values = [ind.values for ind in indicators]
+    q = panel.space.q
+    breaks = [traj.breakpoints for traj in panel.trajectories]
+    values = [segment_values(traj, q) for traj in panel.trajectories]
+    flat, _, counts, sizes, states = _flat(panel.trajectories)
     for block in (None, 1):
         if block is not None:  # one item per pass
             monkeypatch.setattr(_kernels, "_BLOCK_VALUES", block)
         for grid in grids:
-            got = _kernels.batch_cell_averages(breaks, values, grid.nodes)
+            got = _kernels.batch_cell_averages(flat, counts, sizes, states, q, grid.nodes)
             want = np.stack([per_item_cell_averages(b, v, grid.nodes)
                              for b, v in zip(breaks, values)])
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert set(np.unique(_kernels.batch_cell_averages(breaks, values, union.nodes))) <= {0.0, 1.0}
+    exact = _kernels.batch_cell_averages(flat, counts, sizes, states, q, union.nodes)
+    assert set(np.unique(exact)) <= {0.0, 1.0}

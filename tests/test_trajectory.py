@@ -13,7 +13,6 @@ from catfpca import (
     ValidationError,
     apply_protocol_normalization,
     panel_cell_values,
-    to_indicators,
     union_grid,
 )
 
@@ -31,33 +30,35 @@ def test_state_space_rejects_duplicates_and_empty():
     assert sp.q == 2 and sp.index("Sweet") == 1
 
 
+def indicator_values(traj, space):
+    """(q, m) cell values of ``traj`` as the only item of a panel, on its own breakpoints."""
+    panel = Panel("TCATA", space, [PanelItem("s", "c", traj)])
+    return panel_cell_values(panel, panel.grid())[0]
+
+
 def test_constant_trajectory_indicators():
     sp = StateSpace(["S1", "S2"])
     traj = CategoricalTrajectory([0.0, 1.0], [{0}])
-    ind = to_indicators(traj, sp)
-    assert np.array_equal(ind.values, [[1.0, 0.0]])
+    assert np.array_equal(indicator_values(traj, sp), [[1.0], [0.0]])
 
 
 def test_two_segment_indicators():
     sp = StateSpace(["S1", "S2"])
     traj = CategoricalTrajectory([0.0, 0.5, 1.0], [{0}, {1}])
-    ind = to_indicators(traj, sp)
-    assert np.array_equal(ind.values, [[1.0, 0.0], [0.0, 1.0]])
-    assert np.array_equal(ind.breakpoints, traj.breakpoints)
+    assert np.array_equal(indicator_values(traj, sp), [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_tcata_subset_indicators():
     sp = StateSpace(["S1", "S2", "S3"])
     traj = CategoricalTrajectory([0.0, 0.3, 1.0], [{0, 1}, set()])
-    ind = to_indicators(traj, sp)
-    assert np.array_equal(ind.values, [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.array_equal(indicator_values(traj, sp), [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
 
 
-def test_to_indicators_unknown_state_index():
+def test_panel_rejects_unknown_state_index():
     sp = StateSpace(["S1", "S2"])
     traj = CategoricalTrajectory([0.0, 0.4, 1.0], [{0}, {5}])
-    with pytest.raises(ValidationError, match="segment 1"):
-        to_indicators(traj, sp)
+    with pytest.raises(ValidationError, match="state index out of range"):
+        Panel("TDS", sp, [PanelItem("s", "c", traj)])
 
 
 def test_evaluate_conventions():
@@ -108,8 +109,7 @@ def test_normalize_time(breaks, horizon, expected):
 def test_union_grid_examples():
     t1 = CategoricalTrajectory([0.0, 0.5, 1.0], [{0}, {1}])
     t2 = CategoricalTrajectory([0.0, 0.3, 1.0], [{1}, {0}])
-    g = union_grid([to_indicators(t1, StateSpace(["a", "b"])),
-                    to_indicators(t2, StateSpace(["a", "b"]))])
+    g = union_grid([t1, t2])
     assert np.array_equal(g.nodes, [0.0, 0.3, 0.5, 1.0])
     assert np.array_equal(union_grid([t1]).nodes, t1.breakpoints)
     assert np.array_equal(union_grid([t1, t1, t1]).nodes, t1.breakpoints)
@@ -157,18 +157,6 @@ def tds_trajectories(draw, q=3):
 
 
 @settings(max_examples=80, deadline=None)
-@given(tds_trajectories())
-def test_indicator_round_trip_property(case):
-    traj, q = case
-    sp = StateSpace([f"S{j}" for j in range(q)])
-    ind = to_indicators(traj, sp)
-    assert np.array_equal(ind.values.sum(axis=1), np.ones(traj.n_segments))
-    back = ind.argmax_categories()
-    assert back.segments == traj.segments
-    assert np.array_equal(back.breakpoints, traj.breakpoints)
-
-
-@settings(max_examples=80, deadline=None)
 @given(tds_trajectories(), st.floats(0.5, 40.0))
 def test_normalize_preserves_proportions(case, scale):
     traj, q = case
@@ -187,14 +175,16 @@ def test_normalize_preserves_proportions(case, scale):
 @given(st.lists(tds_trajectories(), min_size=1, max_size=6))
 def test_union_grid_refines_inputs(cases):
     sp = StateSpace(["S0", "S1", "S2"])
-    inds = [to_indicators(traj, sp) for traj, _ in cases]
-    grid = union_grid(inds)
-    for ind in inds:
-        assert ind.is_constant_on(grid)
+    trajs = [traj for traj, _ in cases]
+    grid = union_grid(trajs)
+    for traj in trajs:
+        assert traj.horizon == grid.horizon
+        assert np.isin(traj.breakpoints, grid.nodes).all()
     # on a refining grid the cell values are exactly the 0/1 indicator values
-    panel = Panel("TDS", sp, [PanelItem(f"s{i}", "c", traj) for i, (traj, _) in enumerate(cases)])
-    indicator_values = np.stack([
-        np.stack([ind.evaluate(t) for t in grid.midpoints], axis=1) for ind in inds
+    panel = Panel("TDS", sp, [PanelItem(f"s{i}", "c", traj) for i, traj in enumerate(trajs)])
+    indicator_values = np.array([
+        [[float(j in traj.evaluate(t)) for t in grid.midpoints] for j in range(sp.q)]
+        for traj in trajs
     ])
     np.testing.assert_array_equal(panel_cell_values(panel, panel.grid()), indicator_values)
 
