@@ -54,7 +54,8 @@ def test_tcata_subset_indicators():
     assert np.array_equal(indicator_values(traj, sp), [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
 
 
-def test_panel_rejects_unknown_state_index():
+def test_to_indicators_unknown_state_index():
+    # the 0/1 encoding is built from a panel, whose constructor rejects the bad index
     sp = StateSpace(["S1", "S2"])
     traj = CategoricalTrajectory([0.0, 0.4, 1.0], [{0}, {5}])
     with pytest.raises(ValidationError, match="state index out of range"):
@@ -154,6 +155,18 @@ def tds_trajectories(draw, q=3):
     breaks = [0.0] + [p / 100.0 for p in interior] + [1.0]
     states = [draw(st.integers(0, q - 1)) for _ in range(len(breaks) - 1)]
     return CategoricalTrajectory(breaks, [{s} for s in states]), q
+
+
+@settings(max_examples=80, deadline=None)
+@given(tds_trajectories())
+def test_indicator_round_trip_property(case):
+    traj, q = case
+    sp = StateSpace([f"S{j}" for j in range(q)])
+    values = indicator_values(traj, sp)
+    assert np.array_equal(values.sum(axis=0), np.ones(traj.n_segments))
+    back = CategoricalTrajectory(traj.breakpoints, [{int(j)} for j in values.argmax(axis=0)])
+    assert back.segments == traj.segments
+    assert np.array_equal(back.breakpoints, traj.breakpoints)
 
 
 @settings(max_examples=80, deadline=None)
