@@ -31,20 +31,16 @@ from .ingest import (
     validate_panel,
 )
 from .estimation import (
-    ProbabilityField,
     WeightScheme,
     compute_weights,
-    estimate_field,
     mean_on_grid,
     panel_cell_values,
     selection_count_curve,
 )
 from .mfpca import (
     MfpcaResult,
-    assemble_operator,
     eigendecompose,
     importance,
-    mercer_check,
     reconstruct,
     run_mfpca,
 )
@@ -55,6 +51,5 @@ from .simulate import (
     consistency_experiment,
     simulate_panel,
 )
-from .oracles import jacobi_eigenvalues, naive_operator_matrix, oracle_covariance
 
 __version__ = "0.1.0"

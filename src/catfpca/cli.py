@@ -17,10 +17,10 @@ import numpy as np
 
 from . import io
 from .errors import NumericalError, ValidationError
-from .estimation import WeightScheme, estimate_field
+from .estimation import WeightScheme
 from .ingest import DEFAULT_TICK, apply_protocol_normalization, validate_panel
 from .mfpca import DEFAULT_MAX_CELLS, run_mfpca
-from .oracles import jacobi_eigenvalues, naive_operator_matrix, oracle_covariance
+from .oracles import estimate_field, jacobi_eigenvalues, naive_operator_matrix, oracle_covariance
 from .simulate import ProcessSpec, simulate_panel
 from .trajectory import CellGrid
 
@@ -115,9 +115,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    panel, report, meta = io.read_panel(args.panel, args.meta)
-    if not meta.get("normalized"):
-        panel = apply_protocol_normalization(panel, report=report)
+    panel, report, _ = _load_normalized_panel(args, DEFAULT_TICK)
     problems = validate_panel(panel)
     print(io.canonical_json({
         "n": panel.n,

@@ -1,10 +1,12 @@
-"""Empirical probability curves, covariance kernels and weighting schemes.
+"""Cell values, mean probability curves and weighting schemes.
 
 Everything is computed exactly on a cell grid from the panel's flat
 encoding (``ingest._flat``: breakpoints, segment counts and (segment,
 state) memberships): when the grid refines all sample paths (the union grid
 does by construction), cell values are the constant 0/1 segment values and
-every time integral is a finite sum with no quadrature error.
+every time integral is a finite sum with no quadrature error.  The dense
+covariance kernel is not built here; ``oracles.estimate_field`` builds it
+from :func:`panel_cell_values` as a reference.
 """
 from __future__ import annotations
 
@@ -19,11 +21,9 @@ from .ingest import Panel, _flat, _grid_misfits
 from .trajectory import CellGrid, StateSpace
 
 __all__ = [
-    "ProbabilityField",
     "WeightScheme",
     "WEIGHT_SCHEMES",
     "panel_cell_values",
-    "estimate_field",
     "mean_on_grid",
     "compute_weights",
     "selection_count_curve",
@@ -42,70 +42,12 @@ _SCHEME_ALIASES = {
 }
 
 
-class ProbabilityField:
-    """Mean curves p_j and covariance kernels gamma_jl on a cell grid.
-
-    ``cov_matrix`` is the flat (q*m, q*m) kernel with block index j*m + a;
-    ``cov`` exposes the same memory as a (q, q, m, m) view indexed
-    (j, l, a, b).
-    """
-
-    __slots__ = ("grid", "space", "mean", "cov_matrix", "n", "mode")
-
-    def __init__(self, grid: CellGrid, space: StateSpace, mean: np.ndarray,
-                 cov_matrix: np.ndarray, n: int, mode: str):
-        q, m = space.q, grid.m
-        mean = np.asarray(mean, dtype=np.float64)
-        cov_matrix = np.asarray(cov_matrix, dtype=np.float64)
-        if mean.shape != (q, m):
-            raise ValidationError(f"mean must have shape {(q, m)}, got {mean.shape}")
-        if cov_matrix.shape != (q * m, q * m):
-            raise ValidationError(
-                f"cov_matrix must have shape {(q * m, q * m)}, got {cov_matrix.shape}"
-            )
-        mean.setflags(write=False)
-        cov_matrix.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov_matrix", cov_matrix)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "mode", mode)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProbabilityField is immutable")
-
-    @property
-    def q(self) -> int:
-        return self.space.q
-
-    @property
-    def m(self) -> int:
-        return self.grid.m
-
-    @property
-    def cov(self) -> np.ndarray:
-        """(q, q, m, m) zero-copy view with entry (j, l, a, b) = gamma_jl(cell a, cell b)."""
-        q, m = self.q, self.m
-        return self.cov_matrix.reshape(q, m, q, m).transpose(0, 2, 1, 3)
-
-    @property
-    def variance_diagonal(self) -> np.ndarray:
-        """(q, m) curve of gamma_jj(t, t) values."""
-        diag = np.diagonal(self.cov_matrix).reshape(self.q, self.m)
-        return diag.copy()
-
-    def __repr__(self) -> str:
-        return f"ProbabilityField(q={self.q}, m={self.m}, n={self.n}, mode={self.mode})"
-
-
 @dataclass(frozen=True)
 class WeightScheme:
     """The q positive weights defining the inner product, plus their provenance."""
 
     scheme: str
     weights: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -125,10 +67,7 @@ class WeightScheme:
 
     @classmethod
     def equal(cls, q: int) -> "WeightScheme":
-        return cls("equal", np.full(q, 1.0 / q), normalized=True)
-
-    def scaled(self, c: float) -> "WeightScheme":
-        return WeightScheme(self.scheme, self.weights * c, normalized=False)
+        return cls("equal", np.full(q, 1.0 / q))
 
 
 def _keys(panel: Panel, mask: np.ndarray) -> str:
@@ -165,32 +104,6 @@ def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = N
                                         grid.nodes)
 
 
-def estimate_field(panel: Panel, grid: Optional[CellGrid] = None, *,
-                   exact: Optional[bool] = True) -> ProbabilityField:
-    """Estimate mean curves and the q x q x m x m covariance kernel (1/n convention).
-
-    Parameters
-    ----------
-    panel : Panel
-        Normalized panel (shared horizon).
-    grid : CellGrid, optional
-        Defaults to the panel's union grid, on which the estimate is exact.
-    exact : bool or None
-        Passed to :func:`panel_cell_values`; the default requires the grid
-        to refine every trajectory.
-    """
-    if grid is None:
-        grid = panel.grid()
-        exact = True
-    Z = panel_cell_values(panel, grid, exact=exact)
-    n, q, m = Z.shape
-    flat = Z.reshape(n, q * m)
-    mean_flat = flat.mean(axis=0)
-    cov = flat.T @ flat / n
-    cov -= np.outer(mean_flat, mean_flat)
-    return ProbabilityField(grid, panel.space, mean_flat.reshape(q, m), cov, n, panel.mode)
-
-
 def mean_on_grid(panel: Panel, grid: CellGrid) -> np.ndarray:
     """(q, m) mean curves via segment accumulation, without the dense tensor.
 
@@ -212,8 +125,9 @@ def mean_on_grid(panel: Panel, grid: CellGrid) -> np.ndarray:
     return np.cumsum(diff.reshape(q, m + 1)[:, :-1], axis=1) / panel.n
 
 
-def compute_weights(field: ProbabilityField, scheme: str) -> WeightScheme:
-    """Weights for the inner product under one of the three schemes.
+def compute_weights(mean: np.ndarray, variance: np.ndarray, grid: CellGrid, space: StateSpace,
+                    scheme: str) -> WeightScheme:
+    """Weights for the inner product from the (q, m) mean and variance curves on ``grid``.
 
     equal: w_j = 1/q.  trace_normalizing: w_j is the reciprocal of the
     integrated variance of state j's cell values, which gives every
@@ -221,12 +135,6 @@ def compute_weights(field: ProbabilityField, scheme: str) -> WeightScheme:
     inverse_mean_probability: w_j is the reciprocal of the average
     probability of occurrence.
     """
-    return _weights(field.mean, field.variance_diagonal, field.grid, field.space, scheme)
-
-
-def _weights(mean: np.ndarray, variance: np.ndarray, grid: CellGrid, space: StateSpace,
-             scheme: str) -> WeightScheme:
-    """:func:`compute_weights` from the (q, m) mean and variance curves alone."""
     tag = _SCHEME_ALIASES.get(scheme.strip().lower())
     if tag is None:
         raise ValidationError(f"unknown weight scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
@@ -245,15 +153,15 @@ def _weights(mean: np.ndarray, variance: np.ndarray, grid: CellGrid, space: Stat
             f"states with zero {kind}: {labels}; drop them from the state space "
             "or use the equal weight scheme"
         )
-    return WeightScheme(tag, 1.0 / integrals, normalized=False)
+    return WeightScheme(tag, 1.0 / integrals)
 
 
 def selection_count_curve(obj, grid: Optional[CellGrid] = None) -> tuple[CellGrid, np.ndarray]:
     """Mean number of simultaneously selected states over time.
 
     ``obj`` is a Panel, or anything carrying (q, m) mean curves on a grid
-    (a ProbabilityField or an MfpcaResult).  Identically 1 for TDS; for
-    TCATA it varies in [0, q].
+    (an MfpcaResult, or the reference ``oracles.ProbabilityField``).
+    Identically 1 for TDS; for TCATA it varies in [0, q].
     """
     if not isinstance(obj, Panel):
         return obj.grid, obj.mean.sum(axis=0)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, SchemaError, ValidationError
 from .estimation import selection_count_curve
-from .ingest import EventTable, IngestReport, Panel, parse_events
+from .ingest import EventTable, IngestReport, Panel, _flat, parse_events
 from .mfpca import MfpcaResult
 from .trajectory import StateSpace
 
@@ -44,6 +44,9 @@ EVENT_COLUMNS = ("subject", "product", "descriptor", "onset", "offset")
 
 _F17 = "{:.17g}".format  # fmt's digits for a Python float
 _BLOCK_ROWS = 8192  # rows formatted and written at a time
+# write_panel's blocks are smaller: its rows hold several Python objects each, and 8192 of
+# them at once leave partly used allocator arenas that raise the process's later peak RSS
+_PANEL_BLOCK_ROWS = 1024
 
 
 def fmt(x: float) -> str:
@@ -193,22 +196,42 @@ def read_meta(path) -> dict:
 
 
 def _event_rows(panel: Panel):
-    """One block of event rows (as written by write_panel) per panel item."""
+    """Blocks of _PANEL_BLOCK_ROWS event rows, as written by write_panel, from the flat encoding.
+
+    TDS: one onset row per (segment, state) membership, in panel order; an
+    empty segment is the latency, which the parser restores from the first
+    onset.  TCATA: one onset/offset row per run of consecutive segments
+    holding a state, ordered by item, state and onset.
+    """
+    if not panel.items:
+        return iter(())
+    breakpoints, _, counts, sizes, states = _flat(panel.trajectories)
+    # per (segment, state) membership: its item, and the breakpoint its segment starts at
+    # (segment s of item i starts at breakpoint s + i)
+    item = np.repeat(np.repeat(np.arange(panel.n), counts), sizes)
+    onset = np.repeat(np.arange(sizes.size), sizes) + item
+    offset = None
+    if panel.mode == "TCATA":
+        order = np.lexsort((onset, states, item))
+        item, states, onset = item[order], states[order], onset[order]
+        starts = np.ones(item.size, dtype=bool)
+        starts[1:] = (item[1:] != item[:-1]) | (states[1:] != states[:-1]) \
+            | (onset[1:] != onset[:-1] + 1)
+        offset = onset[np.roll(starts, -1)] + 1  # the end of each run's last segment
+        item, states, onset = item[starts], states[starts], onset[starts]
+    prefixes = [_csv_fields(it.subject, it.condition) for it in panel.items]
     labels = [_csv_fields(s) for s in panel.space.states]
-    for it in panel.items:
-        segments = it.trajectory.segments
-        prefix = _csv_fields(it.subject, it.condition)
-        t = list(map(_F17, it.trajectory.breakpoints.tolist()))
-        if panel.mode == "TDS":
-            # an empty segment is the latency; the parser restores it from the first onset
-            yield [f"{prefix}{labels[j]}{t[k]},\n" for k, s in enumerate(segments) for j in s]
-            continue
-        runs, opened, prev = [], {}, frozenset()
-        for k, s in enumerate((*segments, frozenset())):
-            opened.update((j, k) for j in s - prev)
-            runs.extend((j, opened.pop(j), k) for j in prev - s)
-            prev = s
-        yield [f"{prefix}{labels[j]}{t[start]},{t[end]}\n" for j, start, end in sorted(runs)]
+
+    def block(lo):
+        rows = slice(lo, lo + _PANEL_BLOCK_ROWS)
+        keys = [prefixes[i] + labels[j] for i, j in zip(item[rows].tolist(), states[rows].tolist())]
+        on = map(_F17, breakpoints[onset[rows]].tolist())
+        if offset is None:
+            return [f"{key}{a},\n" for key, a in zip(keys, on)]
+        off = map(_F17, breakpoints[offset[rows]].tolist())
+        return [f"{key}{a},{b}\n" for key, a, b in zip(keys, on, off)]
+
+    return map(block, range(0, item.size, _PANEL_BLOCK_ROWS))
 
 
 def write_panel(panel: Panel, csv_path, meta_path=None) -> None:

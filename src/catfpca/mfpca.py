@@ -10,9 +10,8 @@ operator is exactly represented by A^T A / n with
 One thin SVD A = U diag(s) V^T gives the whole decomposition: eigenvalues
 s^2 / n, eigenfunction cell values D^{-1/2} V and scores U diag(s).  The
 dense (q*m, q*m) kernel is never formed, and the cost is
-O(n * q*m * min(n, q*m)).  The kernel G (:func:`estimate_field`) and the
-symmetric matrix S = D^{1/2} G D^{1/2} (:func:`assemble_operator`) remain
-as the reference the tests compare against.
+O(n * q*m * min(n, q*m)).  The dense kernel and the operator matrix the
+tests compare against live in ``oracles``.
 """
 from __future__ import annotations
 
@@ -21,23 +20,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ValidationError
-from .estimation import (
-    ProbabilityField,
-    WeightScheme,
-    _weights,
-    panel_cell_values,
-)
+from .errors import DomainError, ValidationError
+from .estimation import WeightScheme, compute_weights, panel_cell_values
 from .ingest import Panel
 from .trajectory import CellGrid
 
 __all__ = [
     "MfpcaResult",
-    "assemble_operator",
     "eigendecompose",
     "importance",
     "reconstruct",
-    "mercer_check",
     "run_mfpca",
     "DEFAULT_MAX_CELLS",
 ]
@@ -51,24 +43,6 @@ _EIG_RTOL = 1e-12
 def _weight_diag(weights: WeightScheme, grid: CellGrid) -> np.ndarray:
     """Diagonal of D over the flat block index (j, a) = j*m + a."""
     return (weights.weights[:, None] * grid.lengths[None, :]).ravel()
-
-
-def assemble_operator(field: ProbabilityField, weights: WeightScheme) -> np.ndarray:
-    """Symmetrized operator matrix S = D^{1/2} G D^{1/2}, positive semidefinite."""
-    if weights.q != field.q:
-        raise ValidationError(
-            f"weights are for q={weights.q} states, field has q={field.q}"
-        )
-    G = field.cov_matrix
-    if not np.all(np.isfinite(G)):
-        raise ValidationError("covariance kernel contains non-finite entries")
-    asym = np.abs(G - G.T).max()
-    scale = max(1.0, np.abs(G).max())
-    if asym > 1e-10 * scale:
-        raise NumericalError(f"kernel asymmetry {asym:.3e} exceeds tolerance")
-    sq = np.sqrt(_weight_diag(weights, field.grid))
-    S = sq[:, None] * G * sq[None, :]
-    return 0.5 * (S + S.T)
 
 
 def eigendecompose(
@@ -145,19 +119,6 @@ def reconstruct(result: "MfpcaResult", i: int, k: int) -> np.ndarray:
     return out
 
 
-def mercer_check(result: "MfpcaResult", field: ProbabilityField) -> float:
-    """Max absolute deviation of the kernel from its spectral expansion.
-
-    Meaningful when the full decomposition is retained; with a truncated
-    result the deviation reflects the discarded tail.
-    """
-    R = result.eigenvalues.size
-    qm = field.q * field.m
-    phis = result.eigenfunctions.reshape(R, qm)
-    recon = (phis * result.eigenvalues[:, None]).T @ phis
-    return float(np.abs(field.cov_matrix - recon).max())
-
-
 @dataclass(frozen=True)
 class MfpcaResult:
     """Everything the decomposition produces, on one grid with one weighting."""
@@ -225,7 +186,8 @@ def run_mfpca(
     A -= mean
     variance = np.einsum("ij,ij->j", A, A) / n
     if weights is None:
-        weights = _weights(mean.reshape(q, m), variance.reshape(q, m), grid, panel.space, scheme)
+        weights = compute_weights(mean.reshape(q, m), variance.reshape(q, m), grid, panel.space,
+                                  scheme)
     elif weights.q != q:
         raise ValidationError(f"weights are for q={weights.q} states, panel has q={q}")
     A *= np.sqrt(_weight_diag(weights, grid))

@@ -1,25 +1,135 @@
-"""Deliberately naive reference implementations used to cross-check the
-optimized estimation and eigendecomposition paths.
+"""References the tests and ``oracle-check`` compare the library against; small panels only.
 
-Nothing here shares code with estimation.py or mfpca.py: trajectories are
-evaluated pointwise at cell midpoints, moments are accumulated in explicit
-Python loops, and eigenvalues come from a hand-rolled cyclic Jacobi
-iteration instead of LAPACK.  Slow on purpose; intended for small panels.
+The dense reference is built from production ``panel_cell_values``: the
+(q*m, q*m) covariance kernel G (:func:`estimate_field`), the operator
+matrix S = D^{1/2} G D^{1/2} (:func:`assemble_operator`) and the deviation
+of G from a result's spectral expansion (:func:`mercer_check`).
+``run_mfpca`` never forms G.  The naive oracles share no code with
+production: trajectories are evaluated pointwise at cell midpoints, moments
+are accumulated in explicit Python loops, and eigenvalues come from a
+hand-rolled cyclic Jacobi iteration instead of LAPACK.  Slow on purpose.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
-from .errors import NumericalError
-from .estimation import ProbabilityField, WeightScheme
+from .errors import NumericalError, ValidationError
+from .estimation import WeightScheme, panel_cell_values
 from .ingest import Panel
-from .trajectory import CellGrid
+from .mfpca import MfpcaResult, _weight_diag
+from .trajectory import CellGrid, StateSpace
 
 __all__ = [
-    "oracle_covariance",
-    "naive_operator_matrix",
-    "jacobi_eigenvalues",
+    "ProbabilityField", "estimate_field", "assemble_operator", "mercer_check",
+    "oracle_covariance", "naive_operator_matrix", "jacobi_eigenvalues",
 ]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ProbabilityField:
+    """Mean curves p_j and covariance kernels gamma_jl on a cell grid.
+
+    ``cov_matrix`` is the flat (q*m, q*m) kernel with block index j*m + a;
+    ``cov`` exposes the same memory as a (q, q, m, m) view indexed
+    (j, l, a, b).  Both arrays are read-only.
+    """
+
+    grid: CellGrid
+    space: StateSpace
+    mean: np.ndarray
+    cov_matrix: np.ndarray
+    n: int
+    mode: str
+
+    def __post_init__(self):
+        q, m = self.q, self.m
+        mean = np.asarray(self.mean, dtype=np.float64)
+        cov_matrix = np.asarray(self.cov_matrix, dtype=np.float64)
+        if mean.shape != (q, m):
+            raise ValidationError(f"mean must have shape {(q, m)}, got {mean.shape}")
+        if cov_matrix.shape != (q * m, q * m):
+            raise ValidationError(
+                f"cov_matrix must have shape {(q * m, q * m)}, got {cov_matrix.shape}"
+            )
+        mean.setflags(write=False)
+        cov_matrix.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov_matrix", cov_matrix)
+        object.__setattr__(self, "n", int(self.n))
+
+    @property
+    def q(self) -> int:
+        return self.space.q
+
+    @property
+    def m(self) -> int:
+        return self.grid.m
+
+    @property
+    def cov(self) -> np.ndarray:
+        """(q, q, m, m) zero-copy view with entry (j, l, a, b) = gamma_jl(cell a, cell b)."""
+        q, m = self.q, self.m
+        return self.cov_matrix.reshape(q, m, q, m).transpose(0, 2, 1, 3)
+
+    @property
+    def variance_diagonal(self) -> np.ndarray:
+        """(q, m) curve of gamma_jj(t, t) values."""
+        return np.diagonal(self.cov_matrix).reshape(self.q, self.m).copy()
+
+    def __repr__(self) -> str:
+        return f"ProbabilityField(q={self.q}, m={self.m}, n={self.n}, mode={self.mode})"
+
+
+def estimate_field(panel: Panel, grid: Optional[CellGrid] = None, *,
+                   exact: Optional[bool] = True) -> ProbabilityField:
+    """Mean curves and the q x q x m x m covariance kernel of the cell values (1/n convention).
+
+    ``grid`` defaults to the panel's union grid, on which the estimate is
+    exact; ``exact`` is passed to ``panel_cell_values``, and the default
+    requires the grid to refine every trajectory.
+    """
+    if grid is None:
+        grid = panel.grid()
+        exact = True
+    Z = panel_cell_values(panel, grid, exact=exact)
+    n, q, m = Z.shape
+    flat = Z.reshape(n, q * m)
+    mean_flat = flat.mean(axis=0)
+    cov = flat.T @ flat / n
+    cov -= np.outer(mean_flat, mean_flat)
+    return ProbabilityField(grid, panel.space, mean_flat.reshape(q, m), cov, n, panel.mode)
+
+
+def assemble_operator(field: ProbabilityField, weights: WeightScheme) -> np.ndarray:
+    """Symmetrized operator matrix S = D^{1/2} G D^{1/2}, positive semidefinite."""
+    if weights.q != field.q:
+        raise ValidationError(f"weights are for q={weights.q} states, field has q={field.q}")
+    G = field.cov_matrix
+    if not np.all(np.isfinite(G)):
+        raise ValidationError("covariance kernel contains non-finite entries")
+    asym = np.abs(G - G.T).max()
+    scale = max(1.0, np.abs(G).max())
+    if asym > 1e-10 * scale:
+        raise NumericalError(f"kernel asymmetry {asym:.3e} exceeds tolerance")
+    sq = np.sqrt(_weight_diag(weights, field.grid))
+    S = sq[:, None] * G * sq[None, :]
+    return 0.5 * (S + S.T)
+
+
+def mercer_check(result: MfpcaResult, field: ProbabilityField) -> float:
+    """Max absolute deviation of the kernel from its spectral expansion.
+
+    Meaningful when the full decomposition is retained; with a truncated
+    result the deviation reflects the discarded tail.
+    """
+    R = result.eigenvalues.size
+    qm = field.q * field.m
+    phis = result.eigenfunctions.reshape(R, qm)
+    recon = (phis * result.eigenvalues[:, None]).T @ phis
+    return float(np.abs(field.cov_matrix - recon).max())
 
 
 def oracle_covariance(panel: Panel, grid: CellGrid) -> ProbabilityField:

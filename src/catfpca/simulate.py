@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .estimation import WeightScheme, estimate_field, mean_on_grid
+from .estimation import WeightScheme, mean_on_grid
 from .ingest import Panel, PanelItem, _overlay
-from .mfpca import assemble_operator
+from .oracles import ProbabilityField, assemble_operator, estimate_field
 from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, union_grid
 
 __all__ = [
@@ -342,8 +342,6 @@ def consistency_experiment(
 
 
 def _kernel_error(panel: Panel, truth: TwoStateTruth, cells: int, w: np.ndarray) -> float:
-    from .estimation import ProbabilityField
-
     grid = CellGrid.uniform(cells, panel.trajectories[0].horizon)
     field_hat = estimate_field(panel, grid, exact=False)
     mid = grid.midpoints
@@ -358,7 +356,7 @@ def _kernel_error(panel: Panel, truth: TwoStateTruth, cells: int, w: np.ndarray)
         np.vstack([truth.p(0, mid), truth.p(1, mid)]),
         0.5 * (cov + cov.T), panel.n, panel.mode,
     )
-    scheme = WeightScheme("equal", w, normalized=True)
+    scheme = WeightScheme("equal", w)
     diff = assemble_operator(field_hat, scheme) - assemble_operator(field_true, scheme)
     return float(np.abs(np.linalg.eigvalsh(diff)).max())
 

@@ -17,18 +17,20 @@ import pytest
 from catfpca import (
     ProcessSpec,
     SojournSpec,
-    assemble_operator,
     consistency_experiment,
-    estimate_field,
-    jacobi_eigenvalues,
-    mercer_check,
-    naive_operator_matrix,
-    oracle_covariance,
     panel_cell_values,
     reconstruct,
 )
 from catfpca.estimation import WeightScheme
 from catfpca.mfpca import _weight_diag, run_mfpca
+from catfpca.oracles import (
+    assemble_operator,
+    estimate_field,
+    jacobi_eigenvalues,
+    mercer_check,
+    naive_operator_matrix,
+    oracle_covariance,
+)
 from catfpca.simulate import median_errors
 
 from conftest import mirror_panel, random_panel
@@ -107,6 +109,7 @@ def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(202)
     worst_field = 0.0
     worst_eig = 0.0
+    worst_run = 0.0  # the path `mfpca` runs against the naive oracles
     for trial in range(100):
         mode = "TDS" if rng.random() < 0.5 else "TCATA"
         panel = random_panel(rng, mode)  # n <= 10, q <= 4, union cells <= 20
@@ -122,11 +125,19 @@ def test_criterion_2_oracle_equivalence():
         evals = np.sort(np.linalg.eigvalsh(assemble_operator(fast, weights)))[::-1]
         evals_naive = jacobi_eigenvalues(naive_operator_matrix(slow, weights))
         worst_eig = max(worst_eig, float(np.abs(evals - evals_naive).max()))
+        result = run_mfpca(panel, grid=grid, weights=weights, retain="full")
+        padded = np.zeros(evals_naive.size)
+        padded[:result.R] = result.eigenvalues
+        worst_run = max(worst_run, float(np.abs(padded - evals_naive).max()))
+        worst_field = max(worst_field, float(np.abs(result.mean - slow.mean).max()))
     if worst_field > 1e-12:
         fail(2, f"field deviation {worst_field:.2e} > 1e-12")
     if worst_eig > 1e-8:
         fail(2, f"eigenvalue deviation {worst_eig:.2e} > 1e-8")
-    report(2, f"100 panels: field dev {worst_field:.1e}, eigenvalue dev {worst_eig:.1e}")
+    if worst_run > 1e-8:
+        fail(2, f"run_mfpca eigenvalue deviation {worst_run:.2e} > 1e-8")
+    report(2, f"100 panels: field dev {worst_field:.1e}, eigenvalue dev {worst_eig:.1e}, "
+              f"run_mfpca eigenvalue dev {worst_run:.1e}")
 
 
 def test_criterion_3_mirror_fixture():
@@ -229,7 +240,8 @@ def test_criterion_6_dataset_replication():
     for state, want in (("Sweet", 0.56), ("Salty", 0.22), ("Lemon", 0.10), ("Acid", 0.08)):
         if abs(result.importance[0, idx[state]] - want) > 0.03:
             fail(6, f"TDS dim-1 importance of {state} off the published value")
-    w = compute_weights(field, "trace_normalizing").normalized_weights
+    w = compute_weights(field.mean, field.variance_diagonal, field.grid, panel.space,
+                        "trace_normalizing").normalized_weights
     published = {"Acid": 0.02, "Basil": 0.06, "Bitter": 0.05, "Lemon": 0.02,
                  "Licorice": 0.21, "Mint": 0.60, "Salty": 0.03, "Sweet": 0.01}
     for state, want in published.items():

@@ -10,13 +10,12 @@ from catfpca import (
     StateSpace,
     ValidationError,
     compute_weights,
-    estimate_field,
     mean_on_grid,
-    oracle_covariance,
     panel_cell_values,
     selection_count_curve,
 )
 from catfpca.estimation import WeightScheme
+from catfpca.oracles import estimate_field, oracle_covariance
 
 from conftest import mirror_panel, random_panel
 
@@ -30,6 +29,11 @@ def constant_panel(labels_active):
         for i, j in enumerate(labels_active)
     ]
     return Panel("TDS", space, items)
+
+
+def field_weights(field, scheme):
+    """compute_weights on the mean and variance curves of a reference field."""
+    return compute_weights(field.mean, field.variance_diagonal, field.grid, field.space, scheme)
 
 
 def test_single_sample_has_zero_covariance():
@@ -107,6 +111,17 @@ def test_oracle_equivalence_on_random_panels(rng):
         assert np.abs(fast.cov_matrix - slow.cov_matrix).max() <= 1e-12
 
 
+def test_reference_names_live_in_oracles_only():
+    import catfpca
+    import catfpca.oracles
+
+    names = {"ProbabilityField", "estimate_field", "assemble_operator", "mercer_check",
+             "oracle_covariance", "naive_operator_matrix", "jacobi_eigenvalues"}
+    assert not names & set(dir(catfpca))
+    assert names <= set(catfpca.oracles.__all__)
+    assert all(hasattr(catfpca.oracles, name) for name in names)
+
+
 def test_mean_on_grid_matches_estimate(rng):
     panel = random_panel(rng, "TCATA", n=10, q=3)
     grid = panel.grid()
@@ -158,7 +173,7 @@ def test_equal_weights_match_reported_table():
     panel = Panel("TDS", space, [
         PanelItem("s", "c", CategoricalTrajectory([0.0, 1.0], [{0}]))
     ])
-    w = compute_weights(estimate_field(panel), "equal")
+    w = field_weights(estimate_field(panel), "equal")
     assert np.allclose(w.weights, 0.125)
     # the published table rounds the normalized equal weights to 0.12
     assert np.allclose(np.round(w.normalized_weights, 2), 0.12)
@@ -167,7 +182,7 @@ def test_equal_weights_match_reported_table():
 def test_trace_weights_constant_half_state():
     panel = constant_panel([0, 1])  # p_A = p_B = 0.5 everywhere
     field = estimate_field(panel)
-    w = compute_weights(field, "trace_normalizing")
+    w = field_weights(field, "trace_normalizing")
     assert np.allclose(w.weights, 4.0)  # integral of 0.25 over [0,1]
     # unit-trace property: w_j * integral p(1-p) = 1 exactly
     integ = (field.mean * (1 - field.mean)) @ field.grid.lengths
@@ -178,7 +193,7 @@ def test_trace_weights_match_oracle_integrals(rng):
     panel = random_panel(rng, "TCATA", n=9, q=3)
     field = estimate_field(panel)
     try:
-        w = compute_weights(field, "trace_normalizing")
+        w = field_weights(field, "trace_normalizing")
     except ValidationError:
         return  # degenerate state drawn; covered by the error test below
     integ = (field.mean * (1 - field.mean)) @ field.grid.lengths
@@ -189,25 +204,25 @@ def test_degenerate_state_raises_with_suggestion():
     panel = constant_panel([0, 0])  # state B never observed
     field = estimate_field(panel)
     with pytest.raises(ValidationError, match="B.*equal"):
-        compute_weights(field, "trace_normalizing")
+        field_weights(field, "trace_normalizing")
     with pytest.raises(ValidationError, match="B"):
-        compute_weights(field, "inverse_mean_probability")
+        field_weights(field, "inverse_mean_probability")
     # equal weights tolerate degenerate states
-    assert compute_weights(field, "equal").scheme == "equal"
+    assert field_weights(field, "equal").scheme == "equal"
 
 
 def test_inverse_mean_probability_weights():
     panel = constant_panel([0, 1])
-    w = compute_weights(estimate_field(panel), "inverse_mean_probability")
+    w = field_weights(estimate_field(panel), "inverse_mean_probability")
     assert np.allclose(w.weights, 2.0)  # 1 / integral of 0.5
 
 
 def test_weight_scheme_aliases_and_validation():
     field = estimate_field(constant_panel([0, 1]))
-    assert compute_weights(field, "trace").scheme == "trace_normalizing"
-    assert compute_weights(field, "pmean").scheme == "inverse_mean_probability"
+    assert field_weights(field, "trace").scheme == "trace_normalizing"
+    assert field_weights(field, "pmean").scheme == "inverse_mean_probability"
     with pytest.raises(ValidationError):
-        compute_weights(field, "bogus")
+        field_weights(field, "bogus")
     with pytest.raises(ValidationError):
         WeightScheme("equal", np.array([0.5, -0.5]))
 

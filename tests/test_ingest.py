@@ -218,7 +218,7 @@ def ref_overlay(intervals, end):
     for on, off, _ in intervals:
         times.add(on)
         times.add(off)
-    nodes = np.array(sorted(times))
+    nodes = np.sort(np.fromiter(times, np.float64))  # a NaN end time sorts last in every run
     q_max = max((j for *_, j in intervals), default=-1) + 1
     diff = np.zeros((nodes.size, max(q_max, 1)), dtype=np.int64)
     for on, off, j in intervals:

@@ -200,3 +200,26 @@ def test_panel_round_trip_matches_reference(tmp_path, rng, mode):
         [(it.subject, it.condition) for it in panel.items]
     for a, b in zip(panel.items, back.items):
         assert a.trajectory == b.trajectory
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+def test_panel_rows_split_across_blocks(tmp_path, rng, monkeypatch, mode):
+    panel = labelled_panel(rng, mode, n=12)
+    if mode == "TCATA":  # state 0 on at the end of one item and at the start of the next
+        end = CategoricalTrajectory([0.0, 0.5, 1.0], [{1}, {0}])
+        start = CategoricalTrajectory([0.0, 0.5, 1.0], [{0, 2}, {2}])
+        panel = Panel(mode, panel.space, [*panel.items, PanelItem("end", "p", end),
+                                          PanelItem("start", "p", start)])
+    monkeypatch.setattr(io, "_PANEL_BLOCK_ROWS", 3)
+    write_panel(panel, tmp_path / "panel.csv")
+    reference_panel(panel, tmp_path / "panel.ref")
+    assert same_bytes(tmp_path / "panel.csv", tmp_path / "panel.ref")
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+@pytest.mark.parametrize("n", [0, 2])
+def test_empty_panel_writes_the_header_only(tmp_path, mode, n):
+    # no items, or items in no state at any time
+    items = [PanelItem(f"s{i}", "p", CategoricalTrajectory([0.0, 1.0], [set()])) for i in range(n)]
+    write_panel(Panel(mode, StateSpace(STATES), items), tmp_path / "panel.csv")
+    assert (tmp_path / "panel.csv").read_text() == "subject,product,descriptor,onset,offset\n"

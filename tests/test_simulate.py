@@ -7,11 +7,11 @@ from catfpca import (
     TwoStateTruth,
     ValidationError,
     consistency_experiment,
-    jacobi_eigenvalues,
     mean_on_grid,
     simulate_panel,
     union_grid,
 )
+from catfpca.oracles import jacobi_eigenvalues
 from catfpca.simulate import median_errors
 
 
