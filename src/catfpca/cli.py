@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import io
 from .errors import NumericalError, ValidationError
 from .estimation import WeightScheme
 from .ingest import DEFAULT_TICK, apply_protocol_normalization, validate_panel
-from .mfpca import DEFAULT_MAX_CELLS, run_mfpca
+from .mfpca import DEFAULT_MAX_CELLS, _weight_diag, run_mfpca
 from .oracles import estimate_field, jacobi_eigenvalues, naive_operator_matrix, oracle_covariance
 from .simulate import ProcessSpec, simulate_panel
 from .trajectory import CellGrid
@@ -60,6 +61,10 @@ class RunConfig:
             flag = getattr(args, key, None)
             if flag is not None:
                 setattr(cfg, key, flag)
+        for key in ("tick", "band_c"):
+            value = getattr(cfg, key)
+            if not math.isfinite(value):
+                raise ValidationError(f"config key {key!r} must be a finite number, got {value}")
         if cfg.grid not in ("union", "uniform"):
             raise ValidationError(f"grid policy must be 'union' or 'uniform', got {cfg.grid!r}")
         if cfg.k is not None and cfg.var_frac is not None:
@@ -223,12 +228,18 @@ def cmd_oracle_check(args) -> int:
     evals[:result.R] = result.eigenvalues
     evals_naive = jacobi_eigenvalues(naive_operator_matrix(oracle, weights))
     eig_dev = float(np.abs(evals - evals_naive).max())
+    # H-Gram of every eigenfunction, null completions included
+    phis = result.eigenfunctions.reshape(result.R, -1)
+    gram = (phis * _weight_diag(weights, grid)) @ phis.T
+    orth_dev = float(np.abs(gram - np.eye(result.R)).max(initial=0.0))
 
-    ok = mean_dev <= args.tol and cov_dev <= args.tol and eig_dev <= args.eig_tol
+    ok = (mean_dev <= args.tol and cov_dev <= args.tol and eig_dev <= args.eig_tol
+          and orth_dev <= args.eig_tol)
     print(io.canonical_json({
         "mean_deviation": mean_dev,
         "cov_deviation": cov_dev,
         "eigenvalue_deviation": eig_dev,
+        "orthonormality_deviation": orth_dev,
         "tolerance": args.tol,
         "eig_tolerance": args.eig_tol,
         "ok": ok,

@@ -7,14 +7,19 @@ operator is exactly represented by A^T A / n with
 
     A = (Z - p) D^{1/2}.
 
-One thin SVD A = U diag(s) V^T gives the whole decomposition: eigenvalues
-s^2 / n, eigenfunction cell values D^{-1/2} V and scores U diag(s).  The
+Its nonzero spectrum is also that of the n x n matrix A A^T / n (the
+kernel-PCA identity), so one symmetric eigensolve of the smaller Gram
+matrix gives the whole decomposition: the primal A^T A when q*m <= n, the
+dual A A^T otherwise.  Eigenvalues are mu / n, eigenfunction cell values
+D^{-1/2} V and scores A V = U sqrt(mu).  In the dual, eigenfunctions far
+below lambda_1 are re-orthonormalized (see :func:`eigendecompose`).  The
 dense (q*m, q*m) kernel is never formed, and the cost is
 O(n * q*m * min(n, q*m)).  The dense kernel and the operator matrix the
 tests compare against live in ``oracles``.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -38,11 +43,27 @@ DEFAULT_MAX_CELLS = 512
 
 # relative spectral cut for the "auto" retention policy
 _EIG_RTOL = 1e-12
+# dual-form components below this fraction of the largest eigenvalue are
+# re-orthonormalized (see eigendecompose)
+_DUAL_RTOL = 1e-4
 
 
 def _weight_diag(weights: WeightScheme, grid: CellGrid) -> np.ndarray:
     """Diagonal of D over the flat block index (j, a) = j*m + a."""
     return (weights.weights[:, None] * grid.lengths[None, :]).ravel()
+
+
+def _check_retain(retain: Union[int, str]) -> Union[int, str]:
+    """The retention policy as "auto", "full" or a Python int; bools are rejected."""
+    if isinstance(retain, str):
+        if retain not in ("auto", "full"):
+            raise ValidationError(f"retain must be 'auto', 'full' or an int, got {retain!r}")
+        return retain
+    if isinstance(retain, bool) or not isinstance(retain, numbers.Integral):
+        raise ValidationError(f"retain must be 'auto', 'full' or an int, got {retain!r}")
+    if retain < 0:
+        raise DomainError(f"retain must be >= 0, got {retain}")
+    return int(retain)
 
 
 def eigendecompose(
@@ -51,7 +72,26 @@ def eigendecompose(
     grid: CellGrid,
     retain: Union[int, str] = "auto",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Descending eigenvalues, eigenfunction blocks and scores from one thin SVD.
+    """Descending eigenvalues, eigenfunction blocks and scores from one eigh.
+
+    The solve is ``eigh`` of the smaller Gram matrix of A (p = q*m):
+
+    - primal, p <= n: ``A^T A = V diag(mu) V^T``, eigenfunction cell values
+      D^{-1/2} V and scores A V;
+    - dual, p > n: ``A A^T = U diag(mu) U^T``, scores U sqrt(mu) and
+      eigenfunctions from the normalized columns of A^T U.
+
+    Either way the eigenvalues are mu / n, with mu clipped at 0.  The Gram
+    matrix and the products with A cost O(n * p * min(n, p)), and the eigh
+    O(min(n, p)^3), which is no more.
+
+    In the dual, A^T u_r / sqrt(mu_r) is H-orthogonal to the other
+    components only to about eps * lambda_1 / lambda_r, so every retained
+    component below 1e-4 of lambda_1 is projected off all larger ones twice
+    and the block is orthonormalized by QR; its scores are then A V.  Null
+    components, below the "auto" cut, which "full" or an int ``retain`` can
+    reach, start from the unit vector e_j with the smallest projection on
+    the components above them.
 
     Parameters
     ----------
@@ -70,31 +110,73 @@ def eigendecompose(
     each is sign-fixed so its entry of largest absolute value is positive;
     its score column follows the same sign.
     """
-    if isinstance(retain, int):
-        if retain < 0:
-            raise DomainError(f"retain must be >= 0, got {retain}")
-    elif retain not in ("auto", "full"):
-        raise ValidationError(f"retain must be 'auto', 'full' or an int, got {retain!r}")
-    n = A.shape[0]
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    evals = s * s / n
+    retain = _check_retain(retain)
+    n, p = A.shape
+    primal = p <= n
+    mu, vecs = np.linalg.eigh(A.T @ A if primal else A @ A.T)
+    mu = np.maximum(mu[::-1], 0.0)
+    vecs = vecs[:, ::-1]
+    evals = mu / n
 
     if retain == "full":
-        R = s.size
+        R = evals.size
     elif retain == "auto":
         R = int(np.count_nonzero(evals > _EIG_RTOL * evals[0])) if evals[0] > 0 else 0
         R = min(R, n - 1)
     else:
-        R = min(retain, s.size)
+        R = min(retain, evals.size)
 
-    phis = Vt[:R]
+    if primal:
+        phis = vecs[:, :R].T.copy()
+        scores = A @ phis.T
+    else:
+        phis, scores = _dual_pairs(A, vecs[:, :R], mu[:R])
     phis /= np.sqrt(_weight_diag(weights, grid))
-    scores = U[:, :R] * s[:R]
     # deterministic sign: largest-|value| cell entry made positive
     flip = phis[np.arange(R), np.abs(phis).argmax(axis=1)] < 0
     phis[flip] *= -1.0
     scores[:, flip] *= -1.0
     return evals[:R], phis.reshape(R, weights.q, grid.m), scores
+
+
+def _dual_pairs(A: np.ndarray, U: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenvector rows (R, p) and scores (n, R) from eigenvectors U of A A^T."""
+    phis = U.T @ A
+    scores = U * np.sqrt(mu)
+    if mu.size == 0 or mu[0] == 0:
+        big = live = 0
+    else:
+        big = int(np.count_nonzero(mu >= _DUAL_RTOL * mu[0]))
+        live = int(np.count_nonzero(mu > _EIG_RTOL * mu[0]))
+    phis[:big] /= np.linalg.norm(phis[:big], axis=1)[:, None]
+    if big < mu.size:
+        _orthonormalize_tail(phis, big, live)
+        scores[:, big:] = A @ phis[big:].T
+    return phis, scores
+
+
+def _orthonormalize_tail(phis: np.ndarray, lo: int, live: int) -> None:
+    """Rebuild rows lo: of ``phis`` orthonormal to the rows above them, in place.
+
+    Rows lo:live are projected off rows :lo twice (classical Gram-Schmidt
+    twice is orthogonal to working precision), then orthonormalized by QR.
+    Each row from ``live`` on starts from the unit vector e_j whose squared
+    projection on the rows above it is smallest, so its residual keeps a
+    squared norm of at least 1/p, and is projected off those rows twice.
+    """
+    top = phis[:lo]
+    block = phis[lo:live]
+    if block.size:
+        for _ in range(2):
+            block -= (block @ top.T) @ top
+        block[:] = np.linalg.qr(block.T)[0].T
+    for r in range(live, phis.shape[0]):
+        prev = phis[:r]
+        v = np.zeros(phis.shape[1])
+        v[np.argmin(np.einsum("ij,ij->j", prev, prev))] = 1.0
+        for _ in range(2):
+            v -= (prev @ v) @ prev
+        phis[r] = v / np.linalg.norm(v)
 
 
 def importance(weights: WeightScheme, grid: CellGrid, eigenfunctions: np.ndarray) -> np.ndarray:
@@ -170,7 +252,10 @@ def run_mfpca(
     max_cells: int = DEFAULT_MAX_CELLS,
     retain: Union[int, str] = "auto",
 ) -> MfpcaResult:
-    """Full pipeline: cell values -> weights -> one thin SVD -> result.
+    """Full pipeline: cell values -> weights -> one Gram eigensolve -> result.
+
+    The eigensolve is ``eigh`` of A^T A when q*m <= n and of A A^T
+    otherwise, at O(n * q*m * min(n, q*m)); see :func:`eigendecompose`.
 
     The union grid is used when it has at most ``max_cells`` cells; larger
     panels fall back to a uniform grid of ``max_cells`` cells, on which cell

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,57 @@ def test_oracle_check_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert payload["ok"] is True
     assert payload["cov_deviation"] <= 1e-12
+    assert payload["orthonormality_deviation"] <= payload["eig_tolerance"]
+
+
+def test_oracle_check_fails_on_non_orthonormal_eigenfunctions(tmp_path, capsys, monkeypatch):
+    events, meta = write_inputs(tmp_path, "TDS")
+    out = tmp_path / "ingested"
+    run(["ingest", events, "--meta", meta, "--out", out])
+    capsys.readouterr()
+    real = cli.run_mfpca
+
+    def stretched(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, eigenfunctions=1.01 * result.eigenfunctions)
+
+    monkeypatch.setattr(cli, "run_mfpca", stretched)
+    assert run(["oracle-check", out / "panel.csv"]) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out.strip().splitlines()[-1])
+    assert payload["ok"] is False
+    assert payload["eigenvalue_deviation"] <= payload["eig_tolerance"]
+    assert payload["orthonormality_deviation"] == pytest.approx(1.01 ** 2 - 1.0, rel=1e-6)
+    assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "NumericalError"
+
+
+@pytest.mark.parametrize("command,options,key", [
+    ("mfpca", ["--band-c", "nan"], "band_c"),
+    ("mfpca", ["--tick", "nan"], "tick"),
+    ("ingest", ["--tick", "inf"], "tick"),
+    ("mfpca", ["--config", {"band_c": float("nan")}], "band_c"),
+    ("ingest", ["--config", {"tick": float("-inf")}], "tick"),
+], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag", "mfpca-band_c-config",
+        "ingest-tick-config"])
+def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
+                                                               options, key):
+    # the input file does not exist: the config must be refused before it is opened
+    if isinstance(options[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(options[-1]))  # json writes NaN / -Infinity
+        options = [options[0], cfg]
+    argv = [command, tmp_path / "missing.csv", "--out", tmp_path / "out", *options]
+    if command == "ingest":
+        argv += ["--meta", tmp_path / "missing.json"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 2
+    assert not caught
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValidationError" and repr(key) in error["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_mfpca_outputs_are_byte_identical(tmp_path):

@@ -6,6 +6,7 @@ from catfpca import (
     DomainError,
     NumericalError,
     StateSpace,
+    ValidationError,
     compute_weights,
     panel_cell_values,
     reconstruct,
@@ -124,8 +125,9 @@ def test_spectral_invariants_random_panels(rng, mode):
 
 
 def test_svd_eigenvalues_match_dense_operator(rng):
-    # the thin SVD of the weighted centred cell values and eigh of the
-    # assembled operator S = D^{1/2} G D^{1/2} give the same spectrum
+    # eigh of the smaller Gram matrix of the weighted centred cell values
+    # (primal or dual) and eigh of the assembled operator S = D^{1/2} G D^{1/2}
+    # give the same spectrum
     for mode in ("TDS", "TCATA") * 10:
         panel = random_panel(rng, mode)
         result = run_mfpca(panel, retain="full")
@@ -295,3 +297,103 @@ def test_kl_truncation_beats_alternative_subspaces(rng):
                 proj = Y @ Q
                 resid = total - (proj ** 2).sum() / panel.n
                 assert resid >= best - 1e-10
+
+
+# -- primal and dual Gram forms -------------------------------------------------
+
+def check_pairs(result, tol):
+    """H-orthonormality and score variance = eigenvalue, both within tol (relative to lambda_1)."""
+    lam1 = max(result.eigenvalues[0], 1e-30)
+    assert np.abs(h_gram(result) - np.eye(result.R)).max() <= tol
+    var = (result.scores ** 2).mean(axis=0) - result.scores.mean(axis=0) ** 2
+    assert np.abs(var - result.eigenvalues).max() <= tol * lam1
+
+
+@pytest.mark.parametrize("small", [1e-4, 1e-8, 1e-11])
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+def test_graded_spectrum_keeps_pairs_orthonormal(rng, mode, small):
+    # one state weighted far below the others: in TCATA panels with
+    # 2m < n < 3m, the other two states cannot fill the rank, so a block of
+    # eigenvalues falls to about `small` times lambda_1, and its
+    # eigenfunctions must stay H-orthonormal.  (In TDS the small state's
+    # indicator is one minus the others, so the spectrum is not graded, but
+    # the identities must hold all the same.)  n = 8 and 40 add a plain dual
+    # and a primal panel.
+    for n in (8, 22, 26, 29, 40):
+        panel = random_panel(rng, mode, n=n, q=3, lattice=10)
+        weights = WeightScheme("equal", np.array([1.0, 1.0, small]))
+        result = run_mfpca(panel, weights=weights, retain="full")
+        if result.eigenvalues[0] <= 0:
+            continue
+        check_pairs(result, 1e-10)
+        field = estimate_field(panel, result.grid, exact=None)
+        diag = (field.variance_diagonal * field.grid.lengths[None, :]).sum(axis=1)
+        trace = float(weights.weights @ diag)
+        assert abs(result.total_variance - trace) <= 1e-12 * trace
+        assert abs(result.eigenvalues.sum() - trace) <= 1e-12 * trace
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+def test_primal_dual_boundary_matches_dense_and_svd(rng, mode, offset):
+    # p = q*m = 24 against n = 23 (dual), 24 and 25 (primal)
+    q, m = 3, 8
+    grid = CellGrid.uniform(m)
+    for _ in range(3):
+        panel = random_panel(rng, mode, n=q * m + offset, q=q, lattice=m)
+        result = run_mfpca(panel, grid=grid, retain="full")
+        lam = result.eigenvalues
+        field = estimate_field(panel, grid, exact=True)
+        dense = np.linalg.eigvalsh(assemble_operator(field, result.weights))[::-1]
+        got = np.zeros_like(dense)
+        got[:result.R] = lam
+        assert np.abs(got - dense).max() <= 1e-12 * dense[0]
+        check_pairs(result, 1e-10)
+
+        # reference: SVD of A = (Z - p) D^{1/2}, the matrix run_mfpca decomposes
+        d = _weight_diag(result.weights, grid)
+        Z = panel_cell_values(panel, grid).reshape(panel.n, -1)
+        _, s, Vt = np.linalg.svd((Z - Z.mean(axis=0)) * np.sqrt(d))
+        ref = Vt / np.sqrt(d)
+        gap = np.abs(np.subtract.outer(lam, s * s / panel.n))
+        np.fill_diagonal(gap, np.inf)
+        phis = result.eigenfunctions.reshape(result.R, -1)
+        separated = [r for r in range(result.R)
+                     if lam[r] > 1e-3 * lam[0] and gap[r].min() > 1e-2 * lam[0]]
+        assert separated
+        for r in separated:
+            sign = np.sign(phis[r] @ (d * ref[r]))
+            assert np.abs(phis[r] - sign * ref[r]).max() <= 1e-10
+
+
+def test_full_retention_in_the_dual_completes_the_basis(rng):
+    # repeated trajectories lower the rank, so "full" reaches several null components
+    base = random_panel(rng, "TCATA", n=6, q=3)
+    from catfpca import Panel, PanelItem
+
+    items = list(base.items) + [PanelItem(f"dup{i}", "c0", base.items[i].trajectory)
+                                for i in range(3)]
+    panel = Panel("TCATA", base.space, items)
+    result = run_mfpca(panel, retain="full")
+    assert panel.space.q * result.grid.m > panel.n  # the dual form
+    assert result.R == panel.n
+    null = result.eigenvalues <= 1e-12 * result.eigenvalues[0]
+    assert null.sum() >= 4  # centring plus three repeats
+    assert np.abs(h_gram(result) - np.eye(result.R)).max() <= 1e-10
+    assert np.abs(result.scores[:, null]).max() <= 1e-10 * np.sqrt(result.eigenvalues[0])
+    assert np.abs(result.importance.sum(axis=1) - 1.0).max() <= 1e-10
+    again = run_mfpca(panel, retain="full")
+    assert np.array_equal(result.eigenvalues, again.eigenvalues)
+    assert np.array_equal(result.eigenfunctions, again.eigenfunctions)
+    assert np.array_equal(result.scores, again.scores)
+
+
+def test_retain_accepts_any_integer_and_rejects_bools(rng):
+    panel = random_panel(rng, "TDS", n=8, q=3)
+    two = run_mfpca(panel, retain=2)
+    np_two = run_mfpca(panel, retain=np.int64(2))
+    assert np_two.R == two.R == 2
+    assert np.array_equal(np_two.eigenfunctions, two.eigenfunctions)
+    for flag in (True, False):
+        with pytest.raises(ValidationError, match="retain"):
+            run_mfpca(panel, retain=flag)
