@@ -61,10 +61,11 @@ class RunConfig:
             flag = getattr(args, key, None)
             if flag is not None:
                 setattr(cfg, key, flag)
-        for key in ("tick", "band_c"):
+        for key in ("tick", "band_c"):  # tick 0 turns rounding off, band_c 0 gives bare means
             value = getattr(cfg, key)
-            if not math.isfinite(value):
-                raise ValidationError(f"config key {key!r} must be a finite number, got {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(
+                    f"config key {key!r} must be a finite number >= 0, got {value}")
         if cfg.grid not in ("union", "uniform"):
             raise ValidationError(f"grid policy must be 'union' or 'uniform', got {cfg.grid!r}")
         if cfg.k is not None and cfg.var_frac is not None:

@@ -5,13 +5,17 @@ double round-trip) and a non-finite value raises ValidationError before its
 file is opened; JSON objects have sorted keys; CSV text fields are quoted as
 csv.writer quotes them.  CSV files are streamed in blocks of rows, so no file's
 whole text is held in memory.  Identical inputs give byte-identical files.
+
+Each CSV block is formatted by one %-template: the rows' fixed text, with
+every ``%`` doubled, and a ``%.17g`` slot per float, filled by a single
+``template % values`` call (see _fill).  ``"%.17g" % x`` gives the same
+digits as fmt(x), so the bytes are those of one fmt call per value.
 """
 from __future__ import annotations
 
 import csv
 import json
 from io import StringIO
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional, Union
 
@@ -42,7 +46,7 @@ __all__ = [
 
 EVENT_COLUMNS = ("subject", "product", "descriptor", "onset", "offset")
 
-_F17 = "{:.17g}".format  # fmt's digits for a Python float
+_SLOT = "%.17g"  # a template slot; "%.17g" % x == fmt(x) for every finite float x
 _BLOCK_ROWS = 8192  # rows formatted and written at a time
 # write_panel's blocks are smaller: its rows hold several Python objects each, and 8192 of
 # them at once leave partly used allocator arenas that raise the process's later peak RSS
@@ -93,11 +97,11 @@ def _csv_fields(*fields) -> str:
 
 
 def _write_csv(path, header, blocks) -> None:
-    """The header line, then each block of row strings as soon as it is made."""
+    """The header line, then each block's text of rows as soon as it is made."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            fh.write("".join(block))
+            fh.write(block)
 
 
 def _check_finite(*arrays) -> None:
@@ -106,25 +110,42 @@ def _check_finite(*arrays) -> None:
             raise ValidationError(f"cannot serialize non-finite value {a[~np.isfinite(a)][0]}")
 
 
+def _fixed(text: str) -> str:
+    """``text`` as the fixed text of a %-template: every ``%`` doubled."""
+    return text.replace("%", "%%")
+
+
+def _fill(template: str, values: np.ndarray) -> str:
+    """``template`` with its _SLOTs filled by ``values`` in C order, by one ``%`` call."""
+    return template % tuple(values.ravel().tolist())
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """fmt's text of each of the (finite) ``values``."""
+    return _fill(f"{_SLOT}\n" * values.size, values).split("\n")[:-1]
+
+
 def _table_blocks(prefixes: list[str], keys: list[list[str]], *columns):
     """Blocks of rows ``prefix + key + "," + values``; prefix i takes each key of keys[i % len(keys)].
 
     The key lists have equal lengths and ``columns`` hold one float per row
     each, in row order.  All are checked before the first block; a block
-    formats about _BLOCK_ROWS rows.
+    formats about _BLOCK_ROWS rows.  Prefixes and keys are escaped once: a
+    prefix's rows are the template ``prefix.join(["", *tails])``, where each
+    key's tail holds its slots.
     """
     width = len(keys[0])
     cols = [np.reshape(col, (len(prefixes), width)) for col in columns]
     _check_finite(*cols)
     step = max(1, _BLOCK_ROWS // max(1, width))
+    slots = ",".join([_SLOT] * len(cols))
+    tails = [["", *(f"{_fixed(key)},{slots}\n" for key in ks)] for ks in keys]
+    prefixes = list(map(_fixed, prefixes))
 
     def block(g):
-        values = np.stack([col[g:g + step] for col in cols], axis=-1).ravel().tolist()
-        texts = iter(map(_F17, values))
-        pairs = chain.from_iterable(zip(repeat(p), keys[i % len(keys)])
-                                    for i, p in enumerate(prefixes[g:g + step], start=g))
-        rows = zip(pairs, zip(*[texts] * len(cols)))
-        return [f"{p}{key},{','.join(v)}\n" for (p, key), v in rows]
+        template = "".join([p.join(tails[i % len(tails)])
+                            for i, p in enumerate(prefixes[g:g + step], start=g)])
+        return _fill(template, np.stack([col[g:g + step] for col in cols], axis=-1))
 
     return map(block, range(0, len(prefixes), step))
 
@@ -219,17 +240,17 @@ def _event_rows(panel: Panel):
             | (onset[1:] != onset[:-1] + 1)
         offset = onset[np.roll(starts, -1)] + 1  # the end of each run's last segment
         item, states, onset = item[starts], states[starts], onset[starts]
-    prefixes = [_csv_fields(it.subject, it.condition) for it in panel.items]
-    labels = [_csv_fields(s) for s in panel.space.states]
+    prefixes = [_fixed(_csv_fields(it.subject, it.condition)) for it in panel.items]
+    slots = f"{_SLOT}," if offset is None else f"{_SLOT},{_SLOT}"
+    tails = [f"{_fixed(_csv_fields(s))}{slots}\n" for s in panel.space.states]
+    times = breakpoints[onset] if offset is None \
+        else np.stack([breakpoints[onset], breakpoints[offset]], axis=-1)
 
     def block(lo):
         rows = slice(lo, lo + _PANEL_BLOCK_ROWS)
-        keys = [prefixes[i] + labels[j] for i, j in zip(item[rows].tolist(), states[rows].tolist())]
-        on = map(_F17, breakpoints[onset[rows]].tolist())
-        if offset is None:
-            return [f"{key}{a},\n" for key, a in zip(keys, on)]
-        off = map(_F17, breakpoints[offset[rows]].tolist())
-        return [f"{key}{a},{b}\n" for key, a, b in zip(keys, on, off)]
+        template = "".join([prefixes[i] + tails[j]
+                            for i, j in zip(item[rows].tolist(), states[rows].tolist())])
+        return _fill(template, times[rows])
 
     return map(block, range(0, item.size, _PANEL_BLOCK_ROWS))
 
@@ -279,7 +300,7 @@ def _components(result: MfpcaResult, k: Optional[int]) -> tuple[int, list[str]]:
 
 def _cells(grid) -> list[str]:
     """The "t_left,t_right" text of every cell, each node formatted once."""
-    nodes = list(map(_F17, grid.nodes.tolist()))
+    nodes = _texts(grid.nodes)
     return [f"{a},{b}" for a, b in zip(nodes[:-1], nodes[1:])]
 
 
@@ -323,8 +344,9 @@ def write_bands(result: MfpcaResult, path, k: Optional[int] = None, c: float = 1
     upper = np.add(result.mean, dev, out=dev)
     _check_finite(np.broadcast_to(result.mean, dev.shape))  # the mean as its rows repeat it
     cells = _cells(result.grid)
-    keys = [[f"{cell},{value}" for cell, value in zip(cells, map(_F17, row))]
-            for row in result.mean.tolist()]
+    means = _texts(result.mean)
+    keys = [[f"{cell},{value}" for cell, value in zip(cells, means[lo:lo + len(cells)])]
+            for lo in range(0, len(means), len(cells))]
     _write_csv(path, ("state", "r", "t_left", "t_right", "mean", "lower", "upper"), _table_blocks(
         prefixes, keys, lower, upper))
 

@@ -220,5 +220,8 @@ def union_grid(trajectories: Sequence) -> CellGrid:
         raise ValidationError(
             f"trajectories {bad} have horizon != {horizons[0]}; normalize first"
         )
-    nodes = np.unique(np.concatenate([t.breakpoints for t in trajectories]))
-    return CellGrid(nodes)
+    # np.unique's own sort-and-compare, without its lazy import of numpy.ma
+    nodes = np.sort(np.concatenate([t.breakpoints for t in trajectories]))
+    keep = np.ones(nodes.size, dtype=bool)
+    keep[1:] = nodes[1:] != nodes[:-1]
+    return CellGrid(nodes[keep])

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -205,16 +206,8 @@ def test_oracle_check_fails_on_non_orthonormal_eigenfunctions(tmp_path, capsys, 
     assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "NumericalError"
 
 
-@pytest.mark.parametrize("command,options,key", [
-    ("mfpca", ["--band-c", "nan"], "band_c"),
-    ("mfpca", ["--tick", "nan"], "tick"),
-    ("ingest", ["--tick", "inf"], "tick"),
-    ("mfpca", ["--config", {"band_c": float("nan")}], "band_c"),
-    ("ingest", ["--config", {"tick": float("-inf")}], "tick"),
-], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag", "mfpca-band_c-config",
-        "ingest-tick-config"])
-def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
-                                                               options, key):
+def assert_config_refused(tmp_path, capsys, command, options, key):
+    """``command`` exits 2 with one JSON line naming ``key``, before reading its input."""
     # the input file does not exist: the config must be refused before it is opened
     if isinstance(options[-1], dict):
         cfg = tmp_path / "cfg.json"
@@ -232,6 +225,66 @@ def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, 
     error = json.loads(lines[0])
     assert error["error"] == "ValidationError" and repr(key) in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,options,key", [
+    ("mfpca", ["--band-c", "nan"], "band_c"),
+    ("mfpca", ["--tick", "nan"], "tick"),
+    ("ingest", ["--tick", "inf"], "tick"),
+    ("mfpca", ["--config", {"band_c": float("nan")}], "band_c"),
+    ("ingest", ["--config", {"tick": float("-inf")}], "tick"),
+], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag", "mfpca-band_c-config",
+        "ingest-tick-config"])
+def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
+                                                               options, key):
+    assert_config_refused(tmp_path, capsys, command, options, key)
+
+
+@pytest.mark.parametrize("command,options,key", [
+    ("mfpca", ["--band-c=-1"], "band_c"),
+    ("mfpca", ["--tick=-0.001"], "tick"),
+    ("ingest", ["--tick=-0.001"], "tick"),
+    ("mfpca", ["--config", {"band_c": -1}], "band_c"),
+    ("mfpca", ["--config", {"tick": -1e-6}], "tick"),
+    ("ingest", ["--config", {"tick": -0.001}], "tick"),
+], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag", "mfpca-band_c-config",
+        "mfpca-tick-config", "ingest-tick-config"])
+def test_negative_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
+                                                            options, key):
+    assert_config_refused(tmp_path, capsys, command, options, key)
+
+
+def test_zero_tick_and_band_multiplier_are_accepted(tmp_path):
+    events, meta = write_inputs(tmp_path, "TCATA")
+    ingested = tmp_path / "ingested"
+    assert run(["ingest", events, "--meta", meta, "--out", ingested, "--tick", 0]) == 0
+    out = tmp_path / "res"
+    assert run(["mfpca", ingested / "panel.csv", "--out", out, "--band-c", 0]) == 0
+    with open(out / "bands.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["lower"] == row["mean"] == row["upper"] for row in rows)
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+def test_mfpca_does_not_import_numpy_ma(tmp_path, mode):
+    src = str(Path(catfpca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+    def python(code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1]
+
+    if python("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    events, meta = write_inputs(tmp_path, mode)
+    ingested = tmp_path / "ingested"
+    assert run(["ingest", events, "--meta", meta, "--out", ingested]) == 0
+    argv = ["mfpca", str(ingested / "panel.csv"), "--out", str(tmp_path / "res")]
+    assert python(f"import sys; from catfpca.cli import main; code = main({argv!r}); "
+                  "print(code, 'numpy.ma' in sys.modules)") == "0 False"
 
 
 def test_mfpca_outputs_are_byte_identical(tmp_path):

@@ -15,6 +15,10 @@ from conftest import random_panel, random_tcata_trajectory, random_tds_trajector
 # a comma, a quote, a newline, non-ASCII text and an empty field
 STATES = ("sweet, sour", 'say "hi"', "crème brûlée", "plain")
 SUBJECTS = ("a,b", 'q"uote', "naïve", "", "new\nline", "s5", "s6", "s7")
+# %-template metacharacters: a lone %, a doubled one and conversion specifiers, also
+# beside a comma, a quote, a newline and non-ASCII text
+PCT_STATES = ("100%", "%%", "%s, %d", '"%(x)s"', "crème %")
+PCT_SUBJECTS = ("50%", "%%", "%s", "%(x)s", 'a,"%s"', "new\n%", "naïve %.17g", "%")
 
 
 # --- reference: one fmt call per value, one csv.writer row per tuple -------
@@ -99,12 +103,13 @@ def reference_panel(panel, path):
 
 # --- fixtures ---------------------------------------------------------------
 
-def labelled_panel(rng, mode, n=len(SUBJECTS), lattice=20):
+def labelled_panel(rng, mode, n=len(SUBJECTS), lattice=20, states=STATES, subjects=SUBJECTS,
+                   condition="p{}, x"):
     gen = random_tds_trajectory if mode == "TDS" else random_tcata_trajectory
-    subjects = [SUBJECTS[i % len(SUBJECTS)] for i in range(n)]
-    items = [PanelItem(s, f"p{i // len(SUBJECTS)}, x", gen(rng, len(STATES), lattice))
-             for i, s in enumerate(subjects)]
-    return Panel(mode, StateSpace(STATES), items)
+    items = [PanelItem(subjects[i % len(subjects)], condition.format(i // len(subjects)),
+                       gen(rng, len(states), lattice))
+             for i in range(n)]
+    return Panel(mode, StateSpace(states), items)
 
 
 @pytest.fixture(params=["TDS", "TCATA"])
@@ -223,3 +228,71 @@ def test_empty_panel_writes_the_header_only(tmp_path, mode, n):
     items = [PanelItem(f"s{i}", "p", CategoricalTrajectory([0.0, 1.0], [set()])) for i in range(n)]
     write_panel(Panel(mode, StateSpace(STATES), items), tmp_path / "panel.csv")
     assert (tmp_path / "panel.csv").read_text() == "subject,product,descriptor,onset,offset\n"
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_template_metacharacters_in_labels_match_reference(tmp_path, rng, monkeypatch, mode,
+                                                           block_rows):
+    panel = labelled_panel(rng, mode, n=3 * len(PCT_SUBJECTS), states=STATES + PCT_STATES,
+                           subjects=SUBJECTS + PCT_SUBJECTS, condition="%(x)s %{}, %%")
+    if block_rows is not None:
+        monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(io, "_PANEL_BLOCK_ROWS", block_rows)
+    result = run_mfpca(panel)
+    assert result.R > 2
+    for name, write, reference in (
+        ("panel", lambda path: write_panel(panel, path), lambda path: reference_panel(panel, path)),
+        ("scores", lambda path: io.write_scores(result, path),
+         lambda path: reference_scores(result, path, result.R)),
+        ("eigenfunctions", lambda path: io.write_eigenfunctions(result, path),
+         lambda path: reference_eigenfunctions(result, path, result.R)),
+        ("bands", lambda path: io.write_bands(result, path),
+         lambda path: reference_bands(result, path, result.R)),
+        ("mean", lambda path: io.write_mean_curves(result, path),
+         lambda path: reference_curves(result, path, result.mean)),
+        ("var", lambda path: io.write_variance_curves(result, path),
+         lambda path: reference_curves(result, path, result.variance)),
+        ("sel", lambda path: io.write_selection_count(result, path),
+         lambda path: reference_selection_count(result, path)),
+    ):
+        write(tmp_path / f"{name}.csv")
+        reference(tmp_path / f"{name}.ref")
+        assert same_bytes(tmp_path / f"{name}.csv", tmp_path / f"{name}.ref"), name
+
+
+def test_table_keys_are_escaped_too():
+    # no writer passes a key with a % today (keys are cells, means and component numbers)
+    blocks = io._table_blocks(["a%,", "%%,"], [["%s", "%(x)s"]], np.array([1.0, 2.0, 3.0, 0.5]))
+    assert "".join(blocks) == "a%,%s,1\na%,%(x)s,2\n%%,%s,3\n%%,%(x)s,0.5\n"
+
+
+def boundary_values():
+    """±0, the smallest subnormal and normal, ±max and four doubles around each power of ten.
+
+    With 17 digits, %g turns to exponent notation below 1e-4 and from 1e17 on,
+    so the neighbours of the powers of ten cover both sides of each switch.
+    """
+    up = down = 10.0 ** np.arange(-323, 309)
+    near = [up]
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    f = np.finfo(np.float64)
+    values = np.concatenate([[0.0, f.smallest_subnormal, f.tiny, f.max], *near])
+    return np.concatenate([values, -values])
+
+
+def test_template_slot_digits_equal_fmt():
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+    # subnormals: a zero exponent field, any sign and mantissa
+    subnormal = bits[:2_000] & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    values = np.concatenate([bits.view(np.float64), subnormal.view(np.float64),
+                             boundary_values()])
+    values = values[np.isfinite(values)].tolist()
+    assert len(values) > 100_000
+    texts = [fmt(x) for x in values]
+    assert ["%.17g" % x for x in values] == texts
+    # and as the writers fill a block: one template, one % call
+    assert io._fill("%.17g\n" * len(values), np.array(values)).split("\n")[:-1] == texts

@@ -116,6 +116,22 @@ def test_union_grid_examples():
     assert np.array_equal(union_grid([t1, t1, t1]).nodes, t1.breakpoints)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_union_grid_nodes_are_np_unique_bit_for_bit(seed):
+    # off-lattice breakpoints shared between items, and items starting at -0.0 and at 0.0
+    rng = np.random.default_rng(seed)
+    pool = np.sort(rng.random(12))[1:-1]
+    trajectories = []
+    for i in range(int(rng.integers(1, 30))):
+        interior = np.sort(rng.choice(pool, size=int(rng.integers(0, 6)), replace=False))
+        start = -0.0 if rng.random() < 0.5 else 0.0
+        breaks = np.concatenate([[start], interior, [1.0]])
+        segments = [{k % 2} for k in range(breaks.size - 1)]
+        trajectories.append(CategoricalTrajectory(breaks, segments))
+    expected = np.unique(np.concatenate([t.breakpoints for t in trajectories]))
+    assert union_grid(trajectories).nodes.tobytes() == expected.tobytes()
+
+
 def test_union_grid_horizon_mismatch():
     t1 = CategoricalTrajectory([0.0, 1.0], [{0}])
     t2 = CategoricalTrajectory([0.0, 2.0], [{0}])
