@@ -6,10 +6,13 @@ file is opened; JSON objects have sorted keys; CSV text fields are quoted as
 csv.writer quotes them.  CSV files are streamed in blocks of rows, so no file's
 whole text is held in memory.  Identical inputs give byte-identical files.
 
-Each CSV block is formatted by one %-template: the rows' fixed text, with
-every ``%`` doubled, and a ``%.17g`` slot per float, filled by a single
-``template % values`` call (see _fill).  ``"%.17g" % x`` gives the same
-digits as fmt(x), so the bytes are those of one fmt call per value.
+Each CSV block is formatted as bytes by one %-template: the rows' fixed text,
+with every ``%`` doubled, and a ``%s`` slot per float, filled by a single
+``template % texts`` call (see _fill).  The texts of a block's floats, and of
+every float array in a JSON file, come from one exact integer pass over the
+array (``_digits.format17``), with Python's own conversion as the fallback
+outside the range that pass covers; each text is that of ``"%.17g" % x``,
+which is fmt(x), so the bytes are those of one fmt call per value.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ._digits import format17
 from .errors import DomainError, SchemaError, ValidationError
 from .estimation import selection_count_curve
 from .ingest import EventTable, IngestReport, Panel, _flat, parse_events
@@ -46,7 +50,7 @@ __all__ = [
 
 EVENT_COLUMNS = ("subject", "product", "descriptor", "onset", "offset")
 
-_SLOT = "%.17g"  # a template slot; "%.17g" % x == fmt(x) for every finite float x
+_SLOT = b"%s"  # a template slot, filled with format17's text of one float
 _BLOCK_ROWS = 8192  # rows formatted and written at a time
 # write_panel's blocks are smaller: its rows hold several Python objects each, and 8192 of
 # them at once leave partly used allocator arenas that raise the process's later peak RSS
@@ -72,13 +76,23 @@ def _json_value(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        return _json_value(obj.tolist())
+        if obj.dtype.kind != "f" or obj.ndim == 0:
+            return _json_value(obj.tolist())
+        _check_finite(obj)
+        return _json_array(format17(obj).reshape(obj.shape)).decode("ascii")
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_value(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in items) + "}"
     raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _json_array(texts: np.ndarray) -> bytes:
+    """An array of number texts as nested JSON arrays."""
+    if texts.ndim == 1:
+        return b"[" + b", ".join(texts.tolist()) + b"]"
+    return b"[" + b", ".join([_json_array(row) for row in texts]) + b"]"
 
 
 def canonical_json(obj) -> str:
@@ -89,17 +103,17 @@ def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _csv_fields(*fields) -> str:
+def _csv_fields(*fields) -> bytes:
     """``fields`` quoted as csv.writer quotes them inside a row, each followed by a comma."""
     buf = StringIO()
     csv.writer(buf, lineterminator="\n").writerow((*fields, ""))
-    return buf.getvalue()[:-1]
+    return buf.getvalue()[:-1].encode("utf-8")
 
 
 def _write_csv(path, header, blocks) -> None:
-    """The header line, then each block's text of rows as soon as it is made."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    """The header line, then each block's bytes of rows as soon as they are made."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for block in blocks:
             fh.write(block)
 
@@ -110,22 +124,22 @@ def _check_finite(*arrays) -> None:
             raise ValidationError(f"cannot serialize non-finite value {a[~np.isfinite(a)][0]}")
 
 
-def _fixed(text: str) -> str:
+def _fixed(text: bytes) -> bytes:
     """``text`` as the fixed text of a %-template: every ``%`` doubled."""
-    return text.replace("%", "%%")
+    return text.replace(b"%", b"%%")
 
 
-def _fill(template: str, values: np.ndarray) -> str:
-    """``template`` with its _SLOTs filled by ``values`` in C order, by one ``%`` call."""
-    return template % tuple(values.ravel().tolist())
+def _fill(template: bytes, values: np.ndarray) -> bytes:
+    """``template`` with its _SLOTs filled by the texts of ``values`` in C order, by one ``%``."""
+    return template % tuple(_texts(values))
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """fmt's text of each of the (finite) ``values``."""
-    return _fill(f"{_SLOT}\n" * values.size, values).split("\n")[:-1]
+def _texts(values: np.ndarray) -> list[bytes]:
+    """fmt's text of each of the (finite) ``values``, in C order, as bytes."""
+    return format17(values).tolist()
 
 
-def _table_blocks(prefixes: list[str], keys: list[list[str]], *columns):
+def _table_blocks(prefixes: list[bytes], keys: list[list[bytes]], *columns):
     """Blocks of rows ``prefix + key + "," + values``; prefix i takes each key of keys[i % len(keys)].
 
     The key lists have equal lengths and ``columns`` hold one float per row
@@ -138,12 +152,12 @@ def _table_blocks(prefixes: list[str], keys: list[list[str]], *columns):
     cols = [np.reshape(col, (len(prefixes), width)) for col in columns]
     _check_finite(*cols)
     step = max(1, _BLOCK_ROWS // max(1, width))
-    slots = ",".join([_SLOT] * len(cols))
-    tails = [["", *(f"{_fixed(key)},{slots}\n" for key in ks)] for ks in keys]
+    slots = b",".join([_SLOT] * len(cols))
+    tails = [[b"", *(_fixed(key) + b"," + slots + b"\n" for key in ks)] for ks in keys]
     prefixes = list(map(_fixed, prefixes))
 
     def block(g):
-        template = "".join([p.join(tails[i % len(tails)])
+        template = b"".join([p.join(tails[i % len(tails)])
                             for i, p in enumerate(prefixes[g:g + step], start=g)])
         return _fill(template, np.stack([col[g:g + step] for col in cols], axis=-1))
 
@@ -156,9 +170,10 @@ def read_events_csv(path) -> EventTable:
     Rows are streamed from the file into the table's columns.  Row numbers are
     1-based with the header as row 1; blank lines are skipped and not counted.
     A timestamp that does not parse, or parses to NaN, raises SchemaError
-    naming its row; so does text that is not UTF-8 CSV.
+    naming its row; so does text that is not UTF-8 CSV.  A leading UTF-8 byte
+    order mark is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -241,14 +256,14 @@ def _event_rows(panel: Panel):
         offset = onset[np.roll(starts, -1)] + 1  # the end of each run's last segment
         item, states, onset = item[starts], states[starts], onset[starts]
     prefixes = [_fixed(_csv_fields(it.subject, it.condition)) for it in panel.items]
-    slots = f"{_SLOT}," if offset is None else f"{_SLOT},{_SLOT}"
-    tails = [f"{_fixed(_csv_fields(s))}{slots}\n" for s in panel.space.states]
+    slots = _SLOT + b"," if offset is None else _SLOT + b"," + _SLOT
+    tails = [_fixed(_csv_fields(s)) + slots + b"\n" for s in panel.space.states]
     times = breakpoints[onset] if offset is None \
         else np.stack([breakpoints[onset], breakpoints[offset]], axis=-1)
 
     def block(lo):
         rows = slice(lo, lo + _PANEL_BLOCK_ROWS)
-        template = "".join([prefixes[i] + tails[j]
+        template = b"".join([prefixes[i] + tails[j]
                             for i, j in zip(item[rows].tolist(), states[rows].tolist())])
         return _fill(template, times[rows])
 
@@ -289,19 +304,19 @@ def read_panel(csv_path, meta_path=None) -> tuple[Panel, IngestReport, dict]:
 # analysis exports
 # ---------------------------------------------------------------------------
 
-def _components(result: MfpcaResult, k: Optional[int]) -> tuple[int, list[str]]:
+def _components(result: MfpcaResult, k: Optional[int]) -> tuple[int, list[bytes]]:
     """k (all retained when None) and the "state,r," prefix of each exported curve."""
     k = result.R if k is None else k
     if not 0 <= k <= result.R:
         raise DomainError(f"cannot export {k} components; the result has {result.R}")
     labels = [_csv_fields(s) for s in result.states]
-    return k, [f"{label}{r}," for r in range(1, k + 1) for label in labels]
+    return k, [b"%s%d," % (label, r) for r in range(1, k + 1) for label in labels]
 
 
-def _cells(grid) -> list[str]:
+def _cells(grid) -> list[bytes]:
     """The "t_left,t_right" text of every cell, each node formatted once."""
     nodes = _texts(grid.nodes)
-    return [f"{a},{b}" for a, b in zip(nodes[:-1], nodes[1:])]
+    return [b"%s,%s" % cell for cell in zip(nodes[:-1], nodes[1:])]
 
 
 def write_mean_curves(result: MfpcaResult, path) -> None:
@@ -316,14 +331,14 @@ def write_variance_curves(result: MfpcaResult, path) -> None:
 
 def write_selection_count(result: MfpcaResult, path) -> None:
     grid, curve = selection_count_curve(result)
-    _write_csv(path, ("t_left", "t_right", "value"), _table_blocks([""], [_cells(grid)], curve))
+    _write_csv(path, ("t_left", "t_right", "value"), _table_blocks([b""], [_cells(grid)], curve))
 
 
 def write_scores(result: MfpcaResult, path, k: Optional[int] = None) -> None:
     k, _ = _components(result, k)
     _write_csv(path, ("subject", "condition", "r", "value"), _table_blocks(
         [_csv_fields(subject, condition) for subject, condition in result.items],
-        [[str(r) for r in range(1, k + 1)]], result.scores[:, :k]))
+        [[b"%d" % r for r in range(1, k + 1)]], result.scores[:, :k]))
 
 
 def write_eigenfunctions(result: MfpcaResult, path, k: Optional[int] = None) -> None:
@@ -345,7 +360,7 @@ def write_bands(result: MfpcaResult, path, k: Optional[int] = None, c: float = 1
     _check_finite(np.broadcast_to(result.mean, dev.shape))  # the mean as its rows repeat it
     cells = _cells(result.grid)
     means = _texts(result.mean)
-    keys = [[f"{cell},{value}" for cell, value in zip(cells, means[lo:lo + len(cells)])]
+    keys = [[b"%s,%s" % key for key in zip(cells, means[lo:lo + len(cells)])]
             for lo in range(0, len(means), len(cells))]
     _write_csv(path, ("state", "r", "t_left", "t_right", "mean", "lower", "upper"), _table_blocks(
         prefixes, keys, lower, upper))
@@ -359,17 +374,17 @@ def result_to_dict(result: MfpcaResult, config_echo: Optional[dict] = None) -> d
         "grid": {
             "cells": result.grid.m,
             "horizon": result.grid.horizon,
-            "nodes": result.grid.nodes.tolist(),
+            "nodes": result.grid.nodes,
         },
         "weights": {
             "scheme": result.weights.scheme,
-            "raw": result.weights.weights.tolist(),
-            "normalized": result.weights.normalized_weights.tolist(),
+            "raw": result.weights.weights,
+            "normalized": result.weights.normalized_weights,
         },
         "total_variance": result.total_variance,
-        "eigenvalues": result.eigenvalues.tolist(),
-        "variance_proportions": result.variance_proportions.tolist(),
-        "importance": result.importance.tolist(),
+        "eigenvalues": result.eigenvalues,
+        "variance_proportions": result.variance_proportions,
+        "importance": result.importance,
     }
     if config_echo is not None:
         d["config"] = config_echo

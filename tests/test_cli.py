@@ -112,6 +112,28 @@ def test_nan_timestamp_exits_2_naming_the_row(tmp_path, capsys, mode, row):
     assert "row 3" in err["message"] and "nan" in err["message"]
 
 
+@pytest.mark.parametrize("mode,bad_row,lineno", [
+    ("TDS", "s3,p1,A,nan,", 6),
+    ("TCATA", "s3,p1,A,nan,2.0", 5),
+])
+def test_utf8_bom_before_the_header_is_ignored(tmp_path, capsys, mode, bad_row, lineno):
+    # spreadsheet "CSV UTF-8" exports start the file with EF BB BF
+    events, meta = write_inputs(tmp_path, mode)
+    seen = {}
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "events.csv").write_bytes(bom + events.read_bytes())
+        assert run(["ingest", d / "events.csv", "--meta", meta, "--out", d / "out"]) == 0
+        (d / "bad.csv").write_bytes(bom + events.read_bytes() + f"{bad_row}\n".encode())
+        assert run(["ingest", d / "bad.csv", "--meta", meta, "--out", d / "bad"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "SchemaError" and f"row {lineno}:" in err["message"]
+        seen[name] = ([(d / "out" / f).read_bytes() for f in ("panel.csv", "report.json")],
+                      err["message"].replace(str(d), ""))
+    assert seen["bom"] == seen["plain"]
+
+
 def test_validate_exit_code_on_violation(tmp_path, capsys):
     # hand-written panel that claims normalization but breaks TDS exclusivity
     (tmp_path / "panel.csv").write_text(

@@ -4,8 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catfpca import CategoricalTrajectory, Panel, PanelItem, StateSpace, io, run_mfpca
+from catfpca import _digits
+from catfpca._digits import format17
 from catfpca.errors import ValidationError
 from catfpca.estimation import selection_count_curve
 from catfpca.io import fmt, read_panel, write_panel
@@ -263,8 +267,9 @@ def test_template_metacharacters_in_labels_match_reference(tmp_path, rng, monkey
 
 def test_table_keys_are_escaped_too():
     # no writer passes a key with a % today (keys are cells, means and component numbers)
-    blocks = io._table_blocks(["a%,", "%%,"], [["%s", "%(x)s"]], np.array([1.0, 2.0, 3.0, 0.5]))
-    assert "".join(blocks) == "a%,%s,1\na%,%(x)s,2\n%%,%s,3\n%%,%(x)s,0.5\n"
+    blocks = io._table_blocks([b"a%,", b"%%,"], [[b"%s", b"%(x)s"]],
+                              np.array([1.0, 2.0, 3.0, 0.5]))
+    assert b"".join(blocks) == b"a%,%s,1\na%,%(x)s,2\n%%,%s,3\n%%,%(x)s,0.5\n"
 
 
 def boundary_values():
@@ -292,7 +297,83 @@ def test_template_slot_digits_equal_fmt():
                              boundary_values()])
     values = values[np.isfinite(values)].tolist()
     assert len(values) > 100_000
-    texts = [fmt(x) for x in values]
-    assert ["%.17g" % x for x in values] == texts
+    texts = [fmt(x).encode() for x in values]
+    assert [b"%.17g" % x for x in values] == texts  # the kernel's fallback
+    assert_format17_equals_fmt(values)
     # and as the writers fill a block: one template, one % call
-    assert io._fill("%.17g\n" * len(values), np.array(values)).split("\n")[:-1] == texts
+    assert io._fill(b"%s\n" * len(values), np.array(values)).split(b"\n")[:-1] == texts
+
+
+def assert_format17_equals_fmt(values):
+    values = np.asarray(values, dtype=np.float64).tolist()
+    texts = format17(np.array(values)).tolist()
+    wrong = [(x, text, fmt(x)) for x, text in zip(values, texts) if text != fmt(x).encode()]
+    assert len(texts) == len(values) and not wrong, wrong[:5]
+
+
+def test_format17_equals_fmt_where_the_integer_path_runs():
+    """Values in and around the window 1e-11 <= |x| < 2e15 that the exact integer path handles."""
+    rng = np.random.default_rng(11)
+    n = 120_000
+    # random 53-bit mantissas, decimal exponents spread over 1e-12 ... 1e16, both signs
+    spread = (1 + rng.random(n)) * 2.0 ** np.floor(rng.uniform(-40, 54, n))
+    spread *= rng.choice([-1.0, 1.0], n)
+    j = np.arange(1, 1 << 20, dtype=np.float64)
+    # dyadic rationals: 20 897 of the first set and 22 of the second are exact ties
+    # at the 18th significant digit
+    dyadic = np.concatenate([j[::7] / 2.0 ** 20, j[::7] / 2.0 ** 24 * 1e-3,
+                             -j[3::7] / 2.0 ** 20])
+    # the neighbours of every power of ten over the window and of every power of two
+    # (where the shift s steps) on each side of it
+    edges = np.concatenate([10.0 ** np.arange(-12, 17), 2.0 ** np.arange(-40, 55),
+                            [1e-11, 1e15, 2.0 ** 51, 2.0 ** 53]])
+    near = [edges]
+    up = down = edges
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        near += [up, down]
+    near = np.concatenate(near)
+    assert_format17_equals_fmt(np.concatenate([spread, dyadic, near, -near]))
+
+
+def test_scaled_product_is_exact_where_it_claims_to_be():
+    # D = floor(M * 5**k / 2**s) and its half-to-even rounding, against Python's integers,
+    # for k = 16 - E from -1 to 29 and s from -1 to 65: the claim must hold exactly on
+    # 0 <= k <= 27, 1 <= s <= 63 with D below 2**64, and nowhere else
+    rng = np.random.default_rng(5)
+    n = 40_000
+    mantissa = rng.integers(2 ** 52, 2 ** 53, n, dtype=np.uint64)
+    mantissa[:4] = [2 ** 52, 2 ** 53 - 1, 2 ** 52 + 1, 3 << 51]
+    e = rng.integers(-13, 18, n)
+    exp2 = e - 16 - rng.integers(-1, 66, n)
+    scaled = _digits._scaled(mantissa, exp2, e)
+    for m, b, k, d, up, ok in zip(mantissa.tolist(), exp2.tolist(), (16 - e).tolist(),
+                                  *(a.tolist() for a in scaled)):
+        s = -(b + k)
+        exact = 0 <= k <= 27 and 1 <= s <= 63 and (m * 5 ** k) >> s < 2 ** 64
+        assert ok == exact, (m, b, k)
+        if exact:
+            rest, half = (m * 5 ** k) % (1 << s), 1 << (s - 1)
+            assert d == (m * 5 ** k) >> s, (m, b, k)
+            assert up == (rest > half or (rest == half and d % 2 == 1)), (m, b, k)
+
+
+def test_format17_keeps_order_across_fast_and_fallback_values():
+    # zeros, which are laid out directly, and values Python formats, between values the
+    # integer path formats
+    f = np.finfo(np.float64)
+    outside = [0.0, -0.0, f.smallest_subnormal, -f.smallest_subnormal, f.tiny, f.max, -f.max,
+               1e-300, 1e300, 3e-12, -2.5e16, 1e17]
+    inside = [0.1, -0.25, 1 / 3, 123456.789, -7e-5, 2.0 ** -30, 999999999999999.9]
+    values = np.array([v for pair in zip(outside, inside + inside) for v in pair])
+    assert_format17_equals_fmt(values)
+    # across the kernel's passes too
+    assert_format17_equals_fmt(np.resize(values, 3 * _digits._CHUNK + 5))
+    assert format17(np.array([0.0, -0.0])).tolist() == [b"0", b"-0"]
+    assert format17(np.empty(0)).tolist() == []
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+def test_format17_equals_fmt_property(values):
+    assert_format17_equals_fmt(values)
