@@ -21,7 +21,6 @@ from .trajectory import (
     union_grid,
 )
 from .ingest import (
-    EventRecord,
     EventTable,
     IngestReport,
     Panel,

@@ -20,15 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ProtocolError, SchemaError, ValidationError
-from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, union_grid
+from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, _as_breakpoints, union_grid
 
 __all__ = [
-    "EventRecord",
     "EventTable",
     "PanelItem",
     "Panel",
@@ -42,18 +41,6 @@ __all__ = [
 DEFAULT_TICK = 1e-6  # fraction of the unit horizon; applied after rescaling
 
 MODES = ("TDS", "TCATA")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One raw click row.  ``offset`` is None for TDS data."""
-
-    subject: str
-    condition: str
-    state: str
-    onset: float
-    offset: Optional[float] = None
-    row: int = -1  # source row number, for error messages
 
 
 @dataclass(frozen=True)
@@ -186,11 +173,6 @@ class EventTable:
         return cls(tuple(keys), tuple(labels), np.array(item, dtype=np.int64),
                    np.array(label, dtype=np.int64), np.array(onset, dtype=np.float64),
                    np.array(offset, dtype=np.float64), np.array(row_no, dtype=np.int64))
-
-    @classmethod
-    def from_records(cls, records: Iterable[EventRecord]) -> "EventTable":
-        return cls.from_rows((r.subject, r.condition, r.state, r.onset, r.offset, r.row)
-                             for r in records)
 
 
 def _end_for(end_time, subject: str, condition: str) -> float:
@@ -333,20 +315,20 @@ def _grid_misfits(breakpoints: np.ndarray, counts: np.ndarray,
 
 
 def parse_events(
-    events: Union[EventTable, Iterable[EventRecord]],
+    events: EventTable,
     space: StateSpace,
     mode: str,
     end_time: Union[float, Mapping[str, float]],
     *,
     items: Optional[Sequence[tuple[str, str]]] = None,
 ) -> tuple[Panel, IngestReport]:
-    """Group raw records by (subject, condition) and build a panel.
+    """Group raw rows by (subject, condition) and build a panel.
 
     Parameters
     ----------
-    events : EventTable or iterable of EventRecord
-        Raw click rows; ``row`` indices are used in error messages.  Records
-        are converted once with ``EventTable.from_records``.
+    events : EventTable
+        Raw click rows; ``row`` indices are used in error messages.  Rows
+        held in memory are made into a table by ``EventTable.from_rows``.
     space : StateSpace
         Declared descriptor list; unknown labels raise ValidationError.
     mode : {'TDS', 'TCATA'}
@@ -366,34 +348,33 @@ def parse_events(
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    table = events if isinstance(events, EventTable) else EventTable.from_records(events)
-    report = IngestReport(mode=mode, n_rows=len(table))
+    report = IngestReport(mode=mode, n_rows=len(events))
 
     # panel order: the declared items, else all items seen, sorted; undeclared ones after
     if items is not None:
         keys = list(dict.fromkeys((str(s), str(c)) for s, c in items))
     else:
-        keys = sorted(table.keys)
+        keys = sorted(events.keys)
     n = len(keys)
     position = {key: i for i, key in enumerate(keys)}
-    for key in table.keys:
+    for key in events.keys:
         position.setdefault(key, len(position))
     ends, found = _end_times(end_time, list(position))
-    row_item = np.array([position[key] for key in table.keys], dtype=np.int64)[table.item]
-    state = _state_codes(space, table.labels)[table.label]
-    onset, offset = table.onset, table.offset
+    row_item = np.array([position[key] for key in events.keys], dtype=np.int64)[events.item]
+    state = _state_codes(space, events.labels)[events.label]
+    onset, offset = events.onset, events.offset
     row_end = ends[row_item]
     bad = ((onset < 0) | (offset <= onset) | (state < 0) | ~found[row_item]
            | (row_end <= 0) | (onset >= row_end) | (row_item >= n))
     if bad.any():
-        _raise_row_error(table, int(np.argmax(bad)), space, end_time)
+        _raise_row_error(events, int(np.argmax(bad)), space, end_time)
 
     has_offset = ~np.isnan(offset)
     duration = np.where(has_offset, np.minimum(offset, row_end) - onset, 0.0)
-    clicks = np.bincount(table.label, minlength=len(table.labels)).tolist()
-    totals = np.bincount(table.label, weights=duration, minlength=len(table.labels)).tolist()
+    clicks = np.bincount(events.label, minlength=len(events.labels)).tolist()
+    totals = np.bincount(events.label, weights=duration, minlength=len(events.labels)).tolist()
     report.per_state = {label: {"clicks": c, "total_duration": d}
-                        for label, c, d in zip(table.labels, clicks, totals)}
+                        for label, c, d in zip(events.labels, clicks, totals)}
     rows = np.bincount(row_item, minlength=n)
     with_offset = np.bincount(row_item[has_offset], minlength=n)
     mixed = (mode == "TDS") & (with_offset > 0) & (with_offset < rows)
@@ -402,7 +383,7 @@ def parse_events(
     ends = ends[:n]
     end_ok = found[:n] & (ends > 0) & np.isfinite(ends)
     ends[~end_ok] = 1.0
-    order = np.lexsort((table.row, onset, row_item))
+    order = np.lexsort((events.row, onset, row_item))
     order = order[end_ok[row_item[order]]]
     item, state, onset, offset = row_item[order], state[order], onset[order], offset[order]
     end = ends[item]
@@ -442,11 +423,11 @@ def parse_events(
         subject, condition = keys[i]
         end_i = _end_for(end_time, subject, condition)
         if mixed[i]:
-            missing = table.row[(row_item == i) & ~has_offset]
+            missing = events.row[(row_item == i) & ~has_offset]
             raise SchemaError(
                 f"{subject}/{condition}: TDS rows mix present and missing offsets "
                 f"(rows {missing.tolist()})")
-        CategoricalTrajectory([0.0, end_i], [frozenset()])  # raises for an impossible end time
+        _as_breakpoints([0.0, end_i])  # raises for an impossible end time
         k = int(np.flatnonzero(bad_segment & (owner == i))[0])
         kind = "overlapping dominance intervals" if sizes[k] > 1 else "dominance gap"
         raise ProtocolError(f"{subject}/{condition}: {kind} near t={breakpoints[k + i]:g}")
@@ -518,11 +499,6 @@ def apply_protocol_normalization(
         ~any_segment(keep),
     ], [1, 2, 3, 4], 0)
 
-    def construct(values, i):
-        """Item i from its first click on, with breakpoints ``values``."""
-        return CategoricalTrajectory(values[start[i]:node_end[i] + 1],
-                                     segments[seg_start[i] + first[i]:seg_start[i] + counts[i]])
-
     kept_nodes = np.zeros(b.size, dtype=bool)
     kept_nodes[start[~rejected]] = True
     kept_nodes[left[keep] + 1] = True
@@ -537,15 +513,15 @@ def apply_protocol_normalization(
         if rejected[i]:
             rejected_keys.append(it.key)
             continue
-        if error[i] == 1:
-            construct(shifted, i)  # raises: the shift made two breakpoints equal
+        if error[i] == 1:  # the shift made two breakpoints equal
+            _as_breakpoints(shifted[start[i]:node_end[i] + 1])  # raises
         if error[i] == 2:
             raise ProtocolError(
                 f"{it.key}: TDS trajectory is not singleton-valued after its first click")
         if report is not None and panel.mode == "TDS":
             report.latency[it.key] = latency[i]
-        if error[i] == 3:
-            construct(scaled, i)  # raises: the rescale made two breakpoints equal
+        if error[i] == 3:  # the rescale made two breakpoints equal
+            _as_breakpoints(scaled[start[i]:node_end[i] + 1])  # raises
         if error[i] == 4:
             raise ValidationError(f"tick {tick} coarser than the whole trajectory")
         segments_i = kept[kept_start[i]:kept_start[i] + nodes[i].size - 1]

@@ -221,14 +221,24 @@ def sidecar_path(csv_path) -> Path:
 
 
 def read_meta(path) -> dict:
+    """The sidecar's JSON object; SchemaError naming the first key that is missing or ill-typed."""
     with open(path, encoding="utf-8") as fh:
         meta = json.load(fh)
-    for key in ("mode", "states"):
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{path}: sidecar must hold a JSON object, got {type(meta).__name__}")
+    for key in ("mode", "states", "end_time"):
         if key not in meta:
             raise SchemaError(f"{path}: sidecar missing {key!r}")
-    if "end_time" not in meta:
-        raise SchemaError(f"{path}: sidecar missing 'end_time'")
+    if not _strings(meta["states"]):
+        raise SchemaError(f"{path}: sidecar 'states' must be a list of strings")
+    items = meta.get("items", [])
+    if not (isinstance(items, list) and all(_strings(x) and len(x) == 2 for x in items)):
+        raise SchemaError(f"{path}: sidecar 'items' must list [subject, product] pairs of strings")
     return meta
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
 def _event_rows(panel: Panel):

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 from .estimation import WeightScheme, mean_on_grid
 from .ingest import Panel, PanelItem, _overlay
 from .oracles import ProbabilityField, assemble_operator, estimate_field
-from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, union_grid
+from .trajectory import CellGrid, StateSpace, union_grid
 
 __all__ = [
     "SojournSpec",
@@ -30,6 +31,24 @@ __all__ = [
 ]
 
 _ROW_TOL = 1e-12
+
+
+def _field(d, key: str, kind, what: str = "spec"):
+    """``kind(d[key])``; SchemaError if ``d`` is no JSON object, lacks ``key``, or kind fails."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {type(d).__name__}")
+    if key not in d:
+        raise SchemaError(f"{what} missing {key!r}")
+    try:
+        return kind(d[key])
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} {key!r} has an ill-typed value {d[key]!r}") from None
+
+
+def _labels(value) -> tuple:
+    if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+        raise TypeError("state labels must be a list of strings")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -66,10 +85,12 @@ class SojournSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SojournSpec":
-        if d.get("dist") == "exponential":
-            return cls("exponential", rate=float(d["rate"]))
-        if d.get("dist") == "uniform":
-            return cls("uniform", low=float(d["low"]), high=float(d["high"]))
+        dist = _field(d, "dist", str, "sojourn")
+        if dist == "exponential":
+            return cls(dist, rate=_field(d, "rate", float, "sojourn"))
+        if dist == "uniform":
+            return cls(dist, low=_field(d, "low", float, "sojourn"),
+                       high=_field(d, "high", float, "sojourn"))
         raise ValidationError(f"bad sojourn spec {d!r}")
 
 
@@ -141,19 +162,16 @@ class ProcessSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcessSpec":
-        tcata = None
-        if d.get("tcata") is not None:
-            tcata = tuple(
-                {"off": SojournSpec.from_dict(p["off"]), "on": SojournSpec.from_dict(p["on"])}
-                for p in d["tcata"]
-            )
-        return cls(
-            states=tuple(d["states"]),
-            horizon=float(d["horizon"]),
-            initial=np.asarray(d["initial"], dtype=np.float64),
-            transition=np.asarray(d["transition"], dtype=np.float64),
-            sojourn=tuple(SojournSpec.from_dict(s) for s in d["sojourn"]),
-            tcata=tcata,
+        """The spec of a JSON object; SchemaError for a missing key or an ill-typed value."""
+        return cls(  # keyword arguments are evaluated in order: "states" checks d first
+            states=_field(d, "states", _labels),
+            horizon=_field(d, "horizon", float),
+            initial=_field(d, "initial", partial(np.asarray, dtype=np.float64)),
+            transition=_field(d, "transition", partial(np.asarray, dtype=np.float64)),
+            sojourn=_field(d, "sojourn", lambda v: tuple(map(SojournSpec.from_dict, v))),
+            tcata=None if d.get("tcata") is None else _field(d, "tcata", lambda v: tuple(
+                {key: _field(p, key, SojournSpec.from_dict, "tcata pair") for key in ("off", "on")}
+                for p in v)),
         )
 
 
@@ -162,27 +180,22 @@ def _draw_categorical(rng: np.random.Generator, cdf: np.ndarray) -> int:
     return min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
 
 
-def _simulate_tds(spec: ProcessSpec, rng: np.random.Generator) -> CategoricalTrajectory:
+def _tds_intervals(spec: ProcessSpec, rng: np.random.Generator) -> list[tuple]:
+    """One trajectory's (on, off, state) sojourns; one too short to move the time vanishes."""
     T = spec.horizon
-    init_cdf = np.cumsum(spec.initial)
     trans_cdf = np.cumsum(spec.transition, axis=1)
-    state = _draw_categorical(rng, init_cdf)
-    breaks = [0.0]
-    states: list[frozenset] = []
+    state = _draw_categorical(rng, np.cumsum(spec.initial))
+    intervals = []
     t = 0.0
     while True:
-        s = spec.sojourn[state].draw(rng)
-        t_next = t + s
+        t_next = t + spec.sojourn[state].draw(rng)
         if t_next >= T or spec.q == 1:
-            breaks.append(T)
-            states.append(frozenset([state]))
-            break
-        if t_next > breaks[-1]:  # guard against zero-length sojourns
-            breaks.append(t_next)
-            states.append(frozenset([state]))
+            intervals.append((t, T, state))
+            return intervals
+        if t_next > t:
+            intervals.append((t, t_next, state))
         t = t_next
         state = _draw_categorical(rng, trans_cdf[state])
-    return CategoricalTrajectory(np.array(breaks), states)
 
 
 def _tcata_intervals(spec: ProcessSpec, rng: np.random.Generator) -> list[tuple]:
@@ -208,22 +221,22 @@ def _tcata_intervals(spec: ProcessSpec, rng: np.random.Generator) -> list[tuple]
 
 
 def simulate_panel(spec: ProcessSpec, n: int, seed: int) -> Panel:
-    """Draw n independent trajectories; deterministic given (spec, n, seed)."""
+    """Draw n independent trajectories; deterministic given (spec, n, seed).
+
+    Both modes draw (on, off, state) intervals, built into trajectories by ``_overlay``.
+    """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
     space = StateSpace(spec.states)
     rngs = (np.random.default_rng(np.random.SeedSequence(entropy=[seed, i])) for i in range(n))
-    if spec.mode == "TCATA":
-        drawn = [_tcata_intervals(spec, rng) for rng in rngs]
-        item = np.repeat(np.arange(n), [len(d) for d in drawn])
-        intervals = np.array([iv for d in drawn for iv in d], dtype=np.float64).reshape(-1, 3)
-        on, off, state = intervals.T
-        trajectories = _overlay(item, on, off, state.astype(np.int64),
-                                np.full(n, spec.horizon), spec.q)
-    else:
-        trajectories = [_simulate_tds(spec, rng) for rng in rngs]
+    draw = _tcata_intervals if spec.mode == "TCATA" else _tds_intervals
+    drawn = [draw(spec, rng) for rng in rngs]
+    item = np.repeat(np.arange(n), [len(d) for d in drawn])
+    intervals = np.array([iv for d in drawn for iv in d], dtype=np.float64).reshape(-1, 3)
+    on, off, state = intervals.T
+    trajectories = _overlay(item, on, off, state.astype(np.int64), np.full(n, spec.horizon), spec.q)
     items = [PanelItem(f"sim{i:06d}", "sim", traj) for i, traj in enumerate(trajectories)]
     return Panel(spec.mode, space, items)
 

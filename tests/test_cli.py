@@ -394,6 +394,76 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert err["error"] in ("FileNotFoundError", "OSError")
 
 
+@pytest.mark.parametrize("sidecar,key", [
+    ("mode states end_time", "JSON object"),
+    ({"states": 5}, "'states'"),
+    ({"states": "AB"}, "'states'"),
+    ({"items": 5}, "'items'"),
+    ({"items": None}, "'items'"),
+    ({"items": [["s1"]]}, "'items'"),
+], ids=["not-an-object", "states-int", "states-str", "items-int", "items-null", "items-short"])
+@pytest.mark.parametrize("command", ["ingest", "validate", "mfpca"])
+def test_malformed_sidecar_exits_2(tmp_path, capsys, command, sidecar, key):
+    events, meta = write_inputs(tmp_path, "TDS")
+    if isinstance(sidecar, dict):
+        sidecar = {**json.loads(meta.read_text()), **sidecar}
+    meta.write_text(json.dumps(sidecar))
+    out = [] if command == "validate" else ["--out", tmp_path / "out"]
+    assert run([command, events, "--meta", meta, *out]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "SchemaError" and key in error["message"]
+
+
+SPEC = {
+    "states": ["A", "B"],
+    "horizon": 1.0,
+    "initial": [0.5, 0.5],
+    "transition": [[0.0, 1.0], [1.0, 0.0]],
+    "sojourn": [{"dist": "exponential", "rate": 2.0}] * 2,
+}
+RENEWAL = {"dist": "exponential", "rate": 4.0}
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({}, "spec missing 'states'"),
+    ([], "spec must be a JSON object"),
+    ({**SPEC, "sojourn": [{"dist": "exponential"}] * 2}, "sojourn missing 'rate'"),
+    ({**SPEC, "horizon": "x"}, "spec 'horizon' has an ill-typed value"),
+    ({**SPEC, "tcata": [{"off": RENEWAL}] * 2}, "tcata pair missing 'on'"),
+    ({**SPEC, "sojourn": 5}, "spec 'sojourn' has an ill-typed value"),
+    ({**SPEC, "transition": [[0.0, 1.0], [1.0]]}, "spec 'transition' has an ill-typed value"),
+    ({**SPEC, "tcata": [{"off": RENEWAL, "on": 3}] * 2}, "sojourn must be a JSON object"),
+    ({**SPEC, "states": "AB"}, "spec 'states' has an ill-typed value"),
+], ids=["empty", "list", "no-rate", "horizon-str", "no-on", "sojourn-int", "ragged", "on-int",
+        "states-str"])
+def test_malformed_spec_exits_2(tmp_path, capsys, spec, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run(["simulate", "--spec", spec_path, "--n", 3, "--out", tmp_path / "sim"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "SchemaError" and message in error["message"]
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "simulate", "mfpca-config"])
+def test_input_json_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    events, meta = write_inputs(tmp_path, "TDS")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"mode": "\xff"}')
+    argv = {"ingest": ["ingest", events, "--meta", bad, "--out", tmp_path / "out"],
+            "simulate": ["simulate", "--spec", bad, "--n", 3, "--out", tmp_path / "out"],
+            "mfpca-config": ["mfpca", events, "--meta", meta, "--config", bad,
+                             "--out", tmp_path / "out"]}[command]
+    assert run(argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "UnicodeDecodeError"
+
+
 def test_uniform_grid_policy(tmp_path):
     events, meta = write_inputs(tmp_path, "TCATA")
     ingested = tmp_path / "ingested"

@@ -1,5 +1,5 @@
-import dataclasses
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from catfpca import (
     CatfpcaError,
     CategoricalTrajectory,
-    EventRecord,
+    EventTable,
     IngestReport,
     Panel,
     PanelItem,
@@ -27,12 +27,20 @@ SP3 = StateSpace(["A", "B", "C"])
 SP2 = StateSpace(["A", "B"])
 
 
+Rec = namedtuple("Rec", "subject condition state onset offset row")
+
+
 def rec(subject, state, onset, offset=None, row=-1, condition="p1"):
-    return EventRecord(subject, condition, state, onset, offset, row)
+    return Rec(subject, condition, state, onset, offset, row)
+
+
+def parse(records, *args, **kwargs):
+    """parse_events of records held in memory, as an EventTable made by from_rows."""
+    return parse_events(EventTable.from_rows(records), *args, **kwargs)
 
 
 def test_parse_tds_consecutive_dominance():
-    panel, report = parse_events(
+    panel, report = parse(
         [rec("s1", "A", 0.0), rec("s1", "B", 4.0)], SP2, "TDS", 10.0
     )
     traj = panel.items[0].trajectory
@@ -42,7 +50,7 @@ def test_parse_tds_consecutive_dominance():
 
 
 def test_parse_tcata_overlay():
-    panel, _ = parse_events(
+    panel, _ = parse(
         [rec("s1", "A", 1.0, 3.0), rec("s1", "B", 2.0, 5.0)], SP3, "TCATA", 10.0
     )
     traj = panel.items[0].trajectory
@@ -53,7 +61,7 @@ def test_parse_tcata_overlay():
 
 
 def test_parse_tcata_empty_subject():
-    panel, _ = parse_events(
+    panel, _ = parse(
         [rec("s1", "A", 1.0, 3.0)], SP3, "TCATA", 10.0,
         items=[("s1", "p1"), ("s2", "p1")],
     )
@@ -65,30 +73,30 @@ def test_parse_tcata_empty_subject():
 def test_parse_is_order_insensitive():
     rows = [rec("s1", "A", 1.0, 3.0, row=1), rec("s1", "B", 2.0, 5.0, row=2),
             rec("s1", "C", 6.0, 7.0, row=3)]
-    p1, _ = parse_events(rows, SP3, "TCATA", 10.0)
-    p2, _ = parse_events(rows[::-1], SP3, "TCATA", 10.0)
+    p1, _ = parse(rows, SP3, "TCATA", 10.0)
+    p2, _ = parse(rows[::-1], SP3, "TCATA", 10.0)
     assert p1.items[0].trajectory == p2.items[0].trajectory
 
 
 def test_tds_simultaneous_clicks_keep_last_row():
     rows = [rec("s1", "A", 0.0, row=1), rec("s1", "B", 4.0, row=2),
             rec("s1", "C", 4.0, row=3)]
-    panel, report = parse_events(rows, SP3, "TDS", 10.0)
+    panel, report = parse(rows, SP3, "TDS", 10.0)
     assert report.warnings["simultaneous_clicks_dropped"] == 1
     assert panel.items[0].trajectory.segments == (frozenset({0}), frozenset({2}))
 
 
 def test_tds_overlap_and_gap_are_protocol_errors():
     with pytest.raises(ProtocolError, match="overlap"):
-        parse_events([rec("s1", "A", 0.0, 5.0), rec("s1", "B", 3.0, 8.0),
-                      rec("s1", "A", 8.0, 10.0)], SP3, "TDS", 10.0)
+        parse([rec("s1", "A", 0.0, 5.0), rec("s1", "B", 3.0, 8.0),
+               rec("s1", "A", 8.0, 10.0)], SP3, "TDS", 10.0)
     with pytest.raises(ProtocolError, match="gap"):
-        parse_events([rec("s1", "A", 0.0, 3.0), rec("s1", "B", 5.0, 10.0)],
-                     SP3, "TDS", 10.0)
+        parse([rec("s1", "A", 0.0, 3.0), rec("s1", "B", 5.0, 10.0)],
+              SP3, "TDS", 10.0)
 
 
 def test_unclosed_tcata_interval_closed_at_end_with_warning():
-    panel, report = parse_events([rec("s1", "A", 2.0)], SP2, "TCATA", 10.0)
+    panel, report = parse([rec("s1", "A", 2.0)], SP2, "TCATA", 10.0)
     assert report.warnings["unclosed_intervals"] == 1
     traj = panel.items[0].trajectory
     assert traj.segments == (frozenset(), frozenset({0}))
@@ -97,17 +105,17 @@ def test_unclosed_tcata_interval_closed_at_end_with_warning():
 
 def test_schema_errors():
     with pytest.raises(SchemaError, match="negative onset"):
-        parse_events([rec("s1", "A", -1.0)], SP2, "TDS", 10.0)
+        parse([rec("s1", "A", -1.0)], SP2, "TDS", 10.0)
     with pytest.raises(SchemaError, match="exceed onset"):
-        parse_events([rec("s1", "A", 3.0, 2.0)], SP2, "TCATA", 10.0)
+        parse([rec("s1", "A", 3.0, 2.0)], SP2, "TCATA", 10.0)
     with pytest.raises(SchemaError, match="after tasting end"):
-        parse_events([rec("s1", "A", 12.0)], SP2, "TDS", 10.0)
+        parse([rec("s1", "A", 12.0)], SP2, "TDS", 10.0)
     with pytest.raises(SchemaError, match="not declared"):
-        parse_events([rec("s2", "A", 1.0)], SP2, "TDS", 10.0, items=[("s1", "p1")])
+        parse([rec("s2", "A", 1.0)], SP2, "TDS", 10.0, items=[("s1", "p1")])
 
 
 def test_end_time_map_lookup():
-    panel, _ = parse_events(
+    panel, _ = parse(
         [rec("s1", "A", 0.0), rec("s2", "A", 0.0)], SP2, "TDS",
         {"s1/p1": 10.0, "s2": 20.0},
     )
@@ -116,7 +124,7 @@ def test_end_time_map_lookup():
 
 
 def test_tds_normalization_shift_then_rescale():
-    panel, report = parse_events(
+    panel, report = parse(
         [rec("s1", "A", 2.0), rec("s1", "B", 5.0)], SP2, "TDS", 12.0
     )
     raw = panel.items[0].trajectory
@@ -132,14 +140,14 @@ def test_tds_normalization_shift_then_rescale():
 def test_tds_sum_to_one_after_normalization():
     rows = [rec("s1", "A", 1.0), rec("s1", "B", 4.0),
             rec("s2", "B", 0.5), rec("s2", "A", 3.0)]
-    panel = apply_protocol_normalization(parse_events(rows, SP2, "TDS", 10.0)[0])
+    panel = apply_protocol_normalization(parse(rows, SP2, "TDS", 10.0)[0])
     grid = panel.grid()
     Z = panel_cell_values(panel, grid, exact=True)
     assert np.array_equal(Z.sum(axis=1), np.ones((panel.n, grid.m)))
 
 
 def test_tcata_normalization_keeps_latency_and_empty_ends():
-    panel, _ = parse_events([rec("s1", "A", 2.0, 8.0)], SP2, "TCATA", 10.0)
+    panel, _ = parse([rec("s1", "A", 2.0, 8.0)], SP2, "TCATA", 10.0)
     norm = apply_protocol_normalization(panel)
     traj = norm.items[0].trajectory
     assert traj.horizon == 1.0
@@ -149,7 +157,7 @@ def test_tcata_normalization_keeps_latency_and_empty_ends():
 
 
 def test_tds_without_clicks_rejected_by_subject():
-    panel, _ = parse_events(
+    panel, _ = parse(
         [rec("s1", "A", 0.0)], SP2, "TDS", 10.0,
         items=[("s1", "p1"), ("ghost", "p1")],
     )
@@ -160,14 +168,14 @@ def test_tds_without_clicks_rejected_by_subject():
 def test_tick_rounding_merges_near_equal_breakpoints():
     rows = [rec("s1", "A", 0.0), rec("s1", "B", 0.3000000004),
             rec("s2", "A", 0.0), rec("s2", "B", 0.2999999996)]
-    panel = apply_protocol_normalization(parse_events(rows, SP2, "TDS", 1.0)[0])
+    panel = apply_protocol_normalization(parse(rows, SP2, "TDS", 1.0)[0])
     grid = union_grid(panel.trajectories)
     assert np.array_equal(grid.nodes, [0.0, 0.3, 1.0])
 
 
 def test_validate_panel_reports_problems():
     rows = [rec("s1", "A", 0.0), rec("s1", "B", 4.0)]
-    panel = apply_protocol_normalization(parse_events(rows, SP2, "TDS", 10.0)[0])
+    panel = apply_protocol_normalization(parse(rows, SP2, "TDS", 10.0)[0])
     assert validate_panel(panel) == []
 
     from catfpca import CategoricalTrajectory, PanelItem
@@ -184,7 +192,7 @@ def test_panel_round_trip_through_files(tmp_path):
 
     rows = [rec("s1", "A", 1.0, 3.0), rec("s1", "B", 2.0, 5.0),
             rec("s2", "B", 4.0, 6.0)]
-    panel = apply_protocol_normalization(parse_events(rows, SP3, "TCATA", 10.0)[0])
+    panel = apply_protocol_normalization(parse(rows, SP3, "TCATA", 10.0)[0])
     write_panel(panel, tmp_path / "panel.csv")
     back, _, meta = read_panel(tmp_path / "panel.csv")
     assert meta["normalized"] is True
@@ -199,7 +207,7 @@ def test_same_subject_multiple_conditions(tmp_path):
 
     rows = [rec("s1", "A", 0.0, condition="p1"), rec("s1", "B", 4.0, condition="p1"),
             rec("s1", "B", 0.0, condition="p2")]
-    panel, _ = parse_events(rows, SP2, "TDS", {"s1/p1": 10.0, "s1/p2": 8.0})
+    panel, _ = parse(rows, SP2, "TDS", {"s1/p1": 10.0, "s1/p2": 8.0})
     assert [it.key for it in panel.items] == ["s1/p1", "s1/p2"]
     assert panel.items[0].trajectory.horizon == 10.0
     assert panel.items[1].trajectory.horizon == 8.0
@@ -442,9 +450,9 @@ def random_events(rng, mode, offsets):
     numbers = np.arange(len(records)) + 2
     if rng.random() < 0.3:  # rows handed over in another order than their numbers
         numbers = rng.permutation(numbers)
-    if rng.random() < 0.2:  # EventRecord's default row number on every row
+    if rng.random() < 0.2:  # rec's default row number on every row
         numbers[:] = -1
-    records = [EventRecord(s, c, space.states[j], float(on), off, int(number))
+    records = [Rec(s, c, space.states[j], float(on), off, int(number))
                for number, (s, c, j, on, off) in zip(numbers, (records[k] for k in order))]
     if rng.random() < 0.5:
         end_time = ends[keys[0]] if len(set(ends.values())) == 1 else {
@@ -477,13 +485,13 @@ def corrupt(rng, records, end_time):
             break
         r = records[k]
         if kind == 0:
-            records[k] = dataclasses.replace(r, onset=-1.0)
+            records[k] = r._replace(onset=-1.0)
         elif kind == 1 and r.offset is not None:
-            records[k] = dataclasses.replace(r, offset=r.onset)
+            records[k] = r._replace(offset=r.onset)
         elif kind == 2:
-            records[k] = dataclasses.replace(r, state="unknown")
+            records[k] = r._replace(state="unknown")
         elif kind == 3:
-            records[k] = dataclasses.replace(r, onset=1e9)
+            records[k] = r._replace(onset=1e9)
         elif kind == 4:
             bad = float(rng.choice([0.0, -1.0, math.nan, math.inf]))
             end_time = bad if isinstance(end_time, float) else {
@@ -503,8 +511,8 @@ def test_array_passes_equal_the_per_item_reference(mode, offsets):
         tick = float(rng.choice([DEFAULT_TICK, 0.0, 1 / 16]))
         ref = outcome(ref_parse, ref_normalize, records, space, mode, end_time, items=items,
                       tick=tick)
-        new = outcome(parse_events, apply_protocol_normalization, records, space, mode,
-                      end_time, items=items, tick=tick)
+        new = outcome(parse, apply_protocol_normalization, records, space, mode, end_time,
+                      items=items, tick=tick)
         assert new == ref
         seen.add(ref[-1][0] if isinstance(ref[-1][0], str) else "ok")
     assert "ok" in seen  # most panels ingest; the rest fail the same way on both sides
@@ -526,7 +534,7 @@ def test_first_bad_row_in_file_order_is_reported():
     for k, message in enumerate(expected):
         rows = [good, *bad[k:]]
         with pytest.raises(ValidationError) as new:
-            parse_events(rows, SP2, "TCATA", 10.0, items=items)
+            parse(rows, SP2, "TCATA", 10.0, items=items)
         with pytest.raises(ValidationError) as ref:
             ref_parse(rows, SP2, "TCATA", 10.0, items=items)
         assert str(new.value) == str(ref.value) == message
@@ -543,7 +551,7 @@ def test_first_bad_item_in_panel_order_is_reported():
         (gap, "c/p1: dominance gap near t=3"),
     ]:
         with pytest.raises(ValidationError) as new:
-            parse_events(rows, SP2, "TDS", 10.0)
+            parse(rows, SP2, "TDS", 10.0)
         with pytest.raises(ValidationError) as ref:
             ref_parse(rows, SP2, "TDS", 10.0)
         assert str(new.value) == str(ref.value) == message

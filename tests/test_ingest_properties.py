@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from catfpca import (
     CatfpcaError,
     CategoricalTrajectory,
-    EventRecord,
     Panel,
     PanelItem,
     SchemaError,
@@ -22,7 +21,7 @@ from catfpca import (
 )
 from catfpca.io import read_events_csv, read_panel, write_panel
 
-from test_ingest import outcome, ref_normalize, ref_parse
+from test_ingest import Rec, outcome, parse, ref_normalize, ref_parse
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -61,7 +60,7 @@ def event_inputs(draw):
     rows = draw(st.lists(st.tuples(
         st.sampled_from(keys), st.sampled_from([*labels, "unknown"]),
         TIMES, st.one_of(st.none(), TIMES)), max_size=12))
-    records = [EventRecord(s, c, label, onset, offset, n + 2)
+    records = [Rec(s, c, label, onset, offset, n + 2)
                for n, ((s, c), label, onset, offset) in enumerate(rows)]
     declared = st.lists(st.sampled_from([*keys, ("s9", "p9")]), unique=True)
     items = draw(st.one_of(st.none(), declared))
@@ -73,7 +72,7 @@ def event_inputs(draw):
 @given(event_inputs())
 def test_records_ingest_as_the_reference_does(case):
     records, space, mode, end_time, items = case
-    new = outcome(parse_events, apply_protocol_normalization, records, space, mode, end_time,
+    new = outcome(parse, apply_protocol_normalization, records, space, mode, end_time,
                   items=items)
     assert new == outcome(ref_parse, ref_normalize, records, space, mode, end_time, items=items)
 

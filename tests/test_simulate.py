@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from catfpca import (
+    CategoricalTrajectory,
     ProcessSpec,
     SojournSpec,
     TwoStateTruth,
@@ -12,7 +13,7 @@ from catfpca import (
     union_grid,
 )
 from catfpca.oracles import jacobi_eigenvalues
-from catfpca.simulate import median_errors
+from catfpca.simulate import _draw_categorical, median_errors
 
 
 def two_state_spec(rate_a=1.0, rate_b=1.0, p0=1.0, horizon=1.0):
@@ -90,6 +91,73 @@ def test_simulated_tds_satisfies_core_invariants():
             assert traj.breakpoints[0] == 0.0 and traj.breakpoints[-1] == 1.0
             for k in range(1, traj.n_segments):
                 assert traj.segments[k] != traj.segments[k - 1]
+
+
+# --- reference: the per-item TDS draw that the interval overlay replaces ---
+
+def ref_simulate_tds(spec, rng, vanished=None):
+    """One TDS trajectory built sojourn by sojourn; ``vanished`` collects the dropped ones."""
+    T = spec.horizon
+    init_cdf = np.cumsum(spec.initial)
+    trans_cdf = np.cumsum(spec.transition, axis=1)
+    state = _draw_categorical(rng, init_cdf)
+    breaks = [0.0]
+    states = []
+    t = 0.0
+    while True:
+        s = spec.sojourn[state].draw(rng)
+        t_next = t + s
+        if t_next >= T or spec.q == 1:
+            breaks.append(T)
+            states.append(frozenset([state]))
+            break
+        if t_next > breaks[-1]:  # guard against zero-length sojourns
+            breaks.append(t_next)
+            states.append(frozenset([state]))
+        elif vanished is not None:
+            vanished.append(t_next)
+        t = t_next
+        state = _draw_categorical(rng, trans_cdf[state])
+    return CategoricalTrajectory(np.array(breaks), states)
+
+
+def three_state_spec(sojourn, horizon=1.0):
+    return ProcessSpec(
+        states=("A", "B", "C"), horizon=horizon, initial=np.array([0.2, 0.3, 0.5]),
+        transition=np.array([[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.9, 0.1, 0.0]]),
+        sojourn=sojourn,
+    )
+
+
+TDS_SPECS = {
+    "two-state": two_state_spec(3.0, 0.7, p0=0.4, horizon=2.0),
+    "single-state": ProcessSpec(
+        states=("only",), horizon=1.0, initial=np.array([1.0]),
+        transition=np.zeros((1, 1)), sojourn=(SojournSpec("exponential", rate=5.0),)),
+    "uniform": three_state_spec((SojournSpec("uniform", low=0.01, high=0.3),
+                                 SojournSpec("exponential", rate=5.0),
+                                 SojournSpec("uniform", low=0.1, high=0.2))),
+    # state A blips for about 1e-7 at times of 1e8 to 1e9, where doubles are 1.5e-8 to
+    # 1.2e-7 apart: some of its sojourns are too short to move the time at all
+    "blips": three_state_spec((SojournSpec("exponential", rate=1e7),
+                               SojournSpec("exponential", rate=1e-8),
+                               SojournSpec("exponential", rate=3e-9)), horizon=1e9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TDS_SPECS))
+def test_tds_panels_equal_the_per_item_reference(name):
+    spec = TDS_SPECS[name]
+    for seed in (0, 1, 7, 12345):
+        vanished = []
+        ref = [ref_simulate_tds(spec, np.random.default_rng(np.random.SeedSequence([seed, i])),
+                                vanished) for i in range(200)]
+        panel = simulate_panel(spec, 200, seed)
+        assert [(t.breakpoints.tobytes(), t.segments) for t in panel.trajectories] == [
+            (t.breakpoints.tobytes(), t.segments) for t in ref]
+        if name == "blips":
+            assert vanished  # zero-length sojourns, and real ones far shorter than the horizon
+            assert any(np.diff(t.breakpoints).min() < 1e-6 for t in ref)
 
 
 def test_symmetric_chain_occupancy_near_half():
