@@ -46,8 +46,6 @@ from .mfpca import (
 from .simulate import (
     ProcessSpec,
     SojournSpec,
-    TwoStateTruth,
-    consistency_experiment,
     simulate_panel,
 )
 

@@ -1,10 +1,10 @@
 """Cell values, mean probability curves and weighting schemes.
 
-Everything is computed exactly on a cell grid from the panel's flat
-encoding (``ingest._flat``: breakpoints, segment counts and (segment,
-state) memberships): when the grid refines all sample paths (the union grid
-does by construction), cell values are the constant 0/1 segment values and
-every time integral is a finite sum with no quadrature error.  The dense
+Everything is computed exactly on a cell grid from the panel's flat arrays
+(breakpoints, segment counts and the segment x state ``active`` matrix):
+when the grid refines all sample paths (the union grid does by
+construction), cell values are the constant 0/1 segment values and every
+time integral is a finite sum with no quadrature error.  The dense
 covariance kernel is not built here; ``oracles.estimate_field`` builds it
 from :func:`panel_cell_values` as a reference.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import GridError, ValidationError
-from .ingest import Panel, _flat, _grid_misfits
+from .ingest import Panel, _grid_misfits
 from .trajectory import CellGrid, StateSpace
 
 __all__ = [
@@ -71,22 +71,17 @@ class WeightScheme:
 
 
 def _keys(panel: Panel, mask: np.ndarray) -> str:
-    return ", ".join(panel.items[i].key for i in np.flatnonzero(mask)[:5])
+    return ", ".join(map(panel.key, np.flatnonzero(mask)[:5].tolist()))
 
 
-def _flat_on(panel: Panel, grid: CellGrid) -> tuple[tuple, np.ndarray]:
-    """The panel's flat encoding and which items the grid does not refine.
-
-    Items whose horizon is not the grid's raise GridError.
-    """
+def _not_refined(panel: Panel, grid: CellGrid) -> np.ndarray:
+    """Which items the grid does not refine; GridError for an item off the grid's horizon."""
     if panel.n < 1:
         raise ValidationError("need at least one trajectory")
-    flat = _flat(panel.trajectories)
-    breakpoints, _, counts, _, _ = flat
-    off_horizon, not_refined = _grid_misfits(breakpoints, counts, grid.nodes)
+    off_horizon, not_refined = _grid_misfits(panel.breakpoints, panel.counts, grid.nodes)
     if off_horizon.any():
         raise GridError(f"items with horizon != {grid.horizon}: {_keys(panel, off_horizon)}")
-    return flat, not_refined
+    return not_refined
 
 
 def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = None) -> np.ndarray:
@@ -97,29 +92,29 @@ def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = N
     they are the constant 0/1 segment values.  ``exact=True`` requires such
     a grid (GridError otherwise).
     """
-    (breakpoints, _, counts, sizes, states), not_refined = _flat_on(panel, grid)
+    not_refined = _not_refined(panel, grid)
     if exact is True and not_refined.any():
         raise GridError(f"grid is not a refinement of: {_keys(panel, not_refined)}")
-    return _kernels.batch_cell_averages(breakpoints, counts, sizes, states, panel.space.q,
-                                        grid.nodes)
+    return _kernels.batch_cell_averages(panel.breakpoints, panel.counts, panel.active, grid.nodes)
 
 
 def mean_on_grid(panel: Panel, grid: CellGrid) -> np.ndarray:
     """(q, m) mean curves via segment accumulation, without the dense tensor.
 
-    Exact-integer accumulation: each (segment, state) membership adds +1 at
-    the segment's first node and -1 at its last, and a cumulative sum over
-    the nodes recovers occupancy counts.  Requires the grid to refine the
-    panel.
+    Exact-integer accumulation: each (segment, state) pair of ``active``
+    adds +1 at the segment's first node and -1 at its last, and a cumulative
+    sum over the nodes recovers occupancy counts.  Requires the grid to
+    refine the panel.
     """
-    (breakpoints, _, counts, sizes, states), not_refined = _flat_on(panel, grid)
+    not_refined = _not_refined(panel, grid)
     if not_refined.any():
-        raise GridError(f"{panel.items[np.argmax(not_refined)].key}: breakpoints are not grid nodes")
+        raise GridError(f"{panel.key(int(np.argmax(not_refined)))}: breakpoints are not grid nodes")
     q, m = panel.space.q, grid.m
-    node = np.searchsorted(grid.nodes, breakpoints)
-    # each membership's segment: segment s of item i runs from breakpoint s + i to s + i + 1
-    left = np.repeat(np.arange(sizes.size) + np.repeat(np.arange(panel.n), counts), sizes)
-    at = states * (m + 1)
+    node = np.searchsorted(grid.nodes, panel.breakpoints)
+    # segment s of item i runs from breakpoint s + i to s + i + 1
+    segment, state = np.nonzero(panel.active)
+    left = segment + np.repeat(np.arange(panel.n), panel.counts)[segment]
+    at = state * (m + 1)
     diff = np.bincount(np.concatenate([at + node[left], at + node[left + 1]]),
                        weights=np.repeat([1.0, -1.0], left.size), minlength=q * (m + 1))
     return np.cumsum(diff.reshape(q, m + 1)[:, :-1], axis=1) / panel.n

@@ -5,27 +5,28 @@ TCATA records carry onset/offset pairs per descriptor.  Protocol
 normalization shifts TDS trajectories to their first click and rescales
 every trajectory to the unit horizon; TCATA keeps its latency.
 
-Both steps make whole-panel array passes.  ``parse_events`` takes the rows
-as an ``EventTable`` of columns, checks them all with masks, sorts them once
-by (item, onset, row), turns them into state intervals, and overlays the
-intervals of every item with one cumulative count.
-``apply_protocol_normalization`` shifts, rescales and tick-rounds the
-breakpoints of every item in one pass.  Each step constructs each trajectory
-once.  When a check fails, the first failing row (input order) or item
-(panel order) is checked again on its own, so the error raised is the one a
+Both steps make whole-panel array passes over a ``Panel``'s flat arrays.
+``parse_events`` takes the rows as an ``EventTable`` of columns, checks them
+all with masks, sorts them once by (item, onset, row), turns them into state
+intervals, and overlays the intervals of every item with one cumulative
+count.  ``apply_protocol_normalization`` shifts, rescales and tick-rounds the
+breakpoints of every item in one pass.  Neither builds a trajectory object.
+When a check fails, the first failing row (input order) or item (panel
+order) is checked again on its own, so the error raised is the one a
 row-by-row, item-by-item parse meets first.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ProtocolError, SchemaError, ValidationError
-from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, _as_breakpoints, union_grid
+from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, _as_breakpoints, _union
 
 __all__ = [
     "EventTable",
@@ -55,38 +56,91 @@ class PanelItem:
 
 
 class Panel:
-    """Immutable collection of categorical trajectories with one state space."""
+    """Immutable panel of categorical trajectories with one state space, stored flat.
 
-    __slots__ = ("mode", "space", "items")
+    ``keys`` holds each item's (subject, condition) pair, ``breakpoints`` all
+    breakpoints, item after item, ``counts`` each item's segment count, and
+    ``active`` a (segments, q) bool matrix whose row s holds the states on
+    over segment s, which runs from breakpoint s + i to s + i + 1 in item i.
+    Adjacent segments of an item differ.  The arrays are read-only;
+    ``items`` and ``trajectories`` are built from them on every call.
+    """
+
+    __slots__ = ("mode", "space", "keys", "breakpoints", "counts", "active")
 
     def __init__(self, mode: str, space: StateSpace, items: Sequence[PanelItem]):
         if mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "items", tuple(items))
-        for it in self.items:
+        items = tuple(items)
+        for it in items:
             if it.trajectory.max_state_index() >= space.q:
-                raise ValidationError(
-                    f"item {it.key}: state index out of range for q={space.q}"
-                )
+                raise ValidationError(f"item {it.key}: state index out of range for q={space.q}")
+        trajectories = [it.trajectory for it in items]
+        segments = [subset for t in trajectories for subset in t.segments]
+        active = np.zeros((len(segments), space.q), dtype=bool)
+        active[np.repeat(np.arange(len(segments)), list(map(len, segments))),
+               list(chain.from_iterable(segments))] = True
+        self._set(mode, space, [(it.subject, it.condition) for it in items],
+                  np.concatenate([t.breakpoints for t in trajectories] or [np.empty(0)]),
+                  np.array([t.n_segments for t in trajectories], dtype=np.int64), active)
+
+    @classmethod
+    def _of(cls, mode: str, space: StateSpace, keys, breakpoints, counts, active) -> "Panel":
+        """The panel of trusted flat arrays; equal adjacent segments of an item are merged."""
+        panel = object.__new__(cls)
+        panel._set(mode, space, keys, breakpoints, counts, active)
+        return panel
+
+    def _set(self, mode, space, keys, breakpoints, counts, active) -> None:
+        owner = np.repeat(np.arange(counts.size), counts)
+        same = np.zeros(owner.size, dtype=bool)
+        same[1:] = (owner[1:] == owner[:-1]) & (active[1:] == active[:-1]).all(axis=1)
+        if same.any():  # segment s joins segment s - 1, and its left breakpoint goes
+            breakpoints = np.delete(breakpoints, np.flatnonzero(same) + owner[same])
+            active, counts = active[~same], np.bincount(owner[~same], minlength=counts.size)
+        for a in (breakpoints, counts, active):
+            a.setflags(write=False)
+        for name, value in zip(self.__slots__, (mode, space, tuple(keys), breakpoints, counts,
+                                                active)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Panel is immutable")
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.keys)
 
     @property
     def n(self) -> int:
-        return len(self.items)
+        return len(self.keys)
+
+    def key(self, i: int) -> str:
+        """Item i's "subject/condition" label."""
+        return "%s/%s" % self.keys[i]
+
+    @property
+    def horizons(self) -> np.ndarray:
+        """Each item's last breakpoint."""
+        return self.breakpoints[np.cumsum(self.counts + 1) - 1]
 
     @property
     def trajectories(self) -> list[CategoricalTrajectory]:
-        return [it.trajectory for it in self.items]
+        """A new trajectory per item, built from the arrays."""
+        patterns, pattern = np.unique(self.active, axis=0, return_inverse=True)
+        subsets = [frozenset(np.flatnonzero(p).tolist()) for p in patterns]
+        segments = [subsets[k] for k in pattern.tolist()]
+        first = _starts(self.counts).tolist()
+        return [CategoricalTrajectory(self.breakpoints[f + i:f + i + c + 1], segments[f:f + c])
+                for i, (f, c) in enumerate(zip(first, self.counts.tolist()))]
+
+    @property
+    def items(self) -> tuple[PanelItem, ...]:
+        """A new PanelItem per item, built from the arrays."""
+        return tuple(PanelItem(s, c, t) for (s, c), t in zip(self.keys, self.trajectories))
 
     def grid(self) -> CellGrid:
-        return union_grid(self.trajectories)
+        """The union grid of all items' breakpoints."""
+        return _union(self.breakpoints, self.horizons)
 
     def __repr__(self) -> str:
         return f"Panel(mode={self.mode}, n={self.n}, q={self.space.q})"
@@ -175,6 +229,13 @@ class EventTable:
                    np.array(offset, dtype=np.float64), np.array(row_no, dtype=np.int64))
 
 
+def _number(value) -> float:
+    """A real number as a float; TypeError for anything else, bools and quoted numbers included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _end_for(end_time, subject: str, condition: str) -> float:
     value = end_time
     if isinstance(end_time, Mapping):
@@ -183,8 +244,8 @@ def _end_for(end_time, subject: str, condition: str) -> float:
             raise SchemaError(f"no end time declared for {subject}/{condition}")
         value = end_time[keys[0]]
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        return _number(value)
+    except (TypeError, OverflowError):
         raise SchemaError(
             f"end time of {subject}/{condition} is not a number: {value!r}") from None
 
@@ -240,13 +301,14 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> list[CategoricalTrajectory]:
-    """The trajectory of each of ``ends.size`` items from its state intervals [start, stop).
+def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> tuple:
+    """Breakpoints, segment counts and active matrix of ``ends.size`` items from state intervals.
 
-    An item's nodes are 0, its end and its interval bounds.  Each interval
-    adds +1 to its state at its start node and -1 at its stop node; an item's
-    entries net to zero, so one cumulative sum over the nodes of the whole
-    panel counts the open intervals of every state on every segment.
+    An item's nodes are 0, its end and the bounds of its intervals [start,
+    stop).  Each interval adds +1 to its state at its start node and -1 at
+    its stop node; an item's entries net to zero, so one cumulative sum over
+    the nodes of the whole panel counts the open intervals of every state on
+    every segment.  ``Panel._of`` merges equal neighbours.
     """
     n, m = ends.size, item.size
     owner = np.concatenate([np.arange(n), np.arange(n), item, item])
@@ -263,42 +325,10 @@ def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> list[Categor
             - np.bincount(node_of[2 * n + m:] * q + state, minlength=size))
     active = np.cumsum(diff.reshape(nodes.size, q), axis=0) > 0
 
-    # a segment starts at every node but an item's last; equal neighbours merge
-    is_end = np.ones(nodes.size, dtype=bool)
-    is_end[:-1] = node_owner[1:] != node_owner[:-1]
-    seg = np.flatnonzero(~is_end)
-    packed = np.packbits(active[seg], axis=1)  # one bytes key per subset
-    width = packed.shape[1]
-    patterns, pattern = np.unique(packed.view(f"V{width}").ravel(), return_inverse=True)
-    patterns = np.unpackbits(patterns.view(np.uint8).reshape(-1, width), axis=1, count=q)
-    keep = np.ones(seg.size, dtype=bool)
-    keep[1:] = (pattern[1:] != pattern[:-1]) | (node_owner[seg[1:]] != node_owner[seg[:-1]])
-    kept_nodes = is_end.copy()
-    kept_nodes[seg[keep]] = True
-    subsets = [frozenset(np.flatnonzero(p).tolist()) for p in patterns]
-    segments = [subsets[k] for k in pattern[keep].tolist()]
-    counts = np.bincount(node_owner[kept_nodes], minlength=n)
-    breakpoints = np.split(nodes[kept_nodes], np.cumsum(counts)[:-1])
-    first = (_starts(counts) - np.arange(n)).tolist()
-    return [CategoricalTrajectory(b, segments[f:f + b.size - 1])
-            for b, f in zip(breakpoints, first)]
-
-
-def _flat(trajectories) -> tuple[np.ndarray, list, np.ndarray, np.ndarray, np.ndarray]:
-    """The flat encoding of a panel's step functions, the one every whole-panel pass reads.
-
-    Returns all breakpoints and all segment subsets, trajectory after
-    trajectory; the segment count of each trajectory; the subset size of
-    each segment; and the state index of each (segment, state) membership,
-    segment after segment.  State j's 0/1 step function is 1 on exactly the
-    segments with a membership of j.
-    """
-    breakpoints = np.concatenate([t.breakpoints for t in trajectories])
-    segments = list(chain.from_iterable(t.segments for t in trajectories))
-    counts = np.fromiter((t.n_segments for t in trajectories), np.int64, len(trajectories))
-    sizes = np.fromiter(map(len, segments), np.int64, len(segments))
-    states = np.fromiter(chain.from_iterable(segments), np.int64, int(sizes.sum()))
-    return breakpoints, segments, counts, sizes, states
+    # a segment starts at every node but an item's last
+    last = np.ones(nodes.size, dtype=bool)
+    last[:-1] = node_owner[1:] != node_owner[:-1]
+    return nodes, np.bincount(node_owner, minlength=n) - 1, active[~last]
 
 
 def _grid_misfits(breakpoints: np.ndarray, counts: np.ndarray,
@@ -407,17 +437,17 @@ def parse_events(
         report.warnings["unclosed_intervals"] = int(unclosed.sum())
         report.warnings["intervals_clipped"] = int(clipped.sum())
         report.warnings["intervals_at_end"] = int((stop == end).sum())
-    trajectories = _overlay(item, onset, stop, state, ends, space.q)
+    panel = Panel._of(mode, space, keys, *_overlay(item, onset, stop, state, ends, space.q))
 
     bad_item = ~end_ok | mixed
     if mode == "TDS" and n:
-        # dominance must be exclusive and gap-free after the first click
-        breakpoints, _, counts, sizes, _ = _flat(trajectories)
-        owner = np.repeat(np.arange(n), counts)
-        active_before = np.cumsum(sizes > 0) - (sizes > 0)
-        active_before -= active_before[_starts(counts)][owner]
-        bad_segment = (sizes > 1) | ((sizes == 0) & (active_before > 0))
-        bad_item |= np.bincount(owner[bad_segment], minlength=n) > 0
+        # dominance must be exclusive, and gap-free after the first click: adjacent
+        # segments differ, so only an item's first segment may be empty
+        sizes, first = panel.active.sum(axis=1), _starts(panel.counts)
+        bad_segment = sizes != 1
+        bad_segment[first] = sizes[first] > 1
+        bad_item |= np.logical_or.reduceat(bad_segment, first)
+        owner = np.repeat(np.arange(n), panel.counts)
     if bad_item.any():
         i = int(np.argmax(bad_item))
         subject, condition = keys[i]
@@ -430,11 +460,11 @@ def parse_events(
         _as_breakpoints([0.0, end_i])  # raises for an impossible end time
         k = int(np.flatnonzero(bad_segment & (owner == i))[0])
         kind = "overlapping dominance intervals" if sizes[k] > 1 else "dominance gap"
-        raise ProtocolError(f"{subject}/{condition}: {kind} near t={breakpoints[k + i]:g}")
+        raise ProtocolError(
+            f"{subject}/{condition}: {kind} near t={panel.breakpoints[k + i]:g}")
 
     report.n_items = n
-    return Panel(mode, space, [PanelItem(subject, condition, traj)
-                               for (subject, condition), traj in zip(keys, trajectories)]), report
+    return panel, report
 
 
 def apply_protocol_normalization(
@@ -454,9 +484,7 @@ def apply_protocol_normalization(
     zero length are dropped.
     """
     n = panel.n
-    if n == 0:
-        return Panel(panel.mode, panel.space, [])
-    b, segments, counts, sizes, _ = _flat(panel.trajectories)
+    b, counts, sizes = panel.breakpoints, panel.counts, panel.active.sum(axis=1)
     seg_start = _starts(counts)
     node_start = seg_start + np.arange(n)
     node_end = node_start + counts
@@ -499,68 +527,47 @@ def apply_protocol_normalization(
         ~any_segment(keep),
     ], [1, 2, 3, 4], 0)
 
-    kept_nodes = np.zeros(b.size, dtype=bool)
-    kept_nodes[start[~rejected]] = True
-    kept_nodes[left[keep] + 1] = True
-    node_counts = np.bincount(node_owner[kept_nodes], minlength=n)
-    nodes = np.split(rounded[kept_nodes], np.cumsum(node_counts)[:-1])
-    kept = list(compress(segments, keep))
-    kept_start = _starts(np.bincount(owner[keep], minlength=n)).tolist()
-
-    new_items = []
-    rejected_keys = []
-    for i, it in enumerate(panel.items):
-        if rejected[i]:
-            rejected_keys.append(it.key)
-            continue
+    for i in np.flatnonzero(~rejected).tolist():  # a rejected item fails after all others
         if error[i] == 1:  # the shift made two breakpoints equal
             _as_breakpoints(shifted[start[i]:node_end[i] + 1])  # raises
         if error[i] == 2:
             raise ProtocolError(
-                f"{it.key}: TDS trajectory is not singleton-valued after its first click")
+                f"{panel.key(i)}: TDS trajectory is not singleton-valued after its first click")
         if report is not None and panel.mode == "TDS":
-            report.latency[it.key] = latency[i]
+            report.latency[panel.key(i)] = latency[i]
         if error[i] == 3:  # the rescale made two breakpoints equal
             _as_breakpoints(scaled[start[i]:node_end[i] + 1])  # raises
         if error[i] == 4:
             raise ValidationError(f"tick {tick} coarser than the whole trajectory")
-        segments_i = kept[kept_start[i]:kept_start[i] + nodes[i].size - 1]
-        new_items.append(PanelItem(it.subject, it.condition,
-                                   CategoricalTrajectory(nodes[i], segments_i)))
+    rejected_keys = [panel.key(i) for i in np.flatnonzero(rejected).tolist()]
     if rejected_keys:
         if report is not None:
             report.rejected_subjects.extend(rejected_keys)
-        raise ProtocolError(
-            "TDS items without any click: " + ", ".join(rejected_keys)
-        )
-    return Panel(panel.mode, panel.space, new_items)
+        raise ProtocolError("TDS items without any click: " + ", ".join(rejected_keys))
+    kept_nodes = np.zeros(b.size, dtype=bool)
+    kept_nodes[start] = True
+    kept_nodes[left[keep] + 1] = True
+    return Panel._of(panel.mode, panel.space, panel.keys, rounded[kept_nodes],
+                     np.bincount(owner[keep], minlength=n), panel.active[keep])
 
 
 def validate_panel(panel: Panel) -> list[str]:
     """Structural invariant checks; returns human-readable violations (empty = OK)."""
     problems = []
-    horizons = {it.trajectory.horizon for it in panel.items}
+    horizons = sorted(set(panel.horizons.tolist()))
     if len(horizons) > 1:
-        problems.append(f"trajectories carry {len(horizons)} distinct horizons: {sorted(horizons)}")
-    for it in panel.items:
-        traj = it.trajectory
-        for k in range(1, traj.n_segments):
-            if traj.segments[k] == traj.segments[k - 1]:
-                problems.append(f"{it.key}: non-canonical (equal adjacent segments)")
-                break
-        if panel.mode == "TDS":
-            if not traj.is_tds():
-                problems.append(f"{it.key}: TDS trajectory with non-singleton segment")
-        else:
-            if traj.segments[0]:
-                problems.append(f"{it.key}: TCATA trajectory starts with an active state")
-            if traj.segments[-1]:
-                problems.append(f"{it.key}: TCATA trajectory still active at the horizon")
+        problems.append(f"trajectories carry {len(horizons)} distinct horizons: {horizons}")
+    sizes, first = panel.active.sum(axis=1), _starts(panel.counts)
+    checks = [("TDS trajectory with non-singleton segment",
+               np.logical_or.reduceat(sizes != 1, first))] if panel.mode == "TDS" else [
+        ("TCATA trajectory starts with an active state", sizes[first] > 0),
+        ("TCATA trajectory still active at the horizon", sizes[first + panel.counts - 1] > 0)]
+    flagged = np.nonzero(np.stack([flags for _, flags in checks], axis=1))
+    problems += [f"{panel.key(i)}: {checks[k][0]}" for i, k in zip(*flagged)]
     if panel.n and not problems:
         # grid refinement: by construction of the union grid every trajectory
         # must be constant on every cell; re-check directly
-        breakpoints, _, counts, _, _ = _flat(panel.trajectories)
-        misfit = np.logical_or(*_grid_misfits(breakpoints, counts, panel.grid().nodes))
-        problems += [f"{panel.items[i].key}: not constant on the union grid"
+        misfit = np.logical_or(*_grid_misfits(panel.breakpoints, panel.counts, panel.grid().nodes))
+        problems += [f"{panel.key(i)}: not constant on the union grid"
                      for i in np.flatnonzero(misfit)]
     return problems

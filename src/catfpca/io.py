@@ -27,7 +27,7 @@ import numpy as np
 from ._digits import format17
 from .errors import DomainError, SchemaError, ValidationError
 from .estimation import selection_count_curve
-from .ingest import EventTable, IngestReport, Panel, _flat, parse_events
+from .ingest import EventTable, IngestReport, Panel, parse_events
 from .mfpca import MfpcaResult
 from .trajectory import StateSpace
 
@@ -242,20 +242,18 @@ def _strings(value) -> bool:
 
 
 def _event_rows(panel: Panel):
-    """Blocks of _PANEL_BLOCK_ROWS event rows, as written by write_panel, from the flat encoding.
+    """Blocks of _PANEL_BLOCK_ROWS event rows, as written by write_panel, from the panel's arrays.
 
-    TDS: one onset row per (segment, state) membership, in panel order; an
-    empty segment is the latency, which the parser restores from the first
-    onset.  TCATA: one onset/offset row per run of consecutive segments
-    holding a state, ordered by item, state and onset.
+    TDS: one onset row per (segment, state) pair of ``active``, in panel
+    order; an empty segment is the latency, which the parser restores from
+    the first onset.  TCATA: one onset/offset row per run of consecutive
+    segments holding a state, ordered by item, state and onset.
     """
-    if not panel.items:
-        return iter(())
-    breakpoints, _, counts, sizes, states = _flat(panel.trajectories)
-    # per (segment, state) membership: its item, and the breakpoint its segment starts at
+    # per (segment, state) pair: its item, and the breakpoint its segment starts at
     # (segment s of item i starts at breakpoint s + i)
-    item = np.repeat(np.repeat(np.arange(panel.n), counts), sizes)
-    onset = np.repeat(np.arange(sizes.size), sizes) + item
+    segment, states = np.nonzero(panel.active)
+    item = np.repeat(np.arange(panel.n), panel.counts)[segment]
+    onset = segment + item
     offset = None
     if panel.mode == "TCATA":
         order = np.lexsort((onset, states, item))
@@ -265,11 +263,10 @@ def _event_rows(panel: Panel):
             | (onset[1:] != onset[:-1] + 1)
         offset = onset[np.roll(starts, -1)] + 1  # the end of each run's last segment
         item, states, onset = item[starts], states[starts], onset[starts]
-    prefixes = [_fixed(_csv_fields(it.subject, it.condition)) for it in panel.items]
+    prefixes = [_fixed(_csv_fields(subject, condition)) for subject, condition in panel.keys]
     slots = _SLOT + b"," if offset is None else _SLOT + b"," + _SLOT
     tails = [_fixed(_csv_fields(s)) + slots + b"\n" for s in panel.space.states]
-    times = breakpoints[onset] if offset is None \
-        else np.stack([breakpoints[onset], breakpoints[offset]], axis=-1)
+    times = panel.breakpoints[onset if offset is None else np.stack([onset, offset], axis=-1)]
 
     def block(lo):
         rows = slice(lo, lo + _PANEL_BLOCK_ROWS)
@@ -285,16 +282,16 @@ def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
     meta_path = meta_path or sidecar_path(csv_path)
     _write_csv(csv_path, EVENT_COLUMNS, _event_rows(panel))
 
-    horizons = sorted({it.trajectory.horizon for it in panel.items})
-    end_time: Union[float, dict] = horizons[0] if len(horizons) == 1 else {
-        it.key: it.trajectory.horizon for it in panel.items
-    }
+    horizons = panel.horizons.tolist()
+    distinct = sorted(set(horizons))
+    end_time: Union[float, dict] = distinct[0] if len(distinct) == 1 else dict(
+        zip(map(panel.key, range(panel.n)), horizons))
     meta = {
         "mode": panel.mode,
         "states": list(panel.space.states),
         "end_time": end_time,
-        "items": [[it.subject, it.condition] for it in panel.items],
-        "normalized": horizons == [1.0],
+        "items": [list(key) for key in panel.keys],
+        "normalized": distinct == [1.0],
     }
     _write_text(meta_path, canonical_json(meta))
 

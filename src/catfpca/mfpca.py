@@ -290,5 +290,5 @@ def run_mfpca(
         grid=grid,
         mode=panel.mode,
         states=panel.space.states,
-        items=tuple((it.subject, it.condition) for it in panel.items),
+        items=panel.keys,
     )

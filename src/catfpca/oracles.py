@@ -8,23 +8,27 @@ of G from a result's spectral expansion (:func:`mercer_check`).
 production: trajectories are evaluated pointwise at cell midpoints, moments
 are accumulated in explicit Python loops, and eigenvalues come from a
 hand-rolled cyclic Jacobi iteration instead of LAPACK.  Slow on purpose.
+Consistency experiments measure simulated panels against :class:`TwoStateTruth`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estimation import WeightScheme, panel_cell_values
+from .estimation import WeightScheme, mean_on_grid, panel_cell_values
 from .ingest import Panel
 from .mfpca import MfpcaResult, _weight_diag
+from .simulate import ProcessSpec, simulate_panel
 from .trajectory import CellGrid, StateSpace
 
 __all__ = [
     "ProbabilityField", "estimate_field", "assemble_operator", "mercer_check",
     "oracle_covariance", "naive_operator_matrix", "jacobi_eigenvalues",
+    "TwoStateTruth", "consistency_experiment", "median_errors",
 ]
 
 
@@ -97,10 +101,10 @@ def estimate_field(panel: Panel, grid: Optional[CellGrid] = None, *,
     Z = panel_cell_values(panel, grid, exact=exact)
     n, q, m = Z.shape
     flat = Z.reshape(n, q * m)
-    mean_flat = flat.mean(axis=0)
+    mean = flat.mean(axis=0)
     cov = flat.T @ flat / n
-    cov -= np.outer(mean_flat, mean_flat)
-    return ProbabilityField(grid, panel.space, mean_flat.reshape(q, m), cov, n, panel.mode)
+    cov -= np.outer(mean, mean)
+    return ProbabilityField(grid, panel.space, mean.reshape(q, m), cov, n, panel.mode)
 
 
 def assemble_operator(field: ProbabilityField, weights: WeightScheme) -> np.ndarray:
@@ -241,3 +245,144 @@ def jacobi_eigenvalues(A: np.ndarray, max_sweeps: int = 60, tol: float = 1e-13) 
         if off > 1e-8 * norm:
             raise NumericalError(f"Jacobi iteration did not converge (off={off:.3e})")
     return np.sort(np.diag(A))[::-1].copy()
+
+
+class TwoStateTruth:
+    """Closed-form occupancy and joint probabilities of a two-state Markov chain.
+
+    With jump rates a (state 0 -> 1) and b (1 -> 0) and P[Y(0)=0] = p0:
+    p_0(t) = pi + (p0 - pi) exp(-rho t) with rho = a + b, pi = b / rho.
+    """
+
+    def __init__(self, rate_01: float, rate_10: float, p0: float):
+        if rate_01 <= 0 or rate_10 <= 0:
+            raise ValidationError("rates must be positive")
+        if not (0.0 <= p0 <= 1.0):
+            raise ValidationError("p0 must be a probability")
+        self.rho = rate_01 + rate_10
+        self.pi0 = rate_10 / self.rho
+        self.beta = p0 - self.pi0
+
+    @classmethod
+    def from_spec(cls, spec: ProcessSpec) -> "TwoStateTruth":
+        if spec.q != 2 or spec.mode != "TDS":
+            raise ValidationError("analytic truth requires a two-state TDS chain")
+        for s in spec.sojourn:
+            if s.dist != "exponential":
+                raise ValidationError("analytic truth requires exponential sojourns")
+        return cls(spec.sojourn[0].rate, spec.sojourn[1].rate, float(spec.initial[0]))
+
+    def p(self, j: int, t) -> np.ndarray:
+        p0 = self.pi0 + self.beta * np.exp(-self.rho * np.asarray(t, dtype=np.float64))
+        return p0 if j == 0 else 1.0 - p0
+
+    def _transition(self, j: int, l: int, tau) -> np.ndarray:
+        """P[Y(s + tau) = l | Y(s) = j] for the stationary jump structure."""
+        pi_l = self.pi0 if l == 0 else 1.0 - self.pi0
+        delta = 1.0 if j == l else 0.0
+        return pi_l + (delta - pi_l) * np.exp(-self.rho * np.asarray(tau, dtype=np.float64))
+
+    def joint(self, j: int, l: int, s, t) -> np.ndarray:
+        """p_jl(s, t) elementwise; handles either ordering of s and t."""
+        s = np.asarray(s, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
+        fwd = self.p(j, s) * self._transition(j, l, np.abs(t - s))
+        bwd = self.p(l, t) * self._transition(l, j, np.abs(s - t))
+        return np.where(s <= t, fwd, bwd)
+
+    def gamma(self, j: int, l: int, s, t) -> np.ndarray:
+        return self.joint(j, l, s, t) - self.p(j, np.asarray(s)) * self.p(l, np.asarray(t))
+
+    def _int_p0(self, u0: float, u1: float) -> float:
+        pi, b, r = self.pi0, self.beta, self.rho
+        return pi * (u1 - u0) + b / r * (math.exp(-r * u0) - math.exp(-r * u1))
+
+    def _int_p0_sq(self, u0: float, u1: float) -> float:
+        pi, b, r = self.pi0, self.beta, self.rho
+        return (
+            pi * pi * (u1 - u0)
+            + 2 * pi * b / r * (math.exp(-r * u0) - math.exp(-r * u1))
+            + b * b / (2 * r) * (math.exp(-2 * r * u0) - math.exp(-2 * r * u1))
+        )
+
+    def mean_error_sq(self, grid: CellGrid, p_hat: np.ndarray, weights: np.ndarray) -> float:
+        """Exact ||p_hat - p||_H^2 for a step-function estimate on the grid."""
+        total = 0.0
+        nodes = grid.nodes
+        for a in range(grid.m):
+            u0, u1 = nodes[a], nodes[a + 1]
+            ip = self._int_p0(u0, u1)
+            ip2 = self._int_p0_sq(u0, u1)
+            dlt = u1 - u0
+            c0 = p_hat[0, a]
+            c1 = p_hat[1, a]
+            # state 1 curve is 1 - p_0, integrals follow by expansion
+            total += weights[0] * (c0 * c0 * dlt - 2 * c0 * ip + ip2)
+            total += weights[1] * (c1 * c1 * dlt - 2 * c1 * (dlt - ip) + (dlt - 2 * ip + ip2))
+        return total
+
+
+def _replicate_seed(seed: int, block: int, rep: int) -> int:
+    ss = np.random.SeedSequence(entropy=[seed, block, rep])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def consistency_experiment(
+    spec: ProcessSpec,
+    n_values: Sequence[int],
+    seed: int,
+    *,
+    replicates: int = 20,
+    truth: Optional[TwoStateTruth] = None,
+    kernel_cells: int = 0,
+) -> list[dict]:
+    """Estimation errors against the analytic truth for growing sample sizes.
+
+    Returns one row per (n, replicate) with the exact H-norm error of the
+    mean curve and, when ``kernel_cells > 0``, the spectral-norm error of
+    the assembled covariance matrices on a uniform grid of that many cells
+    (truth kernel evaluated at cell midpoints).
+    """
+    if truth is None:
+        truth = TwoStateTruth.from_spec(spec)
+    w = np.full(2, 0.5)
+    rows = []
+    for block, n in enumerate(n_values):
+        for rep in range(replicates):
+            panel = simulate_panel(spec, n, _replicate_seed(seed, block, rep))
+            grid = panel.grid()
+            p_hat = mean_on_grid(panel, grid)
+            err = math.sqrt(max(truth.mean_error_sq(grid, p_hat, w), 0.0))
+            row = {"n": n, "replicate": rep, "mean_error": err}
+            if kernel_cells > 0:
+                row["kernel_error"] = _kernel_error(panel, truth, kernel_cells, w)
+            rows.append(row)
+    return rows
+
+
+def _kernel_error(panel: Panel, truth: TwoStateTruth, cells: int, w: np.ndarray) -> float:
+    grid = CellGrid.uniform(cells, float(panel.horizons[0]))
+    field_hat = estimate_field(panel, grid, exact=False)
+    mid = grid.midpoints
+    ss, tt = np.meshgrid(mid, mid, indexing="ij")
+    q, m = 2, grid.m
+    cov = np.empty((q * m, q * m))
+    for j in range(q):
+        for l in range(q):
+            cov[j * m:(j + 1) * m, l * m:(l + 1) * m] = truth.gamma(j, l, ss, tt)
+    field_true = ProbabilityField(
+        grid, panel.space,
+        np.vstack([truth.p(0, mid), truth.p(1, mid)]),
+        0.5 * (cov + cov.T), panel.n, panel.mode,
+    )
+    scheme = WeightScheme("equal", w)
+    diff = assemble_operator(field_hat, scheme) - assemble_operator(field_true, scheme)
+    return float(np.abs(np.linalg.eigvalsh(diff)).max())
+
+
+def median_errors(rows: list[dict], key: str = "mean_error") -> dict[int, float]:
+    """Median error per sample size, for rate checks."""
+    by_n: dict[int, list[float]] = {}
+    for row in rows:
+        by_n.setdefault(row["n"], []).append(row[key])
+    return {n: float(np.median(v)) for n, v in sorted(by_n.items())}

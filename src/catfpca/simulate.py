@@ -10,24 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .estimation import WeightScheme, mean_on_grid
-from .ingest import Panel, PanelItem, _overlay
-from .oracles import ProbabilityField, assemble_operator, estimate_field
-from .trajectory import CellGrid, StateSpace, union_grid
+from .ingest import Panel, _number, _overlay
+from .trajectory import StateSpace
 
 __all__ = [
     "SojournSpec",
     "ProcessSpec",
-    "TwoStateTruth",
     "simulate_panel",
-    "consistency_experiment",
-    "median_errors",
 ]
 
 _ROW_TOL = 1e-12
@@ -41,8 +35,14 @@ def _field(d, key: str, kind, what: str = "spec"):
         raise SchemaError(f"{what} missing {key!r}")
     try:
         return kind(d[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{what} {key!r} has an ill-typed value {d[key]!r}") from None
+
+
+def _numbers(value) -> np.ndarray:
+    """A number, or nested lists of numbers, as a float array; TypeError for any other entry."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([_number(v) for v in entries.flat]).reshape(entries.shape)
 
 
 def _labels(value) -> tuple:
@@ -62,8 +62,9 @@ class SojournSpec:
 
     def __post_init__(self):
         if self.dist == "exponential":
-            if self.rate <= 0:
-                raise ValidationError(f"exponential rate must be positive, got {self.rate}")
+            if not 0 < self.rate < math.inf:  # NaN and inf would never end a trajectory
+                raise ValidationError(
+                    f"exponential rate must be positive and finite, got {self.rate}")
         elif self.dist == "uniform":
             if not (0 < self.low < self.high):
                 raise ValidationError(
@@ -87,10 +88,10 @@ class SojournSpec:
     def from_dict(cls, d: dict) -> "SojournSpec":
         dist = _field(d, "dist", str, "sojourn")
         if dist == "exponential":
-            return cls(dist, rate=_field(d, "rate", float, "sojourn"))
+            return cls(dist, rate=_field(d, "rate", _number, "sojourn"))
         if dist == "uniform":
-            return cls(dist, low=_field(d, "low", float, "sojourn"),
-                       high=_field(d, "high", float, "sojourn"))
+            return cls(dist, low=_field(d, "low", _number, "sojourn"),
+                       high=_field(d, "high", _number, "sojourn"))
         raise ValidationError(f"bad sojourn spec {d!r}")
 
 
@@ -109,8 +110,8 @@ class ProcessSpec:
         space = StateSpace(self.states)
         object.__setattr__(self, "states", space.states)
         q = space.q
-        if self.horizon <= 0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
         init = np.asarray(self.initial, dtype=np.float64)
         trans = np.asarray(self.transition, dtype=np.float64)
         if init.shape != (q,) or np.any(init < 0) or abs(init.sum() - 1.0) > _ROW_TOL:
@@ -165,9 +166,9 @@ class ProcessSpec:
         """The spec of a JSON object; SchemaError for a missing key or an ill-typed value."""
         return cls(  # keyword arguments are evaluated in order: "states" checks d first
             states=_field(d, "states", _labels),
-            horizon=_field(d, "horizon", float),
-            initial=_field(d, "initial", partial(np.asarray, dtype=np.float64)),
-            transition=_field(d, "transition", partial(np.asarray, dtype=np.float64)),
+            horizon=_field(d, "horizon", _number),
+            initial=_field(d, "initial", _numbers),
+            transition=_field(d, "transition", _numbers),
             sojourn=_field(d, "sojourn", lambda v: tuple(map(SojournSpec.from_dict, v))),
             tcata=None if d.get("tcata") is None else _field(d, "tcata", lambda v: tuple(
                 {key: _field(p, key, SojournSpec.from_dict, "tcata pair") for key in ("off", "on")}
@@ -223,7 +224,7 @@ def _tcata_intervals(spec: ProcessSpec, rng: np.random.Generator) -> list[tuple]
 def simulate_panel(spec: ProcessSpec, n: int, seed: int) -> Panel:
     """Draw n independent trajectories; deterministic given (spec, n, seed).
 
-    Both modes draw (on, off, state) intervals, built into trajectories by ``_overlay``.
+    Both modes draw (on, off, state) intervals, overlaid into the panel by ``_overlay``.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -236,147 +237,6 @@ def simulate_panel(spec: ProcessSpec, n: int, seed: int) -> Panel:
     item = np.repeat(np.arange(n), [len(d) for d in drawn])
     intervals = np.array([iv for d in drawn for iv in d], dtype=np.float64).reshape(-1, 3)
     on, off, state = intervals.T
-    trajectories = _overlay(item, on, off, state.astype(np.int64), np.full(n, spec.horizon), spec.q)
-    items = [PanelItem(f"sim{i:06d}", "sim", traj) for i, traj in enumerate(trajectories)]
-    return Panel(spec.mode, space, items)
-
-
-class TwoStateTruth:
-    """Closed-form occupancy and joint probabilities of a two-state Markov chain.
-
-    With jump rates a (state 0 -> 1) and b (1 -> 0) and P[Y(0)=0] = p0:
-    p_0(t) = pi + (p0 - pi) exp(-rho t) with rho = a + b, pi = b / rho.
-    """
-
-    def __init__(self, rate_01: float, rate_10: float, p0: float):
-        if rate_01 <= 0 or rate_10 <= 0:
-            raise ValidationError("rates must be positive")
-        if not (0.0 <= p0 <= 1.0):
-            raise ValidationError("p0 must be a probability")
-        self.rho = rate_01 + rate_10
-        self.pi0 = rate_10 / self.rho
-        self.beta = p0 - self.pi0
-
-    @classmethod
-    def from_spec(cls, spec: ProcessSpec) -> "TwoStateTruth":
-        if spec.q != 2 or spec.mode != "TDS":
-            raise ValidationError("analytic truth requires a two-state TDS chain")
-        for s in spec.sojourn:
-            if s.dist != "exponential":
-                raise ValidationError("analytic truth requires exponential sojourns")
-        return cls(spec.sojourn[0].rate, spec.sojourn[1].rate, float(spec.initial[0]))
-
-    def p(self, j: int, t) -> np.ndarray:
-        p0 = self.pi0 + self.beta * np.exp(-self.rho * np.asarray(t, dtype=np.float64))
-        return p0 if j == 0 else 1.0 - p0
-
-    def _transition(self, j: int, l: int, tau) -> np.ndarray:
-        """P[Y(s + tau) = l | Y(s) = j] for the stationary jump structure."""
-        pi_l = self.pi0 if l == 0 else 1.0 - self.pi0
-        delta = 1.0 if j == l else 0.0
-        return pi_l + (delta - pi_l) * np.exp(-self.rho * np.asarray(tau, dtype=np.float64))
-
-    def joint(self, j: int, l: int, s, t) -> np.ndarray:
-        """p_jl(s, t) elementwise; handles either ordering of s and t."""
-        s = np.asarray(s, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64)
-        fwd = self.p(j, s) * self._transition(j, l, np.abs(t - s))
-        bwd = self.p(l, t) * self._transition(l, j, np.abs(s - t))
-        return np.where(s <= t, fwd, bwd)
-
-    def gamma(self, j: int, l: int, s, t) -> np.ndarray:
-        return self.joint(j, l, s, t) - self.p(j, np.asarray(s)) * self.p(l, np.asarray(t))
-
-    def _int_p0(self, u0: float, u1: float) -> float:
-        pi, b, r = self.pi0, self.beta, self.rho
-        return pi * (u1 - u0) + b / r * (math.exp(-r * u0) - math.exp(-r * u1))
-
-    def _int_p0_sq(self, u0: float, u1: float) -> float:
-        pi, b, r = self.pi0, self.beta, self.rho
-        return (
-            pi * pi * (u1 - u0)
-            + 2 * pi * b / r * (math.exp(-r * u0) - math.exp(-r * u1))
-            + b * b / (2 * r) * (math.exp(-2 * r * u0) - math.exp(-2 * r * u1))
-        )
-
-    def mean_error_sq(self, grid: CellGrid, p_hat: np.ndarray, weights: np.ndarray) -> float:
-        """Exact ||p_hat - p||_H^2 for a step-function estimate on the grid."""
-        total = 0.0
-        nodes = grid.nodes
-        for a in range(grid.m):
-            u0, u1 = nodes[a], nodes[a + 1]
-            ip = self._int_p0(u0, u1)
-            ip2 = self._int_p0_sq(u0, u1)
-            dlt = u1 - u0
-            c0 = p_hat[0, a]
-            c1 = p_hat[1, a]
-            # state 1 curve is 1 - p_0, integrals follow by expansion
-            total += weights[0] * (c0 * c0 * dlt - 2 * c0 * ip + ip2)
-            total += weights[1] * (c1 * c1 * dlt - 2 * c1 * (dlt - ip) + (dlt - 2 * ip + ip2))
-        return total
-
-
-def _replicate_seed(seed: int, block: int, rep: int) -> int:
-    ss = np.random.SeedSequence(entropy=[seed, block, rep])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def consistency_experiment(
-    spec: ProcessSpec,
-    n_values: Sequence[int],
-    seed: int,
-    *,
-    replicates: int = 20,
-    truth: Optional[TwoStateTruth] = None,
-    kernel_cells: int = 0,
-) -> list[dict]:
-    """Estimation errors against the analytic truth for growing sample sizes.
-
-    Returns one row per (n, replicate) with the exact H-norm error of the
-    mean curve and, when ``kernel_cells > 0``, the spectral-norm error of
-    the assembled covariance matrices on a uniform grid of that many cells
-    (truth kernel evaluated at cell midpoints).
-    """
-    if truth is None:
-        truth = TwoStateTruth.from_spec(spec)
-    w = np.full(2, 0.5)
-    rows = []
-    for block, n in enumerate(n_values):
-        for rep in range(replicates):
-            panel = simulate_panel(spec, n, _replicate_seed(seed, block, rep))
-            grid = union_grid(panel.trajectories)
-            p_hat = mean_on_grid(panel, grid)
-            err = math.sqrt(max(truth.mean_error_sq(grid, p_hat, w), 0.0))
-            row = {"n": n, "replicate": rep, "mean_error": err}
-            if kernel_cells > 0:
-                row["kernel_error"] = _kernel_error(panel, truth, kernel_cells, w)
-            rows.append(row)
-    return rows
-
-
-def _kernel_error(panel: Panel, truth: TwoStateTruth, cells: int, w: np.ndarray) -> float:
-    grid = CellGrid.uniform(cells, panel.trajectories[0].horizon)
-    field_hat = estimate_field(panel, grid, exact=False)
-    mid = grid.midpoints
-    ss, tt = np.meshgrid(mid, mid, indexing="ij")
-    q, m = 2, grid.m
-    cov = np.empty((q * m, q * m))
-    for j in range(q):
-        for l in range(q):
-            cov[j * m:(j + 1) * m, l * m:(l + 1) * m] = truth.gamma(j, l, ss, tt)
-    field_true = ProbabilityField(
-        grid, panel.space,
-        np.vstack([truth.p(0, mid), truth.p(1, mid)]),
-        0.5 * (cov + cov.T), panel.n, panel.mode,
-    )
-    scheme = WeightScheme("equal", w)
-    diff = assemble_operator(field_hat, scheme) - assemble_operator(field_true, scheme)
-    return float(np.abs(np.linalg.eigvalsh(diff)).max())
-
-
-def median_errors(rows: list[dict], key: str = "mean_error") -> dict[int, float]:
-    """Median error per sample size, for rate checks."""
-    by_n: dict[int, list[float]] = {}
-    for row in rows:
-        by_n.setdefault(row["n"], []).append(row[key])
-    return {n: float(np.median(v)) for n, v in sorted(by_n.items())}
+    keys = [(f"sim{i:06d}", "sim") for i in range(n)]
+    return Panel._of(spec.mode, space, keys, *_overlay(
+        item, on, off, state.astype(np.int64), np.full(n, spec.horizon), spec.q))

@@ -3,10 +3,10 @@
 Segments follow the right-continuous convention: the value on [t_k, t_{k+1})
 is segments[k], and the value at the horizon T is the last segment's value.
 State j of a trajectory is the 0/1 step function that is 1 on the segments
-whose subset holds j; whole-panel passes read these step functions from one
-flat encoding of breakpoints and (segment, state) memberships
-(``ingest._flat``).  All types are immutable after construction and safe to
-share across threads.
+whose subset holds j.  A ``Panel`` stores these step functions of all its
+items as flat arrays (breakpoints, segment counts and a segment x state
+matrix) and builds trajectories from them only when asked.  All types are
+immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -139,9 +139,6 @@ class CategoricalTrajectory:
     def max_state_index(self) -> int:
         return max(frozenset().union(*self.segments), default=-1)
 
-    def is_tds(self) -> bool:
-        return all(len(s) == 1 for s in self.segments)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CategoricalTrajectory)
@@ -212,16 +209,21 @@ def union_grid(trajectories: Sequence) -> CellGrid:
     Every input trajectory is constant on every cell of the result, which
     makes all time integrals downstream exact sums.
     """
-    if len(trajectories) == 0:
+    return _union(np.concatenate([t.breakpoints for t in trajectories] or [np.empty(0)]),
+                  np.array([t.horizon for t in trajectories]))
+
+
+def _union(breakpoints: np.ndarray, horizons: np.ndarray) -> CellGrid:
+    """The union grid of trajectories with these breakpoints, one after another, and horizons."""
+    if horizons.size == 0:
         raise ValidationError("union_grid needs at least one trajectory")
-    horizons = np.array([t.horizon for t in trajectories])
     if np.any(horizons != horizons[0]):
-        bad = [i for i, h in enumerate(horizons) if h != horizons[0]]
+        bad = np.flatnonzero(horizons != horizons[0]).tolist()
         raise ValidationError(
             f"trajectories {bad} have horizon != {horizons[0]}; normalize first"
         )
     # np.unique's own sort-and-compare, without its lazy import of numpy.ma
-    nodes = np.sort(np.concatenate([t.breakpoints for t in trajectories]))
+    nodes = np.sort(breakpoints)
     keep = np.ones(nodes.size, dtype=bool)
     keep[1:] = nodes[1:] != nodes[:-1]
     return CellGrid(nodes[keep])

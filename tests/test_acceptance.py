@@ -17,7 +17,6 @@ import pytest
 from catfpca import (
     ProcessSpec,
     SojournSpec,
-    consistency_experiment,
     panel_cell_values,
     reconstruct,
 )
@@ -25,13 +24,14 @@ from catfpca.estimation import WeightScheme
 from catfpca.mfpca import _weight_diag, run_mfpca
 from catfpca.oracles import (
     assemble_operator,
+    consistency_experiment,
     estimate_field,
     jacobi_eigenvalues,
+    median_errors,
     mercer_check,
     naive_operator_matrix,
     oracle_covariance,
 )
-from catfpca.simulate import median_errors
 
 from conftest import mirror_panel, random_panel
 

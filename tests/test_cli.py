@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import catfpca
-from catfpca import cli
+from catfpca import CategoricalTrajectory, cli
 from catfpca.cli import main
 from catfpca.io import canonical_json, read_panel
 
@@ -401,7 +401,12 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     ({"items": 5}, "'items'"),
     ({"items": None}, "'items'"),
     ({"items": [["s1"]]}, "'items'"),
-], ids=["not-an-object", "states-int", "states-str", "items-int", "items-null", "items-short"])
+    ({"end_time": "10"}, "end time of s1/p1 is not a number"),
+    ({"end_time": True}, "end time of s1/p1 is not a number"),
+    ({"end_time": {"default": "10"}}, "end time of s1/p1 is not a number"),
+    ({"end_time": {"s1": True, "default": 10}}, "end time of s1/p1 is not a number"),
+], ids=["not-an-object", "states-int", "states-str", "items-int", "items-null", "items-short",
+        "end-time-str", "end-time-bool", "end-time-str-in-mapping", "end-time-bool-in-mapping"])
 @pytest.mark.parametrize("command", ["ingest", "validate", "mfpca"])
 def test_malformed_sidecar_exits_2(tmp_path, capsys, command, sidecar, key):
     events, meta = write_inputs(tmp_path, "TDS")
@@ -436,8 +441,17 @@ RENEWAL = {"dist": "exponential", "rate": 4.0}
     ({**SPEC, "transition": [[0.0, 1.0], [1.0]]}, "spec 'transition' has an ill-typed value"),
     ({**SPEC, "tcata": [{"off": RENEWAL, "on": 3}] * 2}, "sojourn must be a JSON object"),
     ({**SPEC, "states": "AB"}, "spec 'states' has an ill-typed value"),
+    ({**SPEC, "horizon": "1.0"}, "spec 'horizon' has an ill-typed value"),
+    ({**SPEC, "horizon": True}, "spec 'horizon' has an ill-typed value"),
+    ({**SPEC, "sojourn": [{"dist": "exponential", "rate": True}] * 2},
+     "sojourn 'rate' has an ill-typed value"),
+    ({**SPEC, "initial": ["0.5", "0.5"]}, "spec 'initial' has an ill-typed value"),
+    ({**SPEC, "transition": [[0, "1"], [True, 0]]}, "spec 'transition' has an ill-typed value"),
+    ({**SPEC, "tcata": [{"off": {"dist": "uniform", "low": "0.1", "high": 1}, "on": RENEWAL}] * 2},
+     "sojourn 'low' has an ill-typed value"),
 ], ids=["empty", "list", "no-rate", "horizon-str", "no-on", "sojourn-int", "ragged", "on-int",
-        "states-str"])
+        "states-str", "horizon-quoted", "horizon-bool", "rate-bool", "initial-quoted",
+        "transition-quoted-bool", "low-quoted"])
 def test_malformed_spec_exits_2(tmp_path, capsys, spec, message):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -447,6 +461,35 @@ def test_malformed_spec_exits_2(tmp_path, capsys, spec, message):
     error = json.loads(lines[0])
     assert error["error"] == "SchemaError" and message in error["message"]
     assert not (tmp_path / "sim").exists()
+
+
+def test_integer_numbers_in_spec_and_sidecar_are_accepted(tmp_path):
+    spec = {**SPEC, "horizon": 1, "initial": [1, 0], "transition": [[0, 1], [1, 0]],
+            "sojourn": [{"dist": "exponential", "rate": 2},
+                        {"dist": "uniform", "low": 1, "high": 2}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert run(["simulate", "--spec", tmp_path / "spec.json", "--n", 3,
+                "--out", tmp_path / "sim"]) == 0
+    events, meta = write_inputs(tmp_path, "TDS")
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "end_time": {"default": 10}}))
+    assert run(["ingest", events, "--meta", meta, "--out", tmp_path / "out"]) == 0
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+def test_ingest_and_mfpca_construct_no_trajectory_objects(tmp_path, monkeypatch, mode):
+    built = []
+    init = CategoricalTrajectory.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CategoricalTrajectory, "__init__", counting_init)
+    events, meta = write_inputs(tmp_path, mode)
+    assert run(["ingest", events, "--meta", meta, "--out", tmp_path / "in"]) == 0
+    assert run(["mfpca", tmp_path / "in" / "panel.csv", "--out", tmp_path / "out"]) == 0
+    assert built == []
+    assert len(read_panel(tmp_path / "in" / "panel.csv")[0].trajectories) == len(built) == 2
 
 
 @pytest.mark.parametrize("command", ["ingest", "simulate", "mfpca-config"])

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import catfpca
 from catfpca import (
     CategoricalTrajectory,
     CellGrid,
@@ -112,14 +116,30 @@ def test_oracle_equivalence_on_random_panels(rng):
 
 
 def test_reference_names_live_in_oracles_only():
-    import catfpca
     import catfpca.oracles
 
     names = {"ProbabilityField", "estimate_field", "assemble_operator", "mercer_check",
-             "oracle_covariance", "naive_operator_matrix", "jacobi_eigenvalues"}
+             "oracle_covariance", "naive_operator_matrix", "jacobi_eigenvalues",
+             "TwoStateTruth", "consistency_experiment", "median_errors"}
     assert not names & set(dir(catfpca))
     assert names <= set(catfpca.oracles.__all__)
     assert all(hasattr(catfpca.oracles, name) for name in names)
+
+
+def test_only_the_cli_imports_the_references():
+    """Production modules never import ``oracles``; the CLI's oracle-check is its one user."""
+    importers = set()
+    for path in Path(catfpca.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [part for alias in node.names for part in alias.name.split(".")]
+            else:
+                continue
+            if "oracles" in parts:
+                importers.add(path.stem)
+    assert importers == {"cli"}
 
 
 def test_mean_on_grid_matches_estimate(rng):

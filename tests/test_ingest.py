@@ -23,6 +23,8 @@ from catfpca import (
 )
 from catfpca.ingest import DEFAULT_TICK, _end_for
 
+from conftest import random_panel
+
 SP3 = StateSpace(["A", "B", "C"])
 SP2 = StateSpace(["A", "B"])
 
@@ -185,6 +187,24 @@ def test_validate_panel_reports_problems():
     ])
     problems = validate_panel(bad)
     assert any("non-singleton" in p for p in problems)
+
+
+def test_panel_of_its_own_items_has_the_same_arrays(rng):
+    """Panel(mode, space, items) reads the item views back into the arrays they were built from."""
+    subjects = [f"s{i}" for i in range(6)]
+    tds = [rec(s, "ABC"[int(rng.integers(3))], float(on)) for s in subjects
+           for on in np.sort(rng.uniform(0.0, 9.0, 5))]
+    tcata = [rec(subjects[int(rng.integers(6))], "ABC"[int(rng.integers(3))], float(on),
+                 float(on + rng.uniform(0.1, 3.0))) for on in rng.uniform(0.0, 9.0, 40)]
+    panels = [random_panel(rng, "TDS", n=12, q=4), random_panel(rng, "TCATA", n=12, q=4),
+              *(apply_protocol_normalization(parse(rows, SP3, mode, 10.0)[0], tick=1e-3)
+                for rows, mode in ((tds, "TDS"), (tcata, "TCATA")))]
+    for panel in panels:
+        back = Panel(panel.mode, panel.space, panel.items)
+        assert back.keys == panel.keys
+        assert back.breakpoints.tobytes() == panel.breakpoints.tobytes()
+        assert back.counts.tolist() == panel.counts.tolist()
+        assert np.array_equal(back.active, panel.active)
 
 
 def test_panel_round_trip_through_files(tmp_path):

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from catfpca import _kernels, panel_cell_values
-from catfpca.ingest import _flat
 from catfpca.trajectory import CellGrid
 
 from conftest import random_panel
@@ -58,15 +57,15 @@ def test_panel_rasterization_equals_per_item_reference(rng, monkeypatch, mode):
     q = panel.space.q
     breaks = [traj.breakpoints for traj in panel.trajectories]
     values = [segment_values(traj, q) for traj in panel.trajectories]
-    flat, _, counts, sizes, states = _flat(panel.trajectories)
+    arrays = panel.breakpoints, panel.counts, panel.active
     for block in (None, 1):
         if block is not None:  # one item per pass
             monkeypatch.setattr(_kernels, "_BLOCK_VALUES", block)
         for grid in grids:
-            got = _kernels.batch_cell_averages(flat, counts, sizes, states, q, grid.nodes)
+            got = _kernels.batch_cell_averages(*arrays, grid.nodes)
             want = np.stack([per_item_cell_averages(b, v, grid.nodes)
                              for b, v in zip(breaks, values)])
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    exact = _kernels.batch_cell_averages(flat, counts, sizes, states, q, union.nodes)
+    exact = _kernels.batch_cell_averages(*arrays, union.nodes)
     assert set(np.unique(exact)) <= {0.0, 1.0}

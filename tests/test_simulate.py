@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,18 @@ from catfpca import (
     CategoricalTrajectory,
     ProcessSpec,
     SojournSpec,
-    TwoStateTruth,
     ValidationError,
-    consistency_experiment,
     mean_on_grid,
     simulate_panel,
     union_grid,
 )
-from catfpca.oracles import jacobi_eigenvalues
-from catfpca.simulate import _draw_categorical, median_errors
+from catfpca.oracles import (
+    TwoStateTruth,
+    consistency_experiment,
+    jacobi_eigenvalues,
+    median_errors,
+)
+from catfpca.simulate import _draw_categorical
 
 
 def two_state_spec(rate_a=1.0, rate_b=1.0, p0=1.0, horizon=1.0):
@@ -87,7 +92,7 @@ def test_simulated_tds_satisfies_core_invariants():
         panel = simulate_panel(spec, 8, seed=int(rng.integers(0, 2 ** 31)))
         for it in panel.items:
             traj = it.trajectory
-            assert traj.is_tds()
+            assert all(len(s) == 1 for s in traj.segments)
             assert traj.breakpoints[0] == 0.0 and traj.breakpoints[-1] == 1.0
             for k in range(1, traj.n_segments):
                 assert traj.segments[k] != traj.segments[k - 1]
@@ -185,8 +190,12 @@ def test_spec_validation():
         ProcessSpec(("A", "B"), 1.0, np.array([0.9, 0.0]),
                     np.array([[0.0, 1.0], [1.0, 0.0]]),
                     (SojournSpec("exponential", rate=1.0),) * 2)
-    with pytest.raises(ValidationError, match="rate"):
-        SojournSpec("exponential", rate=0.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="rate"):
+            SojournSpec("exponential", rate=rate)
+    for horizon in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="horizon"):
+            two_state_spec(horizon=horizon)
     with pytest.raises(ValidationError, match="low < high"):
         SojournSpec("uniform", low=0.5, high=0.5)
     with pytest.raises(ValidationError):

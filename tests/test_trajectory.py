@@ -221,7 +221,7 @@ def test_union_grid_refines_inputs(cases):
 def test_random_generator_produces_canonical_tds(rng):
     for _ in range(50):
         traj = random_tds_trajectory(rng, q=4)
-        assert traj.is_tds()
+        assert all(len(s) == 1 for s in traj.segments)
         for k in range(1, traj.n_segments):
             assert traj.segments[k] != traj.segments[k - 1]
         assert traj.breakpoints[0] == 0.0 and traj.breakpoints[-1] == 1.0
