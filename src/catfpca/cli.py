@@ -88,14 +88,18 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
 def _check_config_value(key: str, value, hint) -> None:
     """Raise ValidationError unless ``value`` has the type of the field annotated ``hint``.
 
-    A bool is not an int, an int is accepted for a float, and None fits an
-    Optional field only.
+    A bool is not an int, an int that fits a float is accepted for a float,
+    and None fits an Optional field only.
     """
     args = get_args(hint)  # Optional[X] gives (X, NoneType)
     kind = args[0] if args else hint
     optional = type(None) in args
-    if (value is None and optional) or type(value) is kind or (kind is float and type(value) is int):
+    if (value is None and optional) or type(value) is kind:
         return
+    if kind is float and type(value) is int:
+        if abs(value) <= sys.float_info.max:
+            return
+        raise ValidationError(f"config key {key!r} is too large for a float")
     wanted = _JSON_TYPES[kind] + (" or null" if optional else "")
     raise ValidationError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
 

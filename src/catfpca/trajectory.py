@@ -173,8 +173,8 @@ class CellGrid:
 
     @classmethod
     def uniform(cls, m: int, horizon: float = 1.0) -> "CellGrid":
-        if m < 1:
-            raise ValidationError(f"cell count must be >= 1, got {m}")
+        if not 1 <= m < np.iinfo(np.intp).max:
+            raise ValidationError(f"cell count must be >= 1 and fit an array length, got {m}")
         return cls(np.linspace(0.0, horizon, m + 1))
 
     def capped(self, max_cells: int) -> "CellGrid":

@@ -255,8 +255,13 @@ def assert_config_refused(tmp_path, capsys, command, options, key):
     ("ingest", ["--tick", "inf"], "tick"),
     ("mfpca", ["--config", {"band_c": float("nan")}], "band_c"),
     ("ingest", ["--config", {"tick": float("-inf")}], "tick"),
+    # integers beyond the float range
+    ("ingest", ["--config", {"tick": 10 ** 400}], "tick"),
+    ("mfpca", ["--config", {"tick": 10 ** 400}], "tick"),
+    ("mfpca", ["--config", {"band_c": -10 ** 400}], "band_c"),
 ], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag", "mfpca-band_c-config",
-        "ingest-tick-config"])
+        "ingest-tick-config", "ingest-tick-config-int", "mfpca-tick-config-int",
+        "mfpca-band_c-config-int"])
 def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
                                                                options, key):
     assert_config_refused(tmp_path, capsys, command, options, key)
@@ -274,6 +279,26 @@ def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, 
 def test_negative_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
                                                             options, key):
     assert_config_refused(tmp_path, capsys, command, options, key)
+
+
+@pytest.mark.parametrize("options", [
+    ["--grid", "uniform", "--cells", 99999999999999999999],
+    ["--config", {"grid": "uniform", "cells": 99999999999999999999}],
+], ids=["flag", "config"])
+def test_cell_count_beyond_an_array_length_exits_2(tmp_path, capsys, options):
+    events, meta = write_inputs(tmp_path, "TDS")
+    ingested = tmp_path / "ingested"
+    assert run(["ingest", events, "--meta", meta, "--out", ingested]) == 0
+    if isinstance(options[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(options[-1]))
+        options = [options[0], cfg]
+    capsys.readouterr()
+    assert run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "res", *options]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValidationError" and "cell count" in error["message"]
 
 
 def test_zero_tick_and_band_multiplier_are_accepted(tmp_path):

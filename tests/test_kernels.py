@@ -53,6 +53,10 @@ def test_panel_rasterization_equals_per_item_reference(rng, monkeypatch, mode):
         CellGrid(np.union1d(union.nodes, np.linspace(0.0, 1.0, 9))),  # refining, finer
         CellGrid.uniform(7),                                      # not refining
         CellGrid(np.sort(np.concatenate([[0.0, 1.0], rng.random(30)]))),
+        # not refining, breakpoints on nodes: the span search's sides matter
+        CellGrid(np.append(union.nodes[:-1:2], 1.0)),             # every other union node
+        CellGrid([0.0, 1.0]),                                     # one cell
+        CellGrid(np.union1d(union.nodes[::3], np.linspace(0.0, 1.0, 5))),
     ]
     q = panel.space.q
     breaks = [traj.breakpoints for traj in panel.trajectories]
