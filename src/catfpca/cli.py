@@ -20,7 +20,7 @@ from . import io
 from .errors import NumericalError, ValidationError
 from .estimation import WeightScheme
 from .ingest import DEFAULT_TICK, apply_protocol_normalization, validate_panel
-from .mfpca import DEFAULT_MAX_CELLS, _weight_diag, run_mfpca
+from .mfpca import _weight_diag, run_mfpca
 from .oracles import estimate_field, jacobi_eigenvalues, naive_operator_matrix, oracle_covariance
 from .simulate import ProcessSpec, simulate_panel
 from .trajectory import CellGrid
@@ -34,7 +34,7 @@ class RunConfig:
 
     weights: str = "equal"
     grid: str = "union"            # union | uniform
-    cells: int = DEFAULT_MAX_CELLS  # uniform cell count, and cap for union grids
+    cells: int = 512               # uniform cell count, and cap for union grids
     k: Optional[int] = None
     var_frac: Optional[float] = None
     band_c: float = 1.0
@@ -45,8 +45,7 @@ class RunConfig:
         cfg = cls()
         file_values = {}
         if getattr(args, "config", None):
-            with open(args.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
+            file_values = io.read_json(args.config)
             if not isinstance(file_values, dict):
                 raise ValidationError("config file must hold a JSON object")
             unknown = set(file_values) - set(cfg.__dict__)
@@ -142,10 +141,8 @@ def cmd_mfpca(args) -> int:
     cfg = RunConfig.load(args)
     panel, report, meta = _load_normalized_panel(args, cfg.tick)
     union = panel.grid()
-    if cfg.grid == "uniform":
-        grid = CellGrid.uniform(cfg.cells, union.horizon)
-    else:
-        grid = union.capped(cfg.cells)
+    grid = (union if cfg.grid == "union" and union.m <= cfg.cells
+            else CellGrid.uniform(cfg.cells, union.horizon))
     result = run_mfpca(panel, scheme=cfg.weights, grid=grid)
 
     if cfg.k is not None:
@@ -204,8 +201,7 @@ def _summary(result, k: int, union: CellGrid) -> str:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = ProcessSpec.from_dict(json.load(fh))
+    spec = ProcessSpec.from_dict(io.read_json(args.spec))
     panel = simulate_panel(spec, args.n, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

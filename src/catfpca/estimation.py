@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import GridError, ValidationError
-from .ingest import Panel, _grid_misfits
+from .ingest import Panel
 from .trajectory import CellGrid, StateSpace
 
 __all__ = [
@@ -78,10 +78,13 @@ def _not_refined(panel: Panel, grid: CellGrid) -> np.ndarray:
     """Which items the grid does not refine; GridError for an item off the grid's horizon."""
     if panel.n < 1:
         raise ValidationError("need at least one trajectory")
-    off_horizon, not_refined = _grid_misfits(panel.breakpoints, panel.counts, grid.nodes)
+    off_horizon = panel.horizons != grid.horizon
     if off_horizon.any():
         raise GridError(f"items with horizon != {grid.horizon}: {_keys(panel, off_horizon)}")
-    return not_refined
+    b, nodes = panel.breakpoints, grid.nodes
+    off_grid = nodes[np.searchsorted(nodes, b)] != b  # every b <= the horizon, nodes[-1]
+    first_node = np.cumsum(panel.counts + 1) - panel.counts - 1
+    return np.logical_or.reduceat(off_grid, first_node)
 
 
 def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = None) -> np.ndarray:

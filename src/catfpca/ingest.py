@@ -331,19 +331,6 @@ def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> tuple:
     return nodes, np.bincount(node_owner, minlength=n) - 1, active[~last]
 
 
-def _grid_misfits(breakpoints: np.ndarray, counts: np.ndarray,
-                  nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per trajectory of a flat encoding: its horizon is not the grid's; a breakpoint is not a node.
-
-    A trajectory with neither is constant on every cell of the grid.
-    """
-    node_start = _starts(counts + 1)
-    off_horizon = breakpoints[node_start + counts] != nodes[-1]
-    at = np.minimum(np.searchsorted(nodes, breakpoints), nodes.size - 1)
-    not_refined = np.logical_or.reduceat(nodes[at] != breakpoints, node_start)
-    return off_horizon, not_refined
-
-
 def parse_events(
     events: EventTable,
     space: StateSpace,
@@ -483,26 +470,24 @@ def apply_protocol_normalization(
     ``tick <= 0``) so union_grid can use exact equality; segments rounded to
     zero length are dropped.
     """
-    n = panel.n
-    b, counts, sizes = panel.breakpoints, panel.counts, panel.active.sum(axis=1)
-    seg_start = _starts(counts)
-    node_start = seg_start + np.arange(n)
-    node_end = node_start + counts
+    n, b, counts, active = panel.n, panel.breakpoints, panel.counts, panel.active
+    rejected = np.zeros(n, dtype=bool)
+    if panel.mode == "TDS":
+        # adjacent segments differ, so only an item's first segment can be empty: the
+        # latency, which goes with its left node; an item of one empty segment has no click
+        first = _starts(counts)
+        latent = ~active[first].any(axis=1)
+        rejected = latent & (counts == 1)
+        shed = latent & ~rejected
+        b = np.delete(b, first[shed] + np.flatnonzero(shed))
+        active = np.delete(active, first[shed], axis=0)
+        counts = counts - shed
+    sizes = active.sum(axis=1)
+    start = _starts(counts + 1)  # each item's first node: its first click (TCATA: 0)
+    node_end = start + counts
     owner = np.repeat(np.arange(n), counts)
     node_owner = np.repeat(np.arange(n), counts + 1)
     left = np.arange(sizes.size) + owner  # each segment's left node
-    if panel.mode == "TDS":
-        active_before = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes > 0, out=active_before[1:])
-        rejected = active_before[seg_start + counts] == active_before[seg_start]
-        first = np.searchsorted(active_before, active_before[seg_start] + 1) - 1 - seg_start
-        first[rejected] = 0
-    else:
-        rejected = np.zeros(n, dtype=bool)
-        first = np.zeros(n, dtype=np.int64)
-    # the segments from the first click on (TCATA: all), and their first node
-    live = (np.arange(sizes.size) - seg_start[owner] >= first[owner]) & ~rejected[owner]
-    start = node_start + first
 
     def any_segment(mask):
         return np.bincount(owner[mask], minlength=n) > 0
@@ -510,20 +495,19 @@ def apply_protocol_normalization(
     t0 = b[start]
     latency = (t0 / b[node_end]).tolist()
     shifted = b - t0[node_owner]
-    scaled = shifted / shifted[node_end][node_owner]  # exactly 1 at each end
-    scaled[start] = 0.0
+    scaled = shifted / shifted[node_end][node_owner]  # exactly 0 and 1 at each item's ends
     if tick <= 0:
-        rounded, keep = scaled, live
+        rounded, keep = scaled, np.ones(sizes.size, dtype=bool)
     else:
         rounded = np.round(scaled / tick) * tick
         rounded[start] = 0.0
         rounded[node_end] = 1.0
-        keep = live & (rounded[left + 1] - rounded[left] > 0)
+        keep = rounded[left + 1] - rounded[left] > 0
     # the first step each item fails: 1 shift, 2 singleton check, 3 rescale, 4 tick rounding
     error = np.select([
-        any_segment(live & (shifted[left + 1] <= shifted[left])),
-        any_segment(live & (sizes != 1)) & (panel.mode == "TDS"),
-        any_segment(live & (scaled[left + 1] <= scaled[left])),
+        any_segment(shifted[left + 1] <= shifted[left]),
+        any_segment(sizes != 1) & (panel.mode == "TDS"),
+        any_segment(scaled[left + 1] <= scaled[left]),
         ~any_segment(keep),
     ], [1, 2, 3, 4], 0)
 
@@ -548,7 +532,7 @@ def apply_protocol_normalization(
     kept_nodes[start] = True
     kept_nodes[left[keep] + 1] = True
     return Panel._of(panel.mode, panel.space, panel.keys, rounded[kept_nodes],
-                     np.bincount(owner[keep], minlength=n), panel.active[keep])
+                     np.bincount(owner[keep], minlength=n), active[keep])
 
 
 def validate_panel(panel: Panel) -> list[str]:
@@ -564,10 +548,4 @@ def validate_panel(panel: Panel) -> list[str]:
         ("TCATA trajectory still active at the horizon", sizes[first + panel.counts - 1] > 0)]
     flagged = np.nonzero(np.stack([flags for _, flags in checks], axis=1))
     problems += [f"{panel.key(i)}: {checks[k][0]}" for i, k in zip(*flagged)]
-    if panel.n and not problems:
-        # grid refinement: by construction of the union grid every trajectory
-        # must be constant on every cell; re-check directly
-        misfit = np.logical_or(*_grid_misfits(panel.breakpoints, panel.counts, panel.grid().nodes))
-        problems += [f"{panel.key(i)}: not constant on the union grid"
-                     for i in np.flatnonzero(misfit)]
     return problems

@@ -35,6 +35,7 @@ __all__ = [
     "fmt",
     "canonical_json",
     "read_events_csv",
+    "read_json",
     "read_meta",
     "sidecar_path",
     "write_panel",
@@ -220,10 +221,20 @@ def sidecar_path(csv_path) -> Path:
     return p.with_suffix(".json") if p.suffix == ".csv" else Path(str(p) + ".json")
 
 
+def read_json(path):
+    """The JSON value of a UTF-8 file; SchemaError naming the file for an integer too long to read."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
+            raise SchemaError(f"{path}: {exc}") from None
+
+
 def read_meta(path) -> dict:
     """The sidecar's JSON object; SchemaError naming the first key that is missing or ill-typed."""
-    with open(path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(path)
     if not isinstance(meta, dict):
         raise SchemaError(f"{path}: sidecar must hold a JSON object, got {type(meta).__name__}")
     for key in ("mode", "states", "end_time"):

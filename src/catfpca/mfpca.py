@@ -36,10 +36,7 @@ __all__ = [
     "importance",
     "reconstruct",
     "run_mfpca",
-    "DEFAULT_MAX_CELLS",
 ]
-
-DEFAULT_MAX_CELLS = 512
 
 # relative spectral cut for the "auto" retention policy
 _EIG_RTOL = 1e-12
@@ -249,7 +246,6 @@ def run_mfpca(
     scheme: str = "equal",
     weights: Optional[WeightScheme] = None,
     grid: Optional[CellGrid] = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
     retain: Union[int, str] = "auto",
 ) -> MfpcaResult:
     """Full pipeline: cell values -> weights -> one Gram eigensolve -> result.
@@ -257,12 +253,12 @@ def run_mfpca(
     The eigensolve is ``eigh`` of A^T A when q*m <= n and of A A^T
     otherwise, at O(n * q*m * min(n, q*m)); see :func:`eigendecompose`.
 
-    The union grid is used when it has at most ``max_cells`` cells; larger
-    panels fall back to a uniform grid of ``max_cells`` cells, on which cell
-    values are exact length-weighted averages (an L2 projection).
+    ``grid`` defaults to the panel's union grid, on which the decomposition
+    is exact.  On another grid cell values are exact length-weighted
+    averages (an L2 projection).
     """
     if grid is None:
-        grid = panel.grid().capped(max_cells)
+        grid = panel.grid()
     Z = panel_cell_values(panel, grid)
     n, q, m = Z.shape
     # centred and weighted in place: A shares Z's memory, no second n x q*m copy

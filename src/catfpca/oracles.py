@@ -97,7 +97,6 @@ def estimate_field(panel: Panel, grid: Optional[CellGrid] = None, *,
     """
     if grid is None:
         grid = panel.grid()
-        exact = True
     Z = panel_cell_values(panel, grid, exact=exact)
     n, q, m = Z.shape
     flat = Z.reshape(n, q * m)

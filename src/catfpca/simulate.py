@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 _ROW_TOL = 1e-12
+# sojourns one trajectory may draw (TCATA: off/on cycles over all its states); a
+# finite rate far above 1 / horizon would otherwise keep drawing for ever
+_MAX_SOJOURNS = 10 ** 5
 
 
 def _field(d, key: str, kind, what: str = "spec"):
@@ -181,14 +184,19 @@ def _draw_categorical(rng: np.random.Generator, cdf: np.ndarray) -> int:
     return min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
 
 
-def _tds_intervals(spec: ProcessSpec, rng: np.random.Generator) -> list[tuple]:
+def _too_many_sojourns(key: str) -> ValidationError:
+    return ValidationError(f"{key}: more than {_MAX_SOJOURNS} sojourns before the horizon; "
+                           "lower the rates or the horizon")
+
+
+def _tds_intervals(spec: ProcessSpec, rng: np.random.Generator, key: str) -> list[tuple]:
     """One trajectory's (on, off, state) sojourns; one too short to move the time vanishes."""
     T = spec.horizon
     trans_cdf = np.cumsum(spec.transition, axis=1)
     state = _draw_categorical(rng, np.cumsum(spec.initial))
     intervals = []
     t = 0.0
-    while True:
+    for _ in range(_MAX_SOJOURNS):
         t_next = t + spec.sojourn[state].draw(rng)
         if t_next >= T or spec.q == 1:
             intervals.append((t, T, state))
@@ -197,18 +205,20 @@ def _tds_intervals(spec: ProcessSpec, rng: np.random.Generator) -> list[tuple]:
             intervals.append((t, t_next, state))
         t = t_next
         state = _draw_categorical(rng, trans_cdf[state])
+    raise _too_many_sojourns(key)
 
 
-def _tcata_intervals(spec: ProcessSpec, rng: np.random.Generator) -> list[tuple]:
+def _tcata_intervals(spec: ProcessSpec, rng: np.random.Generator, key: str) -> list[tuple]:
     """One trajectory's (on, off, state) intervals."""
     # states drawn in index order, each state's whole renewal sequence at once
     T = spec.horizon
     intervals = []
+    cycles = iter(range(_MAX_SOJOURNS))  # shared by all states
     for j in range(spec.q):
         off_spec = spec.tcata[j]["off"]
         on_spec = spec.tcata[j]["on"]
         t = 0.0
-        while True:
+        for _ in cycles:
             t_on = t + off_spec.draw(rng)
             if t_on >= T:
                 break
@@ -218,6 +228,8 @@ def _tcata_intervals(spec: ProcessSpec, rng: np.random.Generator) -> list[tuple]
             if t_off >= T:
                 break
             t = t_off
+        else:
+            raise _too_many_sojourns(key)
     return intervals
 
 
@@ -233,10 +245,10 @@ def simulate_panel(spec: ProcessSpec, n: int, seed: int) -> Panel:
     space = StateSpace(spec.states)
     rngs = (np.random.default_rng(np.random.SeedSequence(entropy=[seed, i])) for i in range(n))
     draw = _tcata_intervals if spec.mode == "TCATA" else _tds_intervals
-    drawn = [draw(spec, rng) for rng in rngs]
+    keys = [(f"sim{i:06d}", "sim") for i in range(n)]
+    drawn = [draw(spec, rng, "%s/%s" % key) for rng, key in zip(rngs, keys)]
     item = np.repeat(np.arange(n), [len(d) for d in drawn])
     intervals = np.array([iv for d in drawn for iv in d], dtype=np.float64).reshape(-1, 3)
     on, off, state = intervals.T
-    keys = [(f"sim{i:06d}", "sim") for i in range(n)]
     return Panel._of(spec.mode, space, keys, *_overlay(
         item, on, off, state.astype(np.int64), np.full(n, spec.horizon), spec.q))

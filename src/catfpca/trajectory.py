@@ -177,10 +177,6 @@ class CellGrid:
             raise ValidationError(f"cell count must be >= 1 and fit an array length, got {m}")
         return cls(np.linspace(0.0, horizon, m + 1))
 
-    def capped(self, max_cells: int) -> "CellGrid":
-        """This grid if it has at most ``max_cells`` cells, else a uniform grid of that many."""
-        return self if self.m <= max_cells else CellGrid.uniform(max_cells, self.horizon)
-
     @property
     def m(self) -> int:
         return self.lengths.size

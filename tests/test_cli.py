@@ -532,6 +532,26 @@ def test_input_json_that_is_not_utf8_exits_2(tmp_path, capsys, command):
     assert json.loads(lines[0])["error"] == "UnicodeDecodeError"
 
 
+@pytest.mark.parametrize("command", ["ingest", "simulate", "mfpca-config"])
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys, command):
+    events, meta = write_inputs(tmp_path, "TDS")
+    value = {"ingest": {"mode": "TDS", "states": ["A", "B"], "end_time": "BIG"},
+             "simulate": {**SPEC, "horizon": "BIG"},
+             "mfpca-config": {"tick": "BIG"}}[command]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(value).replace('"BIG"', "1" + "0" * 5000))
+    argv = {"ingest": ["ingest", events, "--meta", bad, "--out", tmp_path / "out"],
+            "simulate": ["simulate", "--spec", bad, "--n", 3, "--out", tmp_path / "out"],
+            "mfpca-config": ["mfpca", events, "--meta", meta, "--config", bad,
+                             "--out", tmp_path / "out"]}[command]
+    assert run(argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "SchemaError" and str(bad) in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_uniform_grid_policy(tmp_path):
     events, meta = write_inputs(tmp_path, "TCATA")
     ingested = tmp_path / "ingested"

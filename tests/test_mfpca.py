@@ -214,12 +214,17 @@ def test_retained_count_is_capped_by_sample_size(rng):
     assert result.R <= panel.n - 1
 
 
-def test_union_grid_cap_falls_back_to_uniform(rng):
+def test_default_grid_is_the_union_grid_past_512_cells(rng):
+    panel = random_panel(rng, "TCATA", n=600, q=2, lattice=1000)
+    assert panel.grid().m > 512
+    assert run_mfpca(panel).grid == panel.grid()
+
+
+def test_spectral_identities_hold_on_a_coarse_uniform_grid(rng):
     panel = random_panel(rng, "TCATA", n=10, q=3)
     assert panel.grid().m > 8
-    result = run_mfpca(panel, max_cells=8)
+    result = run_mfpca(panel, grid=CellGrid.uniform(8))
     assert result.grid.m == 8
-    assert np.allclose(np.diff(result.grid.nodes), 1.0 / 8)
     # spectral identities survive the projection onto the coarse grid
     var = (result.scores ** 2).mean(axis=0) - result.scores.mean(axis=0) ** 2
     assert np.abs(var - result.eigenvalues).max() <= 1e-10

@@ -3,14 +3,17 @@
 ``perfbench/tracing.py`` patches the functions that its ``TRACED`` map
 names, and ``perfbench/worker.py`` counts union cells through
 ``trajectory.union_grid``.  These tests resolve those names without
-patching anything.
+patching anything, and check the grid that each workload's ``mfpca``
+flags select.
 """
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from catfpca import cli
 from catfpca.trajectory import union_grid
 
 from conftest import random_panel
@@ -23,12 +26,17 @@ KNOWN_ABSENT = {
 }
 
 
+def perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up as it is defined
+    spec.loader.exec_module(module)
+    return module
+
+
 def traced_names():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.TRACED
+    return perfbench_module("tracing").TRACED
 
 
 def test_every_traced_function_resolves_but_the_known_absent():
@@ -41,3 +49,15 @@ def test_every_traced_function_resolves_but_the_known_absent():
 def test_union_grid_of_the_trajectories_is_the_panel_grid(rng, mode):
     panel = random_panel(rng, mode, n=30, q=4)
     assert union_grid(panel.trajectories) == panel.grid()
+
+
+@pytest.mark.parametrize("name,policy,cells", [
+    ("tds-decomp", "union", 400),
+    ("tcata-ingest", "uniform", 64),
+    ("tcata-sim-export", "union", 512),
+])
+def test_workload_flags_set_the_grid(name, policy, cells):
+    flags = perfbench_module("workloads").WORKLOADS[name].mfpca_flags
+    args = cli.build_parser().parse_args(["mfpca", "panel.csv", "--out", "out", *flags])
+    cfg = cli.RunConfig.load(args)
+    assert (cfg.grid, cfg.cells) == (policy, cells)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -200,6 +201,11 @@ def test_spec_validation():
         SojournSpec("uniform", low=0.5, high=0.5)
     with pytest.raises(ValidationError):
         simulate_panel(two_state_spec(), 0, seed=1)
+    with pytest.raises(ValidationError, match="sim000000/sim: more than"):
+        simulate_panel(two_state_spec(1e8, 1e8), 1, seed=1)
+    busy = {"off": SojournSpec("exponential", rate=1e8), "on": SojournSpec("exponential", rate=1e8)}
+    with pytest.raises(ValidationError, match="sim000000/sim: more than"):
+        simulate_panel(dataclasses.replace(tcata_spec(), tcata=(busy, busy)), 1, seed=1)
 
 
 def test_spec_json_round_trip():
