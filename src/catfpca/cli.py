@@ -250,20 +250,28 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValidationError (exit 2, one JSON line)."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *, analysis: bool) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--weights", help="equal | trace_normalizing | inverse_mean_probability")
-    p.add_argument("--grid", help="union | uniform")
-    p.add_argument("--cells", type=int, help="uniform cell count / cap for union grids")
-    p.add_argument("--k", type=int, help="number of components to export")
-    p.add_argument("--var-frac", dest="var_frac", type=float,
-                   help="export enough components to reach this variance fraction")
-    p.add_argument("--band-c", dest="band_c", type=float, help="band half-width multiplier")
+    if analysis:
+        p.add_argument("--weights", help="equal | trace_normalizing | inverse_mean_probability")
+        p.add_argument("--grid", help="union | uniform")
+        p.add_argument("--cells", type=int, help="uniform cell count / cap for union grids")
+        p.add_argument("--k", type=int, help="number of components to export")
+        p.add_argument("--var-frac", dest="var_frac", type=float,
+                       help="export enough components to reach this variance fraction")
+        p.add_argument("--band-c", dest="band_c", type=float, help="band half-width multiplier")
     p.add_argument("--tick", type=float, help="timestamp rounding tick (fraction of horizon)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catfpca",
         description="Dimension reduction of categorical trajectory panels "
                     "by weighted multivariate functional PCA.",
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("events", help="events CSV (subject, product, descriptor, onset[, offset])")
     p.add_argument("--meta", required=True, help="sidecar JSON (mode, states, end_time)")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, analysis=False)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("validate", help="check panel invariants")
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("panel")
     p.add_argument("--meta")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, analysis=True)
     p.set_defaults(func=cmd_mfpca)
 
     p = sub.add_parser("simulate", help="draw a synthetic panel")
@@ -307,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

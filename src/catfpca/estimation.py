@@ -11,7 +11,6 @@ from :func:`panel_cell_values` as a reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,16 +29,6 @@ __all__ = [
 ]
 
 WEIGHT_SCHEMES = ("equal", "trace_normalizing", "inverse_mean_probability")
-
-_SCHEME_ALIASES = {
-    "equal": "equal",
-    "e": "equal",
-    "trace_normalizing": "trace_normalizing",
-    "trace": "trace_normalizing",
-    "inverse_mean_probability": "inverse_mean_probability",
-    "invmean": "inverse_mean_probability",
-    "pmean": "inverse_mean_probability",
-}
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,7 @@ def _not_refined(panel: Panel, grid: CellGrid) -> np.ndarray:
     return np.logical_or.reduceat(off_grid, first_node)
 
 
-def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = None) -> np.ndarray:
+def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: bool = False) -> np.ndarray:
     """Cell values of every item's 0/1 state functions, shape (n, q, m).
 
     Values are length-weighted cell averages, i.e. the L2 projection onto
@@ -96,7 +85,7 @@ def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: Optional[bool] = N
     a grid (GridError otherwise).
     """
     not_refined = _not_refined(panel, grid)
-    if exact is True and not_refined.any():
+    if exact and not_refined.any():
         raise GridError(f"grid is not a refinement of: {_keys(panel, not_refined)}")
     return _kernels.batch_cell_averages(panel.breakpoints, panel.counts, panel.active, grid.nodes)
 
@@ -133,12 +122,11 @@ def compute_weights(mean: np.ndarray, variance: np.ndarray, grid: CellGrid, spac
     inverse_mean_probability: w_j is the reciprocal of the average
     probability of occurrence.
     """
-    tag = _SCHEME_ALIASES.get(scheme.strip().lower())
-    if tag is None:
+    if scheme not in WEIGHT_SCHEMES:
         raise ValidationError(f"unknown weight scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
-    if tag == "equal":
+    if scheme == "equal":
         return WeightScheme.equal(space.q)
-    if tag == "trace_normalizing":
+    if scheme == "trace_normalizing":
         integrals = variance @ grid.lengths
         kind = "integrated variance"
     else:
@@ -151,18 +139,14 @@ def compute_weights(mean: np.ndarray, variance: np.ndarray, grid: CellGrid, spac
             f"states with zero {kind}: {labels}; drop them from the state space "
             "or use the equal weight scheme"
         )
-    return WeightScheme(tag, 1.0 / integrals)
+    return WeightScheme(scheme, 1.0 / integrals)
 
 
-def selection_count_curve(obj, grid: Optional[CellGrid] = None) -> tuple[CellGrid, np.ndarray]:
-    """Mean number of simultaneously selected states over time.
+def selection_count_curve(result) -> tuple[CellGrid, np.ndarray]:
+    """Mean number of simultaneously selected states over time, on the grid of ``result``.
 
-    ``obj`` is a Panel, or anything carrying (q, m) mean curves on a grid
-    (an MfpcaResult, or the reference ``oracles.ProbabilityField``).
-    Identically 1 for TDS; for TCATA it varies in [0, q].
+    ``result`` carries (q, m) mean curves on a grid: an MfpcaResult, or the
+    reference ``oracles.ProbabilityField``.  Identically 1 for TDS; for
+    TCATA it varies in [0, q].
     """
-    if not isinstance(obj, Panel):
-        return obj.grid, obj.mean.sum(axis=0)
-    if grid is None:
-        grid = obj.grid()
-    return grid, mean_on_grid(obj, grid).sum(axis=0)
+    return result.grid, result.mean.sum(axis=0)

@@ -107,9 +107,6 @@ class Panel:
     def __setattr__(self, name, value):
         raise AttributeError("Panel is immutable")
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
     @property
     def n(self) -> int:
         return len(self.keys)

@@ -245,6 +245,8 @@ def read_meta(path) -> dict:
     items = meta.get("items", [])
     if not (isinstance(items, list) and all(_strings(x) and len(x) == 2 for x in items)):
         raise SchemaError(f"{path}: sidecar 'items' must list [subject, product] pairs of strings")
+    if not isinstance(meta.get("normalized", False), bool):
+        raise SchemaError(f"{path}: sidecar 'normalized' must be true or false")
     return meta
 
 

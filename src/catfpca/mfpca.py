@@ -271,8 +271,9 @@ def run_mfpca(
                                   scheme)
     elif weights.q != q:
         raise ValidationError(f"weights are for q={weights.q} states, panel has q={q}")
-    A *= np.sqrt(_weight_diag(weights, grid))
-    total_variance = float(np.vdot(A, A)) / n
+    d = _weight_diag(weights, grid)
+    A *= np.sqrt(d)
+    total_variance = float(np.sum(variance * d))  # no BLAS: the same at every thread count
     evals, phis, scores = eigendecompose(A, weights, grid, retain=retain)
     return MfpcaResult(
         eigenvalues=evals,

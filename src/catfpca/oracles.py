@@ -88,7 +88,7 @@ class ProbabilityField:
 
 
 def estimate_field(panel: Panel, grid: Optional[CellGrid] = None, *,
-                   exact: Optional[bool] = True) -> ProbabilityField:
+                   exact: bool = True) -> ProbabilityField:
     """Mean curves and the q x q x m x m covariance kernel of the cell values (1/n convention).
 
     ``grid`` defaults to the panel's union grid, on which the estimate is

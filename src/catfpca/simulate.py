@@ -82,11 +82,6 @@ class SojournSpec:
             return -math.log1p(-u) / self.rate
         return self.low + (self.high - self.low) * u
 
-    def to_dict(self) -> dict:
-        if self.dist == "exponential":
-            return {"dist": "exponential", "rate": self.rate}
-        return {"dist": "uniform", "low": self.low, "high": self.high}
-
     @classmethod
     def from_dict(cls, d: dict) -> "SojournSpec":
         dist = _field(d, "dist", str, "sojourn")
@@ -148,21 +143,6 @@ class ProcessSpec:
     @property
     def mode(self) -> str:
         return "TCATA" if self.tcata is not None else "TDS"
-
-    def to_dict(self) -> dict:
-        d = {
-            "states": list(self.states),
-            "horizon": self.horizon,
-            "initial": self.initial.tolist(),
-            "transition": self.transition.tolist(),
-            "sojourn": [s.to_dict() for s in self.sojourn],
-        }
-        if self.tcata is not None:
-            d["tcata"] = [
-                {"off": pair["off"].to_dict(), "on": pair["on"].to_dict()}
-                for pair in self.tcata
-            ]
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcessSpec":

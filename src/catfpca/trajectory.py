@@ -54,9 +54,6 @@ class StateSpace:
         except KeyError:
             raise ValidationError(f"unknown state label {label!r}") from None
 
-    def __len__(self) -> int:
-        return len(self.states)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, StateSpace) and self.states == other.states
 

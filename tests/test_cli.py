@@ -430,8 +430,11 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     ({"end_time": True}, "end time of s1/p1 is not a number"),
     ({"end_time": {"default": "10"}}, "end time of s1/p1 is not a number"),
     ({"end_time": {"s1": True, "default": 10}}, "end time of s1/p1 is not a number"),
+    ({"normalized": "false"}, "'normalized'"),
+    ({"normalized": 1}, "'normalized'"),
 ], ids=["not-an-object", "states-int", "states-str", "items-int", "items-null", "items-short",
-        "end-time-str", "end-time-bool", "end-time-str-in-mapping", "end-time-bool-in-mapping"])
+        "end-time-str", "end-time-bool", "end-time-str-in-mapping", "end-time-bool-in-mapping",
+        "normalized-str", "normalized-int"])
 @pytest.mark.parametrize("command", ["ingest", "validate", "mfpca"])
 def test_malformed_sidecar_exits_2(tmp_path, capsys, command, sidecar, key):
     events, meta = write_inputs(tmp_path, "TDS")
@@ -444,6 +447,30 @@ def test_malformed_sidecar_exits_2(tmp_path, capsys, command, sidecar, key):
     assert len(lines) == 1
     error = json.loads(lines[0])
     assert error["error"] == "SchemaError" and key in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mfpca", "panel.csv", "--out", "out", "--cells", "abc"],
+    ["mfpca", "panel.csv"],
+    ["ingest", "events.csv", "--meta", "meta.json", "--out", "out", "--k", "3"],
+    ["pca", "panel.csv"],
+], ids=["bad-int", "missing-out", "ingest-analysis-flag", "unknown-subcommand"])
+def test_usage_errors_exit_2_with_one_json_line(capsys, argv):
+    assert main(argv) == 2  # before any file is read
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValidationError"
+
+
+def test_ingest_help_lists_only_its_own_options(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["ingest", "-h"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert all(flag in text for flag in ("events", "--meta", "--out", "--config", "--tick"))
+    assert not any(flag in text for flag in
+                   ("--weights", "--grid", "--cells", "--k ", "--var-frac", "--band-c"))
 
 
 SPEC = {

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import catfpca
 from catfpca import (
     CellGrid,
     DomainError,
@@ -402,3 +408,26 @@ def test_retain_accepts_any_integer_and_rejects_bools(rng):
     for flag in (True, False):
         with pytest.raises(ValidationError, match="retain"):
             run_mfpca(panel, retain=flag)
+
+
+def test_total_variance_does_not_depend_on_the_blas_thread_count():
+    # 50 x 4*64 cell values: large enough for a threaded BLAS dot product to split
+    code = """
+from catfpca import CellGrid, ProcessSpec, run_mfpca, simulate_panel
+spec = ProcessSpec.from_dict({
+    "states": ["A", "B", "C", "D"], "horizon": 1.0, "initial": [0.25] * 4,
+    "transition": [[0.0 if i == j else 1 / 3 for j in range(4)] for i in range(4)],
+    "sojourn": [{"dist": "exponential", "rate": 8.0}] * 4})
+panel = simulate_panel(spec, 50, seed=1)
+print(repr(run_mfpca(panel, grid=CellGrid.uniform(64), scheme="trace_normalizing").total_variance))
+"""
+    src = str(Path(catfpca.__file__).resolve().parents[1])
+    totals = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        totals.append(proc.stdout.strip())
+    assert totals[0] == totals[1]

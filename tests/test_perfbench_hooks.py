@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` patches the functions that its ``TRACED`` map
 names, and ``perfbench/worker.py`` counts union cells through
 ``trajectory.union_grid``.  These tests resolve those names without
-patching anything, and check the grid that each workload's ``mfpca``
-flags select.
+patching anything, check that every CLI call of each workload parses, and
+check the grid that each workload's ``mfpca`` flags select.
 """
 import importlib
 import importlib.util
@@ -61,3 +61,14 @@ def test_workload_flags_set_the_grid(name, policy, cells):
     args = cli.build_parser().parse_args(["mfpca", "panel.csv", "--out", "out", *flags])
     cfg = cli.RunConfig.load(args)
     assert (cfg.grid, cfg.cells) == (policy, cells)
+
+
+@pytest.mark.parametrize("name", ["tds-decomp", "tcata-ingest", "tcata-sim-export"])
+def test_workload_cli_calls_parse(tmp_path, name):
+    workloads = perfbench_module("workloads")
+    for stage, argv in workloads.operation(workloads.WORKLOADS[name], 1, tmp_path / "in",
+                                           tmp_path / "out"):
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == stage
+        if stage in ("ingest", "mfpca"):
+            cli.RunConfig.load(args)

@@ -209,9 +209,21 @@ def test_spec_validation():
 
 
 def test_spec_json_round_trip():
-    for spec in (two_state_spec(1.5, 0.5, 0.25), tcata_spec()):
-        again = ProcessSpec.from_dict(spec.to_dict())
-        assert again.to_dict() == spec.to_dict()
+    exponential = {"dist": "exponential", "rate": 1.0}
+    renewal = {"off": {"dist": "uniform", "low": 0.05, "high": 0.4},
+               "on": {"dist": "exponential", "rate": 3.0}}
+    tds = {"states": ["on", "off"], "horizon": 1.0, "initial": [0.25, 0.75],
+           "transition": [[0.0, 1.0], [1.0, 0.0]],
+           "sojourn": [{"dist": "exponential", "rate": 1.5}, {"dist": "exponential", "rate": 0.5}]}
+    tcata = {"states": ["A", "B"], "horizon": 1.0, "initial": [1.0, 0.0],
+             "transition": [[0.0, 1.0], [1.0, 0.0]], "sojourn": [exponential] * 2,
+             "tcata": [renewal] * 2}
+    for d, spec in ((tds, two_state_spec(1.5, 0.5, 0.25)), (tcata, tcata_spec())):
+        again = ProcessSpec.from_dict(d)
+        assert (again.states, again.horizon, again.sojourn, again.tcata) == (
+            spec.states, spec.horizon, spec.sojourn, spec.tcata)
+        assert np.array_equal(again.initial, spec.initial)
+        assert np.array_equal(again.transition, spec.transition)
 
 
 def test_two_state_truth_formulas():
