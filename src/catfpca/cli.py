@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .errors import NumericalError, ValidationError
-from .estimation import WeightScheme
+from .estimation import WeightScheme, check_weight_scheme
 from .ingest import DEFAULT_TICK, apply_protocol_normalization, validate_panel
 from .mfpca import _weight_diag, run_mfpca
 from .oracles import estimate_field, jacobi_eigenvalues, naive_operator_matrix, oracle_covariance
@@ -65,6 +65,7 @@ class RunConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValidationError(
                     f"config key {key!r} must be a finite number >= 0, got {value}")
+        check_weight_scheme(cfg.weights)
         if cfg.grid not in ("union", "uniform"):
             raise ValidationError(f"grid policy must be 'union' or 'uniform', got {cfg.grid!r}")
         if cfg.k is not None and cfg.var_frac is not None:

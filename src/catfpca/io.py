@@ -82,11 +82,18 @@ def _json_value(obj) -> str:
         _check_finite(obj)
         return _json_array(format17(obj).reshape(obj.shape)).decode("ascii")
     if isinstance(obj, (list, tuple)):
+        if _all_strings(obj):  # the same text as element by element, in one encoder call
+            return json.dumps(obj)
         return "[" + ", ".join(_json_value(v) for v in obj) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in items) + "}"
     raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _all_strings(seq) -> bool:
+    """True when every leaf of the nested lists and tuples ``seq`` is a str."""
+    return all(isinstance(v, str) or isinstance(v, (list, tuple)) and _all_strings(v) for v in seq)
 
 
 def _json_array(texts: np.ndarray) -> bytes:

@@ -16,6 +16,12 @@ below lambda_1 are re-orthonormalized (see :func:`eigendecompose`).  The
 dense (q*m, q*m) kernel is never formed, and the cost is
 O(n * q*m * min(n, q*m)).  The dense kernel and the operator matrix the
 tests compare against live in ``oracles``.
+
+Memory: after the eigh, the decomposition holds A, the (R, q*m)
+eigenfunction block and one (n, R) block of eigenvectors, which becomes the
+scores in place; every per-row reduction over the eigenfunction block runs
+in row blocks of bounded size.  numpy's eigh needs, beyond its (N, N) input
+and output, a workspace of about 2 N^2 doubles of its own, N = min(n, q*m).
 """
 from __future__ import annotations
 
@@ -43,6 +49,8 @@ _EIG_RTOL = 1e-12
 # dual-form components below this fraction of the largest eigenvalue are
 # re-orthonormalized (see eigendecompose)
 _DUAL_RTOL = 1e-4
+# values of an (R, q*m) block reduced per pass; bounds each temporary at about 0.5 MB
+_BLOCK_VALUES = 1 << 16
 
 
 def _weight_diag(weights: WeightScheme, grid: CellGrid) -> np.ndarray:
@@ -101,7 +109,7 @@ def eigendecompose(
 
     Returns
     -------
-    (eigenvalues (R,), eigenfunctions (R, q, m), scores (n, R))
+    (eigenvalues (R,), eigenfunctions (R, q, m), scores (n, R), possibly a strided view)
 
     Eigenfunctions are orthonormal under the weighted inner product, and
     each is sign-fixed so its entry of largest absolute value is positive;
@@ -112,7 +120,6 @@ def eigendecompose(
     primal = p <= n
     mu, vecs = np.linalg.eigh(A.T @ A if primal else A @ A.T)
     mu = np.maximum(mu[::-1], 0.0)
-    vecs = vecs[:, ::-1]
     evals = mu / n
 
     if retain == "full":
@@ -123,33 +130,56 @@ def eigendecompose(
     else:
         R = min(retain, evals.size)
 
+    # the R leading eigenvectors are copied once and eigh's (N, N) array is
+    # dropped before any product with A
     if primal:
-        phis = vecs[:, :R].T.copy()
+        phis = vecs[:, ::-1][:, :R].T.copy()
+        del vecs
         scores = A @ phis.T
     else:
-        phis, scores = _dual_pairs(A, vecs[:, :R], mu[:R])
+        # the scores start as the eigenvectors, in rows padded to two entries: a lone
+        # eigenvector then keeps a non-unit stride, as in eigh's array, since OpenBLAS's
+        # gemv sums a unit-stride vector in another order and its last bits would move
+        scores = np.empty((n, max(R, 2)))[:, :R]
+        scores[:] = vecs[:, ::-1][:, :R]
+        del vecs
+        phis = _dual_pairs(A, scores, mu[:R])
     phis /= np.sqrt(_weight_diag(weights, grid))
     # deterministic sign: largest-|value| cell entry made positive
-    flip = phis[np.arange(R), np.abs(phis).argmax(axis=1)] < 0
-    phis[flip] *= -1.0
-    scores[:, flip] *= -1.0
+    pivot = np.empty(R, dtype=np.intp)
+    for rows in _row_blocks(R, p):
+        pivot[rows] = np.abs(phis[rows]).argmax(axis=1)
+    sign = np.where(phis[np.arange(R), pivot] < 0, -1.0, 1.0)
+    phis *= sign[:, None]
+    scores *= sign
     return evals[:R], phis.reshape(R, weights.q, grid.m), scores
 
 
-def _dual_pairs(A: np.ndarray, U: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal eigenvector rows (R, p) and scores (n, R) from eigenvectors U of A A^T."""
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices of consecutive rows, at most _BLOCK_VALUES values (and one row) each."""
+    step = max(1, _BLOCK_VALUES // width)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _dual_pairs(A: np.ndarray, U: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvector rows (R, p) from eigenvectors U of A A^T; U becomes the scores.
+
+    U (n, R) is overwritten with the scores U sqrt(mu), re-computed as A V
+    for the re-orthonormalized rows.
+    """
     phis = U.T @ A
-    scores = U * np.sqrt(mu)
+    U *= np.sqrt(mu)
     if mu.size == 0 or mu[0] == 0:
         big = live = 0
     else:
         big = int(np.count_nonzero(mu >= _DUAL_RTOL * mu[0]))
         live = int(np.count_nonzero(mu > _EIG_RTOL * mu[0]))
-    phis[:big] /= np.linalg.norm(phis[:big], axis=1)[:, None]
+    for rows in _row_blocks(big, A.shape[1]):
+        phis[rows] /= np.linalg.norm(phis[rows], axis=1)[:, None]
     if big < mu.size:
         _orthonormalize_tail(phis, big, live)
-        scores[:, big:] = A @ phis[big:].T
-    return phis, scores
+        U[:, big:] = A @ phis[big:].T
+    return phis
 
 
 def _orthonormalize_tail(phis: np.ndarray, lo: int, live: int) -> None:
@@ -178,7 +208,10 @@ def _orthonormalize_tail(phis: np.ndarray, lo: int, live: int) -> None:
 
 def importance(weights: WeightScheme, grid: CellGrid, eigenfunctions: np.ndarray) -> np.ndarray:
     """Importance matrix imp[r, j] = w_j * ||phi_rj||^2; rows sum to 1."""
-    sq = eigenfunctions ** 2 @ grid.lengths  # (R, q)
+    R = eigenfunctions.shape[0]
+    sq = np.empty((R, weights.q))
+    for rows in _row_blocks(R, weights.q * grid.m):
+        sq[rows] = eigenfunctions[rows] ** 2 @ grid.lengths
     return sq * weights.weights[None, :]
 
 
@@ -204,7 +237,7 @@ class MfpcaResult:
 
     eigenvalues: np.ndarray        # (R,) descending, >= 0
     eigenfunctions: np.ndarray     # (R, q, m) cell values
-    scores: np.ndarray             # (n, R)
+    scores: np.ndarray             # (n, R), possibly a strided view
     importance: np.ndarray         # (R, q)
     total_variance: float          # sum of all eigenvalues = weighted trace
     mean: np.ndarray               # (q, m)

@@ -229,7 +229,10 @@ def test_oracle_check_fails_on_non_orthonormal_eigenfunctions(tmp_path, capsys, 
 
 
 def assert_config_refused(tmp_path, capsys, command, options, key):
-    """``command`` exits 2 with one JSON line naming ``key``, before reading its input."""
+    """``command`` exits 2 with one JSON line naming ``key``, before reading its input.
+
+    Returns the object on that line.
+    """
     # the input file does not exist: the config must be refused before it is opened
     if isinstance(options[-1], dict):
         cfg = tmp_path / "cfg.json"
@@ -247,6 +250,7 @@ def assert_config_refused(tmp_path, capsys, command, options, key):
     error = json.loads(lines[0])
     assert error["error"] == "ValidationError" and repr(key) in error["message"]
     assert not (tmp_path / "out").exists()
+    return error
 
 
 @pytest.mark.parametrize("command,options,key", [
@@ -279,6 +283,20 @@ def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, 
 def test_negative_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
                                                             options, key):
     assert_config_refused(tmp_path, capsys, command, options, key)
+
+
+@pytest.mark.parametrize("command,options", [
+    ("mfpca", ["--weights", "trace"]),
+    ("mfpca", ["--config", {"weights": "Equal"}]),
+    ("ingest", ["--config", {"weights": "trace"}]),
+], ids=["mfpca-flag", "mfpca-config", "ingest-config"])
+def test_unknown_weight_scheme_exits_2_before_reading_input(tmp_path, capsys, command, options):
+    scheme = options[-1]["weights"] if isinstance(options[-1], dict) else options[-1]
+    with pytest.raises(catfpca.ValidationError) as expected:
+        catfpca.compute_weights(None, None, None, None, scheme)
+    error = assert_config_refused(tmp_path, capsys, command, options, scheme)
+    assert error["message"] == str(expected.value)
+    assert all(repr(name) in error["message"] for name in catfpca.estimation.WEIGHT_SCHEMES)
 
 
 @pytest.mark.parametrize("options", [

@@ -1,6 +1,7 @@
 """CSV exports: byte-identical to a row-by-row csv.writer reference."""
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -377,3 +378,25 @@ def test_format17_keeps_order_across_fast_and_fallback_values():
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
 def test_format17_equals_fmt_property(values):
     assert_format17_equals_fmt(values)
+
+
+def element_by_element(obj) -> str:
+    """A list of strings as ``_json_value`` wrote it one element at a time."""
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(element_by_element(v) for v in obj) + "]"
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("value", [
+    [],
+    ["plain", "", "ünïcødé ☕", 'quote " inside', "back\\slash", "tab\there\nnewline\x00\x1f"],
+    (("s01", "c0"), ("sé", "c\"1"), ("\\", "\x7f")),
+    [["a", ["b", ("c",)]], [], "d"],
+], ids=["empty", "flat", "pairs", "nested"])
+def test_string_lists_serialize_as_element_by_element(value):
+    assert io._json_value(value) == element_by_element(value)
+    assert io.canonical_json({"items": value}) == '{"items": ' + element_by_element(value) + "}\n"
+
+
+def test_mixed_lists_keep_their_number_format():
+    assert io._json_value(["a", 0.1, 2, None]) == '["a", 0.10000000000000001, 2, null]'

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -431,3 +432,57 @@ print(repr(run_mfpca(panel, grid=CellGrid.uniform(64), scheme="trace_normalizing
         assert proc.returncode == 0, proc.stderr
         totals.append(proc.stdout.strip())
     assert totals[0] == totals[1]
+
+
+# -- memory of the decomposition --------------------------------------------------
+
+def simulated_panel(n, q):
+    spec = catfpca.ProcessSpec.from_dict({
+        "states": [f"S{j}" for j in range(q)], "horizon": 1.0, "initial": [1 / q] * q,
+        "transition": [[0.0 if i == j else 1 / (q - 1) for j in range(q)] for i in range(q)],
+        "sojourn": [{"dist": "exponential", "rate": 8.0}] * q})
+    return catfpca.simulate_panel(spec, n, seed=1)
+
+
+@pytest.mark.parametrize(("n", "q", "cells"), [(200, 4, 1000), (1000, 4, 100)])
+def test_decomposition_peak_memory_is_bounded(n, q, cells):
+    # after eigh only A, the (R, q*m) eigenfunctions and one (n, R) block are held;
+    # the (N, N) Gram matrix and eigh's output bound the solve itself
+    panel = simulated_panel(n, q)
+    p = q * cells
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        result = run_mfpca(panel, grid=CellGrid.uniform(cells))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (p > n) == (n == 200)  # one dual and one primal panel
+    R, N = result.R, min(n, p)
+    rasterizer = 2 << 20
+    assert peak <= 8 * (n * p + R * p + n * R + 2 * N * N) + rasterizer
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+@pytest.mark.parametrize("n", [4, 40])  # dual and primal on a 1/10 lattice
+def test_retain_zero_gives_empty_blocks(rng, mode, n):
+    panel = random_panel(rng, mode, n=n, q=3, lattice=10)
+    result = run_mfpca(panel, retain=0)
+    q, m = panel.space.q, result.grid.m
+    assert (q * m > n) == (n == 4)
+    assert result.eigenvalues.shape == (0,)
+    assert result.eigenfunctions.shape == (0, q, m)
+    assert result.scores.shape == (n, 0)
+    assert result.importance.shape == (0, q)
+
+
+@pytest.mark.parametrize("n", [31, 200])  # dual and primal on 40 cells
+def test_row_blocks_give_the_same_bits_at_any_block_size(monkeypatch, rng, n):
+    panel = random_panel(rng, "TCATA", n=n, q=4)
+    grid = CellGrid.uniform(40)
+    whole = run_mfpca(panel, grid=grid, retain="full")
+    # three rows per block: R is not a multiple of it
+    monkeypatch.setattr(catfpca.mfpca, "_BLOCK_VALUES", 3 * 4 * 40)
+    blocked = run_mfpca(panel, grid=grid, retain="full")
+    assert whole.R % 3
+    for name in ("eigenvalues", "eigenfunctions", "scores", "importance"):
+        assert getattr(whole, name).tobytes() == getattr(blocked, name).tobytes()
