@@ -21,7 +21,6 @@ from .errors import NumericalError, ValidationError
 from .estimation import WeightScheme, check_weight_scheme
 from .ingest import DEFAULT_TICK, apply_protocol_normalization, validate_panel
 from .mfpca import _weight_diag, run_mfpca
-from .oracles import estimate_field, jacobi_eigenvalues, naive_operator_matrix, oracle_covariance
 from .simulate import ProcessSpec, simulate_panel
 from .trajectory import CellGrid
 
@@ -212,6 +211,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    # only this command runs the oracles, so no other command pays for importing them
+    from .oracles import (estimate_field, jacobi_eigenvalues, naive_operator_matrix,
+                          oracle_covariance)
+
     panel, report, meta = _load_normalized_panel(args, DEFAULT_TICK)
     grid = panel.grid()
     if panel.space.q * grid.m > 600:

@@ -6,11 +6,12 @@ normalization shifts TDS trajectories to their first click and rescales
 every trajectory to the unit horizon; TCATA keeps its latency.
 
 Both steps make whole-panel array passes over a ``Panel``'s flat arrays.
-``parse_events`` takes the rows as an ``EventTable`` of columns, checks them
-all with masks, sorts them once by (item, onset, row), turns them into state
-intervals, and overlays the intervals of every item with one cumulative
-count.  ``apply_protocol_normalization`` shifts, rescales and tick-rounds the
-breakpoints of every item in one pass.  Neither builds a trajectory object.
+``parse_events`` takes the rows as an ``EventTable`` of typed columns, checks
+them all with masks, sorts them once by (item, onset, row), turns them into
+state intervals, and overlays the intervals of every item with one cumulative
+count per state.  ``apply_protocol_normalization`` shifts, rescales and
+tick-rounds the breakpoints of every item in one pass.  Neither builds a
+trajectory object.
 When a check fails, the first failing row (input order) or item (panel
 order) is checked again on its own, so the error raised is the one a
 row-by-row, item-by-item parse meets first.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
@@ -139,6 +141,34 @@ class Panel:
         """The union grid of all items' breakpoints."""
         return _union(self.breakpoints, self.horizons)
 
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every maximal on-run of a state, as (item, state, onset, offset) arrays.
+
+        A run is a stretch of an item's consecutive segments that all hold the
+        state, from the first one's left breakpoint to the last one's right
+        breakpoint.  Runs are ordered by item, state and onset.  Each state's
+        column of ``active`` is scanned on its own, so no temporary holds a
+        (segment, state) pair.
+        """
+        first = _starts(self.counts)  # each item's first segment
+        last = first + self.counts - 1
+        found = []
+        for j in range(self.space.q):
+            on = self.active[:, j]
+            begins, ends = on.copy(), on.copy()
+            begins[1:] &= ~on[:-1]
+            begins[first] = on[first]
+            ends[:-1] &= ~on[1:]
+            ends[last] = on[last]
+            begins, ends = np.flatnonzero(begins), np.flatnonzero(ends)
+            item = np.searchsorted(first, begins, side="right") - 1
+            found.append((item, self.breakpoints[begins + item],
+                          self.breakpoints[ends + item + 1]))
+        item, onset, offset = (np.concatenate(a) for a in zip(*found))
+        state = np.repeat(np.arange(self.space.q), [f[0].size for f in found])
+        order = np.argsort(item, kind="stable")  # each state's runs already go by item, onset
+        return item[order], state[order], onset[order], offset[order]
+
     def __repr__(self) -> str:
         return f"Panel(mode={self.mode}, n={self.n}, q={self.space.q})"
 
@@ -201,11 +231,14 @@ class EventTable:
         """Columns of (subject, condition, state, onset, offset, row) tuples, taken one at a time.
 
         ``offset`` is None for a row without one.  A NaN onset or offset raises
-        SchemaError naming its row; ``where`` prefixes the message.
+        SchemaError naming its row; ``where`` prefixes the message.  Each row's
+        values go straight into typed buffers, so none outlives its row.
         """
         keys: dict = {}
         labels: dict = {}
-        item, label, onset, offset, row_no = [], [], [], [], []
+        columns = array("q"), array("q"), array("d"), array("d"), array("q")
+        add_item, add_label, add_onset, add_offset, add_row = (c.append for c in columns)
+        key_code, label_code = keys.setdefault, labels.setdefault
         for subject, condition, state, on, off, row in rows:
             on = float(on)
             if on != on:
@@ -216,14 +249,17 @@ class EventTable:
                 off = float(off)
                 if off != off:
                     raise SchemaError(f"{where}row {row}: offset {off} is not a number")
-            item.append(keys.setdefault((subject, condition), len(keys)))
-            label.append(labels.setdefault(state, len(labels)))
-            onset.append(on)
-            offset.append(off)
-            row_no.append(row)
-        return cls(tuple(keys), tuple(labels), np.array(item, dtype=np.int64),
-                   np.array(label, dtype=np.int64), np.array(onset, dtype=np.float64),
-                   np.array(offset, dtype=np.float64), np.array(row_no, dtype=np.int64))
+            add_item(key_code((subject, condition), len(keys)))
+            add_label(label_code(state, len(labels)))
+            add_onset(on)
+            add_offset(off)
+            add_row(row)
+        return cls(tuple(keys), tuple(labels), *map(_column, columns))
+
+
+def _column(buffer: array) -> np.ndarray:
+    """A typed buffer as an int64 or float64 array over the same memory."""
+    return np.frombuffer(buffer, dtype=np.float64 if buffer.typecode == "d" else np.int64)
 
 
 def _number(value) -> float:
@@ -251,10 +287,16 @@ def _end_times(end_time, keys) -> tuple[np.ndarray, np.ndarray]:
     """The end time of every (subject, condition) key, and whether it was found.
 
     A failed lookup leaves NaN; its error is raised again by the first check
-    that needs that end time.
+    that needs that end time.  One value for all keys is converted once.
     """
     ends = np.full(len(keys), np.nan)
     found = np.ones(len(keys), dtype=bool)
+    if not isinstance(end_time, Mapping):
+        try:
+            ends[:] = _number(end_time)
+        except (TypeError, OverflowError):
+            found[:] = False
+        return ends, found
     for i, (subject, condition) in enumerate(keys):
         try:
             ends[i] = _end_for(end_time, subject, condition)
@@ -291,6 +333,45 @@ def _raise_row_error(table: EventTable, r: int, space: StateSpace, end_time) -> 
     raise SchemaError(f"row {row}: item {subject}/{condition} not declared in the item list")
 
 
+def _intervals(mode: str, events: EventTable, row_item, codes, ends, keep, chained,
+               warnings: dict) -> tuple:
+    """(item, start, stop, state) of the rows of the items ``keep`` marks, by item and onset.
+
+    Rows of one onset go by row number.  TDS: a row of a ``chained`` item
+    lasts until the next row's onset or its item's end, and of rows with one
+    onset only the last stays; other rows last until their offset.  TCATA:
+    a row lasts until its offset, or its item's end when it has none.  Every
+    stop is clipped to the end, and ``warnings`` counts the rows each rule
+    met.  The sorted row columns are temporaries of this call.
+    """
+    order = np.lexsort((events.row, events.onset, row_item))
+    order = order[keep[row_item[order]]]
+    item, onset, offset = row_item[order], events.onset[order], events.offset[order]
+    state = codes[events.label[order]]
+    end = ends[item]
+    if mode == "TDS":
+        # dominance lasts until the next click; ties keep the last row in file order
+        chained = chained[item]
+        tie = np.zeros(item.size, dtype=bool)
+        tie[:-1] = chained[:-1] & (item[1:] == item[:-1]) & (onset[1:] == onset[:-1])
+        warnings["simultaneous_clicks_dropped"] = int(tie.sum())
+        item, state, onset, offset, end, chained = (
+            a[~tie] for a in (item, state, onset, offset, end, chained))
+        last = np.ones(item.size, dtype=bool)
+        last[:-1] = item[1:] != item[:-1]
+        following = np.where(last, end, np.append(onset[1:], 0.0))
+        stop = np.where(chained, following, np.minimum(offset, end))
+    else:
+        unclosed = np.isnan(offset)
+        stop = np.where(unclosed, end, offset)
+        clipped = stop > end
+        stop[clipped] = end[clipped]
+        warnings["unclosed_intervals"] = int(unclosed.sum())
+        warnings["intervals_clipped"] = int(clipped.sum())
+        warnings["intervals_at_end"] = int((stop == end).sum())
+    return item, onset, stop, state
+
+
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Offset of each run in a concatenation of runs of the given lengths."""
     out = np.zeros(counts.size, dtype=np.int64)
@@ -302,30 +383,42 @@ def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> tuple:
     """Breakpoints, segment counts and active matrix of ``ends.size`` items from state intervals.
 
     An item's nodes are 0, its end and the bounds of its intervals [start,
-    stop).  Each interval adds +1 to its state at its start node and -1 at
-    its stop node; an item's entries net to zero, so one cumulative sum over
-    the nodes of the whole panel counts the open intervals of every state on
-    every segment.  ``Panel._of`` merges equal neighbours.
+    stop), and each node but the last starts a segment.  Each interval of
+    state j adds +1 to j's count at its start segment and -1 at its stop
+    segment; an item's entries net to zero, so one cumulative sum over the
+    segments of the whole panel counts the open intervals of state j on every
+    segment.  The states are counted one at a time, straight into their
+    column of the bool matrix.  ``Panel._of`` merges equal neighbours.
     """
     n, m = ends.size, item.size
     owner = np.concatenate([np.arange(n), np.arange(n), item, item])
     t = np.concatenate([np.zeros(n), ends, start, stop])
     order = np.lexsort((t, owner))  # stable, so a node at zero keeps the sign of 0.0
-    t, owner = t[order], owner[order]
+    t = t[order]
+    owner = owner[order]
     new = np.ones(t.size, dtype=bool)
     new[1:] = (owner[1:] != owner[:-1]) | (t[1:] != t[:-1])
-    node_of = np.empty(t.size, dtype=np.int64)
-    node_of[order] = np.cumsum(new) - 1
     nodes, node_owner = t[new], owner[new]
-    size = nodes.size * q
-    diff = (np.bincount(node_of[2 * n:2 * n + m] * q + state, minlength=size)
-            - np.bincount(node_of[2 * n + m:] * q + state, minlength=size))
-    active = np.cumsum(diff.reshape(nodes.size, q), axis=0) > 0
-
-    # a segment starts at every node but an item's last
-    last = np.ones(nodes.size, dtype=bool)
-    last[:-1] = node_owner[1:] != node_owner[:-1]
-    return nodes, np.bincount(node_owner, minlength=n) - 1, active[~last]
+    del t
+    # the segment a node starts is its node number less its item's, as each item before it
+    # has one node more than segments; an item's end falls on the next item's first segment
+    # (the last item's on one spare), where every count is back to zero
+    segment = np.cumsum(new, dtype=np.int64)
+    segment -= 1
+    segment -= owner
+    del owner, new
+    segment_of = np.empty_like(segment)
+    segment_of[order] = segment
+    del order, segment
+    starts, stops = segment_of[2 * n:2 * n + m], segment_of[2 * n + m:]
+    size = nodes.size - n
+    active = np.empty((size, q), dtype=bool)
+    for j in range(q):
+        mine = state == j
+        count = np.bincount(starts[mine], minlength=size + 1)
+        count -= np.bincount(stops[mine], minlength=size + 1)
+        np.greater(np.cumsum(count, out=count)[:size], 0, out=active[:, j])
+    return nodes, np.bincount(node_owner, minlength=n) - 1, active
 
 
 def parse_events(
@@ -375,10 +468,10 @@ def parse_events(
         position.setdefault(key, len(position))
     ends, found = _end_times(end_time, list(position))
     row_item = np.array([position[key] for key in events.keys], dtype=np.int64)[events.item]
-    state = _state_codes(space, events.labels)[events.label]
+    codes = _state_codes(space, events.labels)
     onset, offset = events.onset, events.offset
     row_end = ends[row_item]
-    bad = ((onset < 0) | (offset <= onset) | (state < 0) | ~found[row_item]
+    bad = ((onset < 0) | (offset <= onset) | (codes[events.label] < 0) | ~found[row_item]
            | (row_end <= 0) | (onset >= row_end) | (row_item >= n))
     if bad.any():
         _raise_row_error(events, int(np.argmax(bad)), space, end_time)
@@ -389,6 +482,7 @@ def parse_events(
     totals = np.bincount(events.label, weights=duration, minlength=len(events.labels)).tolist()
     report.per_state = {label: {"clicks": c, "total_duration": d}
                         for label, c, d in zip(events.labels, clicks, totals)}
+    del row_end, bad, duration  # row-length temporaries go before the overlay's peak
     rows = np.bincount(row_item, minlength=n)
     with_offset = np.bincount(row_item[has_offset], minlength=n)
     mixed = (mode == "TDS") & (with_offset > 0) & (with_offset < rows)
@@ -397,31 +491,9 @@ def parse_events(
     ends = ends[:n]
     end_ok = found[:n] & (ends > 0) & np.isfinite(ends)
     ends[~end_ok] = 1.0
-    order = np.lexsort((events.row, onset, row_item))
-    order = order[end_ok[row_item[order]]]
-    item, state, onset, offset = row_item[order], state[order], onset[order], offset[order]
-    end = ends[item]
-    if mode == "TDS":
-        # dominance lasts until the next click; ties keep the last row in file order
-        chained = (with_offset < rows)[item]
-        tie = np.zeros(item.size, dtype=bool)
-        tie[:-1] = chained[:-1] & (item[1:] == item[:-1]) & (onset[1:] == onset[:-1])
-        report.warnings["simultaneous_clicks_dropped"] = int(tie.sum())
-        item, state, onset, offset, end, chained = (
-            a[~tie] for a in (item, state, onset, offset, end, chained))
-        last = np.ones(item.size, dtype=bool)
-        last[:-1] = item[1:] != item[:-1]
-        following = np.where(last, end, np.append(onset[1:], 0.0))
-        stop = np.where(chained, following, np.minimum(offset, end))
-    else:
-        unclosed = np.isnan(offset)
-        stop = np.where(unclosed, end, offset)
-        clipped = stop > end
-        stop[clipped] = end[clipped]
-        report.warnings["unclosed_intervals"] = int(unclosed.sum())
-        report.warnings["intervals_clipped"] = int(clipped.sum())
-        report.warnings["intervals_at_end"] = int((stop == end).sum())
-    panel = Panel._of(mode, space, keys, *_overlay(item, onset, stop, state, ends, space.q))
+    panel = Panel._of(mode, space, keys, *_overlay(*_intervals(
+        mode, events, row_item, codes, ends, end_ok, with_offset < rows, report.warnings),
+        ends, space.q))
 
     bad_item = ~end_ok | mixed
     if mode == "TDS" and n:

@@ -266,27 +266,21 @@ def _event_rows(panel: Panel):
 
     TDS: one onset row per (segment, state) pair of ``active``, in panel
     order; an empty segment is the latency, which the parser restores from
-    the first onset.  TCATA: one onset/offset row per run of consecutive
-    segments holding a state, ordered by item, state and onset.
+    the first onset.  TCATA: one onset/offset row per run of ``Panel.runs``,
+    ordered by item, state and onset.
     """
-    # per (segment, state) pair: its item, and the breakpoint its segment starts at
-    # (segment s of item i starts at breakpoint s + i)
-    segment, states = np.nonzero(panel.active)
-    item = np.repeat(np.arange(panel.n), panel.counts)[segment]
-    onset = segment + item
-    offset = None
     if panel.mode == "TCATA":
-        order = np.lexsort((onset, states, item))
-        item, states, onset = item[order], states[order], onset[order]
-        starts = np.ones(item.size, dtype=bool)
-        starts[1:] = (item[1:] != item[:-1]) | (states[1:] != states[:-1]) \
-            | (onset[1:] != onset[:-1] + 1)
-        offset = onset[np.roll(starts, -1)] + 1  # the end of each run's last segment
-        item, states, onset = item[starts], states[starts], onset[starts]
+        item, states, onset, offset = panel.runs()
+        times = np.stack([onset, offset], axis=-1)
+        slots = _SLOT + b"," + _SLOT
+    else:
+        # segment s of item i starts at breakpoint s + i
+        segment, states = np.nonzero(panel.active)
+        item = np.repeat(np.arange(panel.n), panel.counts)[segment]
+        times = panel.breakpoints[segment + item]
+        slots = _SLOT + b","
     prefixes = [_fixed(_csv_fields(subject, condition)) for subject, condition in panel.keys]
-    slots = _SLOT + b"," if offset is None else _SLOT + b"," + _SLOT
     tails = [_fixed(_csv_fields(s)) + slots + b"\n" for s in panel.space.states]
-    times = panel.breakpoints[onset if offset is None else np.stack([onset, offset], axis=-1)]
 
     def block(lo):
         rows = slice(lo, lo + _PANEL_BLOCK_ROWS)

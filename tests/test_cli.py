@@ -330,18 +330,19 @@ def test_zero_tick_and_band_multiplier_are_accepted(tmp_path):
     assert rows and all(row["lower"] == row["mean"] == row["upper"] for row in rows)
 
 
-@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
-def test_mfpca_does_not_import_numpy_ma(tmp_path, mode):
+def python(code):
+    """The last line ``code`` prints in a fresh interpreter that imports this catfpca."""
     src = str(Path(catfpca.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
 
-    def python(code):
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip().splitlines()[-1]
 
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+def test_mfpca_does_not_import_numpy_ma(tmp_path, mode):
     if python("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself")
     events, meta = write_inputs(tmp_path, mode)
@@ -350,6 +351,17 @@ def test_mfpca_does_not_import_numpy_ma(tmp_path, mode):
     argv = ["mfpca", str(ingested / "panel.csv"), "--out", str(tmp_path / "res")]
     assert python(f"import sys; from catfpca.cli import main; code = main({argv!r}); "
                   "print(code, 'numpy.ma' in sys.modules)") == "0 False"
+
+
+def test_only_oracle_check_imports_the_oracles(tmp_path):
+    events, meta = write_inputs(tmp_path, "TCATA")
+    ingested = tmp_path / "ingested"
+    calls = [["ingest", str(events), "--meta", str(meta), "--out", str(ingested)],
+             ["mfpca", str(ingested / "panel.csv"), "--out", str(tmp_path / "res")],
+             ["oracle-check", str(ingested / "panel.csv")]]
+    assert python(f"import sys; from catfpca.cli import main\n"
+                  f"print([(main(argv), 'catfpca.oracles' in sys.modules) for argv in {calls!r}])"
+                  ) == "[(0, False), (0, False), (0, True)]"
 
 
 def test_mfpca_outputs_are_byte_identical(tmp_path):

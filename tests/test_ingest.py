@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from catfpca import (
     validate_panel,
 )
 from catfpca.ingest import DEFAULT_TICK, _end_for
+from catfpca.io import read_events_csv, write_panel
 
 from conftest import random_panel
 
@@ -609,3 +611,55 @@ def test_normalization_failures_match_the_reference(tick):
         assert results[0] == results[1]
         outcomes.add(results[0][1] if isinstance(results[0][0], str) else "ok")
     assert len(outcomes) >= 2
+
+
+# --- memory: each ingest step holds a few typed columns per event row ---------
+
+ROW_BYTES = 250  # the most any step may allocate per event row at its peak
+ALLOWANCE = 1 << 19  # what does not grow with the rows: per-item keys, one block of text
+
+
+def tcata_log(path, subjects=200, products=4, q=6, runs=5, seed=7):
+    """A TCATA events file of a 40 s tasting logged in milliseconds; returns its descriptors.
+
+    Each (subject, product, descriptor) has ``runs`` on/off pairs at
+    strictly increasing times, so the file has subjects * products * q * runs
+    rows.
+    """
+    rng = np.random.default_rng(seed)
+    items = [(f"S{s:04d}", f"P{p}") for s in range(subjects) for p in range(products)]
+    labels = [f"D{j}" for j in range(q)]
+    times = np.cumsum(rng.integers(1, 700, size=(len(items), q, 2 * runs)), axis=-1) / 1000
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("subject,product,descriptor,onset,offset\n")
+        for (subject, product), item_times in zip(items, times.tolist()):
+            for label, t in zip(labels, item_times):
+                fh.writelines(f"{subject},{product},{label},{on:.3f},{off:.3f}\n"
+                              for on, off in zip(t[::2], t[1::2]))
+    return labels
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and its peak memory by tracemalloc, to which numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ingest_steps_peak_memory_per_row_is_bounded(tmp_path):
+    labels = tcata_log(tmp_path / "events.csv")
+    peaks = {}
+    events, peaks["read_events_csv"] = traced_peak(read_events_csv, tmp_path / "events.csv")
+    rows = len(events)
+    assert rows >= 20_000
+    (panel, report), peaks["parse_events"] = traced_peak(
+        parse_events, events, StateSpace(labels), "TCATA", 40.0)
+    del events
+    panel, peaks["apply_protocol_normalization"] = traced_peak(
+        apply_protocol_normalization, panel, report=report)
+    _, peaks["write_panel"] = traced_peak(write_panel, panel, tmp_path / "panel.csv")
+    per_row = {step: round(peak / rows) for step, peak in peaks.items()}
+    assert max(peaks.values()) <= ROW_BYTES * rows + ALLOWANCE, per_row

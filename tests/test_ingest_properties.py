@@ -1,12 +1,14 @@
 """Property tests of ingest: any events file or record list either ingests or
 raises a CatfpcaError, records ingest exactly as the per-item reference does,
-and panels survive write_panel -> read_panel."""
+panels survive write_panel -> read_panel, and a panel's runs overlay back into
+the panel."""
 import csv
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catfpca import (
@@ -19,9 +21,10 @@ from catfpca import (
     apply_protocol_normalization,
     parse_events,
 )
+from catfpca.ingest import _overlay
 from catfpca.io import read_events_csv, read_panel, write_panel
 
-from test_ingest import Rec, outcome, parse, ref_normalize, ref_parse
+from test_ingest import Rec, outcome, parse, ref_normalize, ref_overlay, ref_parse
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -162,3 +165,69 @@ def test_panel_round_trip_through_files_property(panel):
             for it in back.items] == [
         (it.key, it.trajectory.segments, it.trajectory.breakpoints.tobytes())
         for it in panel.items]
+
+
+def overlaid(mode, q, ends, intervals):
+    """The panel that _overlay makes of (item, state, start, stop) intervals."""
+    item, state, start, stop = np.array(intervals, dtype=float).reshape(-1, 4).T
+    keys = [(f"s{i}", "p") for i in range(len(ends))]
+    return Panel._of(mode, StateSpace([f"S{j}" for j in range(q)]), keys, *_overlay(
+        item.astype(np.int64), start, stop, state.astype(np.int64), np.array(ends), q))
+
+
+@st.composite
+def interval_sets(draw):
+    """(q, ends, intervals) on quarters of each horizon, where intervals of one state often
+    overlap (a count of two or more) or touch (one run made of two)."""
+    q = draw(st.integers(1, 3))
+    ends = draw(st.lists(st.sampled_from([1.0, 4.0]), min_size=1, max_size=4))
+    intervals = []
+    for i, a, length, j in draw(st.lists(st.tuples(
+            st.integers(0, len(ends) - 1), st.integers(0, 3), st.integers(1, 4),
+            st.integers(0, q - 1)), max_size=12)):
+        quarter = ends[i] / 4
+        intervals.append((i, j, a * quarter, min(a + length, 4) * quarter))
+    return q, ends, intervals
+
+
+# state 0 of item 0: [0, 2) and [1, 3) overlap, [3, 4) touches them; item 1 has no interval
+OVERLAPPING = (2, [4.0, 1.0], [(0, 0, 0.0, 2.0), (0, 0, 1.0, 3.0), (0, 0, 3.0, 4.0),
+                               (0, 1, 1.0, 2.0)])
+
+
+@FUZZ
+@given(interval_sets())
+@example(OVERLAPPING)
+def test_overlay_equals_the_per_item_reference(case):
+    q, ends, intervals = case
+    panel = overlaid("TCATA", q, ends, intervals)
+    assert [it.trajectory for it in panel.items] == [
+        ref_overlay([(on, off, j) for k, j, on, off in intervals if k == i], end)
+        for i, end in enumerate(ends)]
+
+
+def reference_runs(panel):
+    """(item, state, onset, offset) of every maximal run, item by item, then state by state."""
+    runs = []
+    for i, it in enumerate(panel.items):
+        b, segments = it.trajectory.breakpoints.tolist(), it.trajectory.segments
+        for j in range(panel.space.q):
+            on = [j in s for s in segments] + [False]
+            runs += [(i, j, b[k], b[e])
+                     for k in range(len(segments)) if on[k] and (k == 0 or not on[k - 1])
+                     for e in [on.index(False, k)]]
+    return runs
+
+
+@FUZZ
+@given(st.sampled_from(["TDS", "TCATA"]).flatmap(lambda mode: st.one_of(
+    panels(mode), interval_sets().map(lambda case: overlaid(mode, *case)))))
+@example(overlaid("TCATA", *OVERLAPPING))
+def test_overlay_of_the_runs_rebuilds_the_panel(panel):
+    item, state, onset, offset = runs = panel.runs()
+    assert list(zip(*(a.tolist() for a in runs))) == reference_runs(panel)
+    back = Panel._of(panel.mode, panel.space, panel.keys, *_overlay(
+        item, onset, offset, state, panel.horizons, panel.space.q))
+    for name in ("breakpoints", "counts", "active"):
+        a, b = getattr(panel, name), getattr(back, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
