@@ -7,11 +7,13 @@ every trajectory to the unit horizon; TCATA keeps its latency.
 
 Both steps make whole-panel array passes over a ``Panel``'s flat arrays.
 ``parse_events`` takes the rows as an ``EventTable`` of typed columns, checks
-them all with masks, sorts them once by (item, onset, row), turns them into
+them all with masks, orders them by (item, onset, row), turns them into
 state intervals, and overlays the intervals of every item with one cumulative
-count per state.  ``apply_protocol_normalization`` shifts, rescales and
-tick-rounds the breakpoints of every item in one pass.  Neither builds a
-trajectory object.
+count per state.  Both orderings (rows, then interval bounds) sort one exact
+int64 key per entry, a group number times the count of distinct times plus
+the rank of its time (``_order``).  ``apply_protocol_normalization`` shifts,
+rescales and tick-rounds the breakpoints of every item in place in one array.
+Neither builds a trajectory object.
 When a check fails, the first failing row (input order) or item (panel
 order) is checked again on its own, so the error raised is the one a
 row-by-row, item-by-item parse meets first.
@@ -22,7 +24,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -44,6 +46,9 @@ __all__ = [
 DEFAULT_TICK = 1e-6  # fraction of the unit horizon; applied after rescaling
 
 MODES = ("TDS", "TCATA")
+
+EVENT_COLUMNS = ("subject", "product", "descriptor", "onset", "offset")
+_BUFFER_ROWS = 4096  # rows appended to lists before they move into the typed buffers
 
 
 @dataclass(frozen=True)
@@ -227,34 +232,86 @@ class EventTable:
         return self.item.size
 
     @classmethod
-    def from_rows(cls, rows, where: str = "") -> "EventTable":
-        """Columns of (subject, condition, state, onset, offset, row) tuples, taken one at a time.
+    def from_rows(cls, rows, where: str = "", header: Optional[Sequence[str]] = None
+                  ) -> "EventTable":
+        """Columns of ``rows``, taken one at a time.
 
-        ``offset`` is None for a row without one.  A NaN onset or offset raises
-        SchemaError naming its row; ``where`` prefixes the message.  Each row's
-        values go straight into typed buffers, so none outlives its row.
+        With no ``header``, rows are records held in memory: (subject,
+        product, descriptor, onset, offset, row) tuples.  With one, they are
+        the lists of fields below a file's header line, numbered from 2; a
+        repeated column name means its last field, and a short row lacks its
+        last fields.  A None, empty or absent offset is NaN.  The first row
+        that fails raises SchemaError naming its row, after ``where``; a row
+        fails on a bad onset, then a bad offset, too few fields, a NaN onset
+        and a NaN offset.  Values are appended to lists, which move into typed
+        buffers every _BUFFER_ROWS rows.
         """
+        if header is None:
+            rows = list(rows)
+            numbers = [r[5] for r in rows]
+            numbered, header = zip(numbers, rows), EVENT_COLUMNS
+        else:
+            numbers, numbered = None, enumerate(rows, start=2)
+        column = {name: i for i, name in enumerate(header)}
+        fields = (*(column[name] for name in EVENT_COLUMNS[:4]), column.get("offset"))
+        s, c, d, o, f = fields
         keys: dict = {}
         labels: dict = {}
-        columns = array("q"), array("q"), array("d"), array("d"), array("q")
-        add_item, add_label, add_onset, add_offset, add_row = (c.append for c in columns)
         key_code, label_code = keys.setdefault, labels.setdefault
-        for subject, condition, state, on, off, row in rows:
-            on = float(on)
-            if on != on:
-                raise SchemaError(f"{where}row {row}: onset {on} is not a number")
-            if off is None:
-                off = math.nan
-            else:
-                off = float(off)
-                if off != off:
-                    raise SchemaError(f"{where}row {row}: offset {off} is not a number")
-            add_item(key_code((subject, condition), len(keys)))
-            add_label(label_code(state, len(labels)))
-            add_onset(on)
-            add_offset(off)
-            add_row(row)
-        return cls(tuple(keys), tuple(labels), *map(_column, columns))
+        lists = [], [], [], []
+        add_item, add_label, add_onset, add_offset = (values.append for values in lists)
+        buffers = array("q"), array("q"), array("d"), array("d")
+        while True:
+            for number, r in islice(numbered, _BUFFER_ROWS):
+                try:
+                    key, state, on = (r[s], r[c]), r[d], float(r[o])
+                    text = None if f is None else r[f]
+                    off = math.nan if text is None or text == "" else float(text)
+                    if on != on or off != off and text:
+                        raise ValueError  # a NaN fails on the checked path too
+                except (IndexError, TypeError, ValueError):
+                    key, state, on, off = _checked_row(r, number, fields, where)
+                add_item(key_code(key, len(keys)))
+                add_label(label_code(state, len(labels)))
+                add_onset(on)
+                add_offset(off)
+            if not lists[0]:
+                break
+            for buffer, values in zip(buffers, lists):
+                buffer.fromlist(values)
+                values.clear()
+        row = (np.arange(2, len(buffers[0]) + 2) if numbers is None
+               else np.array(numbers, dtype=np.int64))
+        return cls(tuple(keys), tuple(labels), *map(_column, buffers), row)
+
+
+def _checked_row(r, number, fields, where: str) -> tuple:
+    """((subject, product), descriptor, onset, offset) of row ``r``, checked one step at a time.
+
+    A row shorter than the header lacks its last fields; one that lacks only
+    the offset has none.  Raises SchemaError for the first check that fails.
+    """
+    s, c, d, o, f = fields
+    text = r[o] if o < len(r) else None
+    try:
+        on = float(text)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}row {number}: bad onset {text!r}") from None
+    text = r[f] if f is not None and f < len(r) else None
+    present = text is not None and text != ""
+    off = math.nan
+    if present:
+        try:
+            off = float(text)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{where}row {number}: bad offset {text!r}") from None
+    if max(s, c, d) >= len(r):
+        raise SchemaError(f"{where}row {number}: too few fields")
+    if on != on:
+        raise SchemaError(f"{where}row {number}: onset {on} is not a number")
+    if present and off != off:
+        raise SchemaError(f"{where}row {number}: offset {off} is not a number")
+    return (r[s], r[c]), r[d], on, off
 
 
 def _column(buffer: array) -> np.ndarray:
@@ -344,7 +401,7 @@ def _intervals(mode: str, events: EventTable, row_item, codes, ends, keep, chain
     stop is clipped to the end, and ``warnings`` counts the rows each rule
     met.  The sorted row columns are temporaries of this call.
     """
-    order = np.lexsort((events.row, events.onset, row_item))
+    order = _order(row_item, events.onset, events.row)
     order = order[keep[row_item[order]]]
     item, onset, offset = row_item[order], events.onset[order], events.offset[order]
     state = codes[events.label[order]]
@@ -372,6 +429,32 @@ def _intervals(mode: str, events: EventTable, row_item, codes, ends, keep, chain
     return item, onset, stop, state
 
 
+def _order(group: np.ndarray, t: np.ndarray, row: Optional[np.ndarray] = None) -> np.ndarray:
+    """A permutation that sorts entries by (group, t), with t free of NaN.
+
+    With ``row``, entries tied on (group, t) go by row, then by position, as
+    in ``np.lexsort((row, t, group))``; without, ties come in any order.  The
+    sort key is ``group * U`` plus the rank of t among its U distinct values,
+    exact while groups * U < 2**63; -0.0 ranks with 0.0.
+    """
+    by_row = None if row is None else np.argsort(row, kind="stable")
+    if by_row is not None:
+        group, t = group[by_row], t[by_row]
+    perm = np.argsort(t)
+    ordered = t[perm]
+    new = np.empty(t.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    key = np.empty(t.size, dtype=np.int64)
+    key[perm] = np.cumsum(new) - 1
+    del perm
+    key += group * np.int64(new.sum())
+    if by_row is None:
+        return np.argsort(key)
+    return by_row[np.argsort(key, kind="stable")]
+
+
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Offset of each run in a concatenation of runs of the given lengths."""
     out = np.zeros(counts.size, dtype=np.int64)
@@ -393,7 +476,8 @@ def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> tuple:
     n, m = ends.size, item.size
     owner = np.concatenate([np.arange(n), np.arange(n), item, item])
     t = np.concatenate([np.zeros(n), ends, start, stop])
-    order = np.lexsort((t, owner))  # stable, so a node at zero keeps the sign of 0.0
+    t += 0.0  # an onset written "-0" reads -0.0; every node at zero is then the zeros' +0.0
+    order = _order(owner, t)  # entries tied on (owner, t) fall on one node
     t = t[order]
     owner = owner[order]
     new = np.ones(t.size, dtype=bool)
@@ -551,45 +635,50 @@ def apply_protocol_normalization(
         b = np.delete(b, first[shed] + np.flatnonzero(shed))
         active = np.delete(active, first[shed], axis=0)
         counts = counts - shed
-    sizes = active.sum(axis=1)
     start = _starts(counts + 1)  # each item's first node: its first click (TCATA: 0)
     node_end = start + counts
-    owner = np.repeat(np.arange(n), counts)
-    node_owner = np.repeat(np.arange(n), counts + 1)
-    left = np.arange(sizes.size) + owner  # each segment's left node
+    joins = node_end[:-1]  # node pairs (k, k + 1) that join two items; all others bound a segment
 
-    def any_segment(mask):
-        return np.bincount(owner[mask], minlength=n) > 0
+    def any_pair(flags):
+        """Whether each item has a segment whose node pair ``flags`` marks; clears the joins."""
+        flags[joins] = False
+        return np.logical_or.reduceat(flags, start)
 
+    # the first step each item fails: 1 shift, 2 singleton check, 3 rescale, 4 tick rounding;
+    # x holds the shifted, then the scaled, then the rounded breakpoints
     t0 = b[start]
     latency = (t0 / b[node_end]).tolist()
-    shifted = b - t0[node_owner]
-    scaled = shifted / shifted[node_end][node_owner]  # exactly 0 and 1 at each item's ends
+    x = b - np.repeat(t0, counts + 1)
+    failed = [any_pair(x[1:] <= x[:-1])]
+    failed.append(np.logical_or.reduceat(active.sum(axis=1) != 1, _starts(counts))
+                  if panel.mode == "TDS" else np.zeros(n, dtype=bool))
+    x /= np.repeat(x[node_end], counts + 1)  # exactly 0 and 1 at each item's ends
+    failed.append(any_pair(x[1:] <= x[:-1]))
     if tick <= 0:
-        rounded, keep = scaled, np.ones(sizes.size, dtype=bool)
+        keep = np.ones(x[1:].shape, dtype=bool)
     else:
-        rounded = np.round(scaled / tick) * tick
-        rounded[start] = 0.0
-        rounded[node_end] = 1.0
-        keep = rounded[left + 1] - rounded[left] > 0
-    # the first step each item fails: 1 shift, 2 singleton check, 3 rescale, 4 tick rounding
-    error = np.select([
-        any_segment(shifted[left + 1] <= shifted[left]),
-        any_segment(sizes != 1) & (panel.mode == "TDS"),
-        any_segment(scaled[left + 1] <= scaled[left]),
-        ~any_segment(keep),
-    ], [1, 2, 3, 4], 0)
+        x /= tick
+        np.round(x, out=x)
+        x *= tick
+        x[start] = 0.0
+        x[node_end] = 1.0
+        keep = x[1:] > x[:-1]
+    failed.append(~any_pair(keep))
+    error = np.select(failed, [1, 2, 3, 4], 0)
+    del failed
 
     for i in np.flatnonzero(~rejected).tolist():  # a rejected item fails after all others
+        nodes = slice(start[i], node_end[i] + 1)
         if error[i] == 1:  # the shift made two breakpoints equal
-            _as_breakpoints(shifted[start[i]:node_end[i] + 1])  # raises
+            _as_breakpoints(b[nodes] - t0[i])  # raises
         if error[i] == 2:
             raise ProtocolError(
                 f"{panel.key(i)}: TDS trajectory is not singleton-valued after its first click")
         if report is not None and panel.mode == "TDS":
             report.latency[panel.key(i)] = latency[i]
         if error[i] == 3:  # the rescale made two breakpoints equal
-            _as_breakpoints(scaled[start[i]:node_end[i] + 1])  # raises
+            shifted = b[nodes] - t0[i]
+            _as_breakpoints(shifted / shifted[-1])  # raises
         if error[i] == 4:
             raise ValidationError(f"tick {tick} coarser than the whole trajectory")
     rejected_keys = [panel.key(i) for i in np.flatnonzero(rejected).tolist()]
@@ -597,11 +686,16 @@ def apply_protocol_normalization(
         if report is not None:
             report.rejected_subjects.extend(rejected_keys)
         raise ProtocolError("TDS items without any click: " + ", ".join(rejected_keys))
-    kept_nodes = np.zeros(b.size, dtype=bool)
-    kept_nodes[start] = True
-    kept_nodes[left[keep] + 1] = True
-    return Panel._of(panel.mode, panel.space, panel.keys, rounded[kept_nodes],
-                     np.bincount(owner[keep], minlength=n), active[keep])
+    kept = np.delete(keep, joins)  # by segment
+    if not kept.all():  # drop each segment rounded to zero length, with its right node
+        counts = np.add.reduceat(keep, start, dtype=np.int64)
+        keep = np.concatenate([[True], keep])  # by node
+        keep[start] = True
+        x = x[keep]
+        # a bool mask on 2-D rows indexes them by int64; one void element per row does not
+        rows = np.ascontiguousarray(active).view(np.dtype((np.void, panel.space.q)))[:, 0]
+        active = rows[kept].view(bool).reshape(-1, panel.space.q)
+    return Panel._of(panel.mode, panel.space, panel.keys, x, counts, active)
 
 
 def validate_panel(panel: Panel) -> list[str]:

@@ -27,7 +27,7 @@ import numpy as np
 from ._digits import format17
 from .errors import DomainError, SchemaError, ValidationError
 from .estimation import selection_count_curve
-from .ingest import EventTable, IngestReport, Panel, parse_events
+from .ingest import EVENT_COLUMNS, EventTable, IngestReport, Panel, parse_events
 from .mfpca import MfpcaResult
 from .trajectory import StateSpace
 
@@ -49,13 +49,12 @@ __all__ = [
     "result_to_dict",
 ]
 
-EVENT_COLUMNS = ("subject", "product", "descriptor", "onset", "offset")
-
 _SLOT = b"%s"  # a template slot, filled with format17's text of one float
 _BLOCK_ROWS = 8192  # rows formatted and written at a time
 # write_panel's blocks are smaller: its rows hold several Python objects each, and 8192 of
 # them at once leave partly used allocator arenas that raise the process's later peak RSS
 _PANEL_BLOCK_ROWS = 1024
+_FORMAT_BLOCKS = 4  # write_panel's blocks whose floats one format17 call formats
 
 
 def fmt(x: float) -> str:
@@ -190,37 +189,9 @@ def read_events_csv(path) -> EventTable:
             missing = [c for c in EVENT_COLUMNS[:4] if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}")
-            return EventTable.from_rows(_csv_events(path, reader, header), where=f"{path} ")
+            return EventTable.from_rows(filter(None, reader), f"{path} ", header)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise SchemaError(f"{path}: unreadable after line {reader.line_num}: {exc}") from None
-
-
-def _csv_events(path, reader, header):
-    """(subject, product, descriptor, onset, offset, row) of each non-blank row of ``reader``.
-
-    A repeated column name refers to its last column; a short row reads None
-    for the columns it lacks.
-    """
-    column = {name: i for i, name in enumerate(header)}
-    subject, product, descriptor, onset = (column[c] for c in EVENT_COLUMNS[:4])
-    offset = column.get("offset")
-    width = len(header)
-    for lineno, row in enumerate(filter(None, reader), start=2):
-        if len(row) < width:
-            row = row + [None] * (width - len(row))
-        try:
-            on = float(row[onset])
-        except (TypeError, ValueError):
-            raise SchemaError(f"{path} row {lineno}: bad onset {row[onset]!r}") from None
-        off = None
-        if offset is not None and row[offset]:
-            try:
-                off = float(row[offset])
-            except ValueError:
-                raise SchemaError(f"{path} row {lineno}: bad offset {row[offset]!r}") from None
-        if row[subject] is None or row[product] is None or row[descriptor] is None:
-            raise SchemaError(f"{path} row {lineno}: too few fields")
-        yield row[subject], row[product], row[descriptor], on, off, lineno
 
 
 def sidecar_path(csv_path) -> Path:
@@ -267,7 +238,8 @@ def _event_rows(panel: Panel):
     TDS: one onset row per (segment, state) pair of ``active``, in panel
     order; an empty segment is the latency, which the parser restores from
     the first onset.  TCATA: one onset/offset row per run of ``Panel.runs``,
-    ordered by item, state and onset.
+    ordered by item, state and onset.  The times of _FORMAT_BLOCKS blocks are
+    formatted by one format17 call; each block's row objects are made alone.
     """
     if panel.mode == "TCATA":
         item, states, onset, offset = panel.runs()
@@ -281,14 +253,19 @@ def _event_rows(panel: Panel):
         slots = _SLOT + b","
     prefixes = [_fixed(_csv_fields(subject, condition)) for subject, condition in panel.keys]
     tails = [_fixed(_csv_fields(s)) + slots + b"\n" for s in panel.space.states]
+    step = _FORMAT_BLOCKS * _PANEL_BLOCK_ROWS
 
-    def block(lo):
-        rows = slice(lo, lo + _PANEL_BLOCK_ROWS)
-        template = b"".join([prefixes[i] + tails[j]
-                            for i, j in zip(item[rows].tolist(), states[rows].tolist())])
-        return _fill(template, times[rows])
+    def blocks():
+        for lo in range(0, item.size, step):
+            chunk = times[lo:lo + step]
+            texts = format17(chunk).reshape(chunk.shape)  # a row of texts per event row
+            for a in range(0, len(chunk), _PANEL_BLOCK_ROWS):
+                rows = slice(lo + a, lo + a + _PANEL_BLOCK_ROWS)
+                template = b"".join([prefixes[i] + tails[j]
+                                    for i, j in zip(item[rows].tolist(), states[rows].tolist())])
+                yield template % tuple(texts[a:a + _PANEL_BLOCK_ROWS].ravel().tolist())
 
-    return map(block, range(0, item.size, _PANEL_BLOCK_ROWS))
+    return blocks()
 
 
 def write_panel(panel: Panel, csv_path, meta_path=None) -> None:

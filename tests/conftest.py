@@ -5,10 +5,16 @@ stay small enough for the brute-force oracles.
 """
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from catfpca import CategoricalTrajectory, Panel, PanelItem, StateSpace
 
 LATTICE = 20
+
+
+def fuzz(max_examples):
+    """Hypothesis settings that draw the same examples on every run and keep no database."""
+    return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
 
 
 def random_tds_trajectory(rng, q, lattice=LATTICE):

@@ -563,6 +563,55 @@ def test_first_bad_row_in_file_order_is_reported():
         assert type(new.value) is type(ref.value)
 
 
+EVENTS_HEADER = "subject,product,descriptor,onset,offset"
+OFFSET_FIRST = "offset,onset,subject,product,descriptor"  # a short row lacks its subject fields
+
+
+@pytest.mark.parametrize("header,lines,message", [
+    # within a row: a bad onset, a bad offset, too few fields, a NaN onset, a NaN offset
+    (EVENTS_HEADER, ["s1,p1,A,abc,xyz"], "row 2: bad onset 'abc'"),
+    (EVENTS_HEADER, ["s1,p1,A"], "row 2: bad onset None"),
+    (EVENTS_HEADER, ["s1,p1,A,nan,xyz"], "row 2: bad offset 'xyz'"),
+    (OFFSET_FIRST, ["xyz,nan,s1"], "row 2: bad offset 'xyz'"),
+    (OFFSET_FIRST, ["nan,nan,s1,p1"], "row 2: too few fields"),
+    (EVENTS_HEADER, ["s1,p1,A,nan,nan"], "row 2: onset nan is not a number"),
+    (EVENTS_HEADER, ["s1,p1,A,1,NaN"], "row 2: offset nan is not a number"),
+    # across rows: file order, where blank lines are not counted
+    (EVENTS_HEADER, ["s1,p1,A,1,2", "s1,p1,A,1,nan", "s1,p1,A,x,2"],
+     "row 3: offset nan is not a number"),
+    (EVENTS_HEADER, ["", "s1,p1,A,1,2", "", "s1,p1,A,x,2", "s1,p1"], "row 3: bad onset 'x'"),
+])
+def test_events_file_errors_name_the_first_failing_row(tmp_path, header, lines, message):
+    path = tmp_path / "events.csv"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        read_events_csv(path)
+    assert str(exc.value) == f"{path} {message}"
+
+
+def test_events_file_short_rows_blank_lines_and_byte_order_mark(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_bytes(f"\ufeff{EVENTS_HEADER}\n\ns1,p1,A,1\n\n\ns2,p1,B,-0,3\n".encode())
+    table = read_events_csv(path)
+    assert (table.keys, table.labels) == ((("s1", "p1"), ("s2", "p1")), ("A", "B"))
+    assert table.row.tolist() == [2, 3]  # a row lacking only its offset has none
+    assert table.onset.tobytes() == np.array([1.0, -0.0]).tobytes()
+    assert math.isnan(table.offset[0]) and table.offset[1] == 3.0
+
+
+def test_records_in_memory_read_as_file_rows():
+    table = EventTable.from_rows([rec("s1", "A", 1.0, 0.0, row=9), rec("s1", "B", 2.0, row=4)])
+    assert table.row.tolist() == [9, 4]
+    assert table.offset[0] == 0.0 and math.isnan(table.offset[1])  # 0.0 is an offset
+    for record, message in [
+        (rec("s1", "A", "x", row=7), "row 7: bad onset 'x'"),
+        (rec("s1", "A", math.nan, math.nan, row=7), "row 7: onset nan is not a number"),
+        (rec("s1", "A", 1.0, math.nan, row=7), "row 7: offset nan is not a number"),
+    ]:
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            EventTable.from_rows([rec("s1", "A", 0.0, row=2), record])
+
+
 def test_first_bad_item_in_panel_order_is_reported():
     mixed = [rec("a", "A", 0.0, 6.0, row=4), rec("a", "B", 6.0, row=5)]
     overlap = [rec("b", "A", 0.0, 6.0, row=2), rec("b", "B", 4.0, 10.0, row=3)]
@@ -615,7 +664,9 @@ def test_normalization_failures_match_the_reference(tick):
 
 # --- memory: each ingest step holds a few typed columns per event row ---------
 
-ROW_BYTES = 250  # the most any step may allocate per event row at its peak
+# the most each step may allocate per event row at its peak
+ROW_BYTES = {"read_events_csv": 100, "parse_events": 170, "apply_protocol_normalization": 150,
+             "write_panel": 250}
 ALLOWANCE = 1 << 19  # what does not grow with the rows: per-item keys, one block of text
 
 
@@ -662,4 +713,4 @@ def test_ingest_steps_peak_memory_per_row_is_bounded(tmp_path):
         apply_protocol_normalization, panel, report=report)
     _, peaks["write_panel"] = traced_peak(write_panel, panel, tmp_path / "panel.csv")
     per_row = {step: round(peak / rows) for step, peak in peaks.items()}
-    assert max(peaks.values()) <= ROW_BYTES * rows + ALLOWANCE, per_row
+    assert all(peak <= ROW_BYTES[step] * rows + ALLOWANCE for step, peak in peaks.items()), per_row

@@ -1,14 +1,16 @@
 """Property tests of ingest: any events file or record list either ingests or
 raises a CatfpcaError, records ingest exactly as the per-item reference does,
-panels survive write_panel -> read_panel, and a panel's runs overlay back into
-the panel."""
+panels survive write_panel -> read_panel, a panel's runs overlay back into
+the panel, and the keyed sorts order rows and nodes as np.lexsort does."""
 import csv
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from catfpca import (
@@ -21,12 +23,14 @@ from catfpca import (
     apply_protocol_normalization,
     parse_events,
 )
-from catfpca.ingest import _overlay
+from catfpca import ingest
+from catfpca.ingest import _order, _overlay
 from catfpca.io import read_events_csv, read_panel, write_panel
 
+from conftest import fuzz
 from test_ingest import Rec, outcome, parse, ref_normalize, ref_overlay, ref_parse
 
-FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+FUZZ = fuzz(200)
 
 # labels and names with a comma, a quote, non-ASCII text and a newline
 LABELS = ("A", "B", "sweet, sour", 'say "hi"', "crème", "→ß")
@@ -231,3 +235,87 @@ def test_overlay_of_the_runs_rebuilds_the_panel(panel):
     for name in ("breakpoints", "counts", "active"):
         a, b = getattr(panel, name), getattr(back, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+# --- the keyed sorts against np.lexsort, the order they replace ---------------
+
+def lexsort_order(group, t, row=None):
+    """The reference order: by group, then t, then row and position, by np.lexsort."""
+    return np.lexsort((t, group) if row is None else (row, t, group))
+
+
+# equal values, both zeros, the extremes of the range and neighbours
+ORDER_TIMES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324, 1e-300, 1e300]),
+                        st.floats(0.0, 1e300), st.floats(0.0, 4.0))
+
+
+@FUZZ
+@given(st.lists(st.tuples(st.integers(0, 3), ORDER_TIMES, st.integers(-2, 3)), max_size=40))
+def test_order_equals_lexsort(entries):
+    group = np.array([g for g, _, _ in entries], dtype=np.int64)
+    t = np.array([x for _, x, _ in entries], dtype=np.float64)
+    row = np.array([r for _, _, r in entries], dtype=np.int64)
+    assert _order(group, t, row).tolist() == lexsort_order(group, t, row).tolist()
+    order, reference = _order(group, t), lexsort_order(group, t)
+    assert group[order].tolist() == group[reference].tolist()
+    assert t[order].tolist() == t[reference].tolist()  # 0.0 == -0.0: ties in any order
+
+
+def parsed_arrays(records, space, mode, end_time):
+    """The parsed panel's arrays and the report, bit for bit, or the error."""
+    try:
+        panel, report = parse(records, space, mode, end_time)
+    except CatfpcaError as exc:
+        return type(exc).__name__, str(exc)
+    assert not np.signbit(panel.breakpoints).any()
+    return ([(a.dtype, a.shape, a.tobytes()) for a in (panel.breakpoints, panel.counts,
+                                                       panel.active)], report.to_dict())
+
+
+TIED_LABELS = ["A", "B", "C"]
+TIED_ONSETS = [0.0, -0.0, 1.0, 2.0, 3.0]
+
+
+@st.composite
+def tied_records(draw, size):
+    """(records, space, mode, end time) of ``size`` rows whose times tie across items, states
+    and rows: "-0" onsets, touching and overlapping intervals of one state, simultaneous TDS
+    clicks, and row numbers in file order, descending, shuffled or repeated."""
+    mode = draw(st.sampled_from(["TDS", "TCATA"]))
+    offsets = mode == "TCATA" or draw(st.booleans())
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from([("s1", "p1"), ("s2", "p1"), ("s1", "p2")]), st.sampled_from(TIED_LABELS),
+        st.sampled_from(TIED_ONSETS), st.sampled_from([1.0, 2.0, 4.0, math.inf])),
+        min_size=size, max_size=size))
+    in_order = list(range(2, size + 2))
+    numbers = draw(st.one_of(st.just(in_order), st.just(in_order[::-1]), st.permutations(in_order),
+                             st.lists(st.integers(2, 4), min_size=size, max_size=size)))
+    records = [Rec(s, c, label, on, on + length if offsets else None, number)
+               for ((s, c), label, on, length), number in zip(rows, numbers)]
+    return records, StateSpace(TIED_LABELS), mode, 4.0
+
+
+@FUZZ
+@given(st.integers(1, 16).flatmap(tied_records))
+def test_parse_orders_rows_as_lexsort(case):
+    new = parsed_arrays(*case)
+    with mock.patch.object(ingest, "_order", lexsort_order):
+        assert new == parsed_arrays(*case)
+
+
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+@pytest.mark.parametrize("seed", range(2))
+def test_large_tables_order_rows_as_lexsort(mode, seed):
+    """Thousands of tied rows, which numpy sorts with its unstable algorithms."""
+    rng = np.random.default_rng(seed)
+    size, keys = 4000, [(f"s{i}", "p1") for i in range(40)]
+    on = rng.choice(TIED_ONSETS, size)
+    off = on + rng.choice([1.0, 2.0, 4.0], size) if mode == "TCATA" else [None] * size
+    numbers = rng.integers(2, 200, size) if seed else np.arange(size + 1, 1, -1)
+    records = [Rec(*keys[k], TIED_LABELS[j], a, b, int(r)) for k, j, a, b, r in zip(
+        rng.integers(0, len(keys), size), rng.integers(0, 3, size), on, off, numbers)]
+    case = records, StateSpace(TIED_LABELS), mode, 4.0
+    new = parsed_arrays(*case)
+    assert isinstance(new[1], dict), new  # the rows parse
+    with mock.patch.object(ingest, "_order", lexsort_order):
+        assert new == parsed_arrays(*case)

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from catfpca import CategoricalTrajectory, Panel, PanelItem, StateSpace, io, run_mfpca
@@ -15,7 +15,7 @@ from catfpca.errors import ValidationError
 from catfpca.estimation import selection_count_curve
 from catfpca.io import fmt, read_panel, write_panel
 
-from conftest import random_panel, random_tcata_trajectory, random_tds_trajectory
+from conftest import fuzz, random_panel, random_tcata_trajectory, random_tds_trajectory
 
 # a comma, a quote, a newline, non-ASCII text and an empty field
 STATES = ("sweet, sour", 'say "hi"', "crème brûlée", "plain")
@@ -374,7 +374,7 @@ def test_format17_keeps_order_across_fast_and_fallback_values():
     assert format17(np.empty(0)).tolist() == []
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@fuzz(300)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
 def test_format17_equals_fmt_property(values):
     assert_format17_equals_fmt(values)

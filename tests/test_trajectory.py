@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from catfpca import (
@@ -16,7 +16,7 @@ from catfpca import (
     union_grid,
 )
 
-from conftest import random_tds_trajectory
+from conftest import fuzz, random_tds_trajectory
 
 
 def test_state_space_rejects_duplicates_and_empty():
@@ -173,7 +173,7 @@ def tds_trajectories(draw, q=3):
     return CategoricalTrajectory(breaks, [{s} for s in states]), q
 
 
-@settings(max_examples=80, deadline=None)
+@fuzz(80)
 @given(tds_trajectories())
 def test_indicator_round_trip_property(case):
     traj, q = case
@@ -185,7 +185,7 @@ def test_indicator_round_trip_property(case):
     assert np.array_equal(back.breakpoints, traj.breakpoints)
 
 
-@settings(max_examples=80, deadline=None)
+@fuzz(80)
 @given(tds_trajectories(), st.floats(0.5, 40.0))
 def test_normalize_preserves_proportions(case, scale):
     traj, q = case
@@ -200,7 +200,7 @@ def test_normalize_preserves_proportions(case, scale):
     )
 
 
-@settings(max_examples=50, deadline=None)
+@fuzz(50)
 @given(st.lists(tds_trajectories(), min_size=1, max_size=6))
 def test_union_grid_refines_inputs(cases):
     sp = StateSpace(["S0", "S1", "S2"])
