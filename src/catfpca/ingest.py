@@ -7,7 +7,7 @@ every trajectory to the unit horizon; TCATA keeps its latency.
 
 Both steps make whole-panel array passes over a ``Panel``'s flat arrays.
 ``parse_events`` takes the rows as an ``EventTable`` of typed columns, checks
-them all with masks, orders them by (item, onset, row), turns them into
+them all with masks, orders them by (item, onset, position), turns them into
 state intervals, and overlays the intervals of every item with one cumulative
 count per state.  Both orderings (rows, then interval bounds) sort one exact
 int64 key per entry, a group number times the count of distinct times plus
@@ -48,6 +48,7 @@ DEFAULT_TICK = 1e-6  # fraction of the unit horizon; applied after rescaling
 MODES = ("TDS", "TCATA")
 
 EVENT_COLUMNS = ("subject", "product", "descriptor", "onset", "offset")
+FIRST_ROW = 2  # a row's number is its position plus this: the header is row 1
 _BUFFER_ROWS = 4096  # rows appended to lists before they move into the typed buffers
 
 
@@ -213,45 +214,39 @@ class IngestReport:
 
 
 class EventTable:
-    """Raw click rows as columns, in input order.
+    """Raw click rows as columns, in input order; a row's number is its position plus FIRST_ROW.
 
     ``item`` codes index ``keys``, the (subject, condition) pairs, and
     ``label`` codes index ``labels``; both are numbered in order of first
-    appearance.  ``offset`` is NaN where a row has none, and ``row`` holds
-    the source row numbers used in error messages.
+    appearance.  ``offset`` is NaN where a row has none.
     """
 
-    __slots__ = ("keys", "labels", "item", "label", "onset", "offset", "row")
+    __slots__ = ("keys", "labels", "item", "label", "onset", "offset")
 
     def __init__(self, keys: tuple, labels: tuple, item: np.ndarray, label: np.ndarray,
-                 onset: np.ndarray, offset: np.ndarray, row: np.ndarray):
+                 onset: np.ndarray, offset: np.ndarray):
         self.keys, self.labels, self.item, self.label = keys, labels, item, label
-        self.onset, self.offset, self.row = onset, offset, row
+        self.onset, self.offset = onset, offset
 
     def __len__(self) -> int:
         return self.item.size
 
     @classmethod
-    def from_rows(cls, rows, where: str = "", header: Optional[Sequence[str]] = None
+    def from_rows(cls, rows, where: str = "", header: Sequence[str] = EVENT_COLUMNS
                   ) -> "EventTable":
         """Columns of ``rows``, taken one at a time.
 
-        With no ``header``, rows are records held in memory: (subject,
-        product, descriptor, onset, offset, row) tuples.  With one, they are
-        the lists of fields below a file's header line, numbered from 2; a
-        repeated column name means its last field, and a short row lacks its
-        last fields.  A None, empty or absent offset is NaN.  The first row
-        that fails raises SchemaError naming its row, after ``where``; a row
-        fails on a bad onset, then a bad offset, too few fields, a NaN onset
-        and a NaN offset.  Values are appended to lists, which move into typed
-        buffers every _BUFFER_ROWS rows.
+        Rows are the lists of fields below a file's header line, or records
+        held in memory: (subject, product, descriptor, onset, offset) tuples
+        under the default header.  Either way they are numbered from
+        FIRST_ROW.  A repeated column name means its last field, and a short
+        row lacks its last fields.  A None, empty or absent offset is NaN.
+        The first row that fails raises SchemaError naming its row, after
+        ``where``; a row fails on a bad onset, then a bad offset, too few
+        fields, a NaN onset and a NaN offset.  Values are appended to lists,
+        which move into typed buffers every _BUFFER_ROWS rows.
         """
-        if header is None:
-            rows = list(rows)
-            numbers = [r[5] for r in rows]
-            numbered, header = zip(numbers, rows), EVENT_COLUMNS
-        else:
-            numbers, numbered = None, enumerate(rows, start=2)
+        numbered = enumerate(rows, start=FIRST_ROW)
         column = {name: i for i, name in enumerate(header)}
         fields = (*(column[name] for name in EVENT_COLUMNS[:4]), column.get("offset"))
         s, c, d, o, f = fields
@@ -280,9 +275,7 @@ class EventTable:
             for buffer, values in zip(buffers, lists):
                 buffer.fromlist(values)
                 values.clear()
-        row = (np.arange(2, len(buffers[0]) + 2) if numbers is None
-               else np.array(numbers, dtype=np.int64))
-        return cls(tuple(keys), tuple(labels), *map(_column, buffers), row)
+        return cls(tuple(keys), tuple(labels), *map(_column, buffers))
 
 
 def _checked_row(r, number, fields, where: str) -> tuple:
@@ -376,7 +369,9 @@ def _state_codes(space: StateSpace, labels) -> np.ndarray:
 def _raise_row_error(table: EventTable, r: int, space: StateSpace, end_time) -> None:
     """Run the row checks on row ``r`` of ``table`` one by one; raise the first that fails."""
     subject, condition = table.keys[table.item[r]]
-    onset, offset, row = float(table.onset[r]), float(table.offset[r]), int(table.row[r])
+    onset, offset, row = float(table.onset[r]), float(table.offset[r]), r + FIRST_ROW
+    if onset != onset:  # only a table built directly holds one: from_rows rejects it
+        raise SchemaError(f"row {row}: onset {onset} is not a number")
     if onset < 0:
         raise SchemaError(f"row {row}: negative onset {onset}")
     if offset <= onset:
@@ -394,14 +389,14 @@ def _intervals(mode: str, events: EventTable, row_item, codes, ends, keep, chain
                warnings: dict) -> tuple:
     """(item, start, stop, state) of the rows of the items ``keep`` marks, by item and onset.
 
-    Rows of one onset go by row number.  TDS: a row of a ``chained`` item
+    Rows of one onset go by position.  TDS: a row of a ``chained`` item
     lasts until the next row's onset or its item's end, and of rows with one
     onset only the last stays; other rows last until their offset.  TCATA:
     a row lasts until its offset, or its item's end when it has none.  Every
     stop is clipped to the end, and ``warnings`` counts the rows each rule
     met.  The sorted row columns are temporaries of this call.
     """
-    order = _order(row_item, events.onset, events.row)
+    order = _order(row_item, events.onset)
     order = order[keep[row_item[order]]]
     item, onset, offset = row_item[order], events.onset[order], events.offset[order]
     state = codes[events.label[order]]
@@ -429,17 +424,13 @@ def _intervals(mode: str, events: EventTable, row_item, codes, ends, keep, chain
     return item, onset, stop, state
 
 
-def _order(group: np.ndarray, t: np.ndarray, row: Optional[np.ndarray] = None) -> np.ndarray:
-    """A permutation that sorts entries by (group, t), with t free of NaN.
+def _order(group: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts entries by (group, t), with t free of NaN.
 
-    With ``row``, entries tied on (group, t) go by row, then by position, as
-    in ``np.lexsort((row, t, group))``; without, ties come in any order.  The
-    sort key is ``group * U`` plus the rank of t among its U distinct values,
-    exact while groups * U < 2**63; -0.0 ranks with 0.0.
+    Entries tied on (group, t) keep their order, as in ``np.lexsort((t,
+    group))``.  The sort key is ``group * U`` plus the rank of t among its U
+    distinct values, exact while groups * U < 2**63; -0.0 ranks with 0.0.
     """
-    by_row = None if row is None else np.argsort(row, kind="stable")
-    if by_row is not None:
-        group, t = group[by_row], t[by_row]
     perm = np.argsort(t)
     ordered = t[perm]
     new = np.empty(t.size, dtype=bool)
@@ -450,9 +441,7 @@ def _order(group: np.ndarray, t: np.ndarray, row: Optional[np.ndarray] = None) -
     key[perm] = np.cumsum(new) - 1
     del perm
     key += group * np.int64(new.sum())
-    if by_row is None:
-        return np.argsort(key)
-    return by_row[np.argsort(key, kind="stable")]
+    return np.argsort(key, kind="stable")
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -518,8 +507,8 @@ def parse_events(
     Parameters
     ----------
     events : EventTable
-        Raw click rows; ``row`` indices are used in error messages.  Rows
-        held in memory are made into a table by ``EventTable.from_rows``.
+        Raw click rows, numbered by position in error messages.  Rows held
+        in memory are made into a table by ``EventTable.from_rows``.
     space : StateSpace
         Declared descriptor list; unknown labels raise ValidationError.
     mode : {'TDS', 'TCATA'}
@@ -555,7 +544,7 @@ def parse_events(
     codes = _state_codes(space, events.labels)
     onset, offset = events.onset, events.offset
     row_end = ends[row_item]
-    bad = ((onset < 0) | (offset <= onset) | (codes[events.label] < 0) | ~found[row_item]
+    bad = (~(onset >= 0) | (offset <= onset) | (codes[events.label] < 0) | ~found[row_item]
            | (row_end <= 0) | (onset >= row_end) | (row_item >= n))
     if bad.any():
         _raise_row_error(events, int(np.argmax(bad)), space, end_time)
@@ -593,7 +582,7 @@ def parse_events(
         subject, condition = keys[i]
         end_i = _end_for(end_time, subject, condition)
         if mixed[i]:
-            missing = events.row[(row_item == i) & ~has_offset]
+            missing = np.flatnonzero((row_item == i) & ~has_offset) + FIRST_ROW
             raise SchemaError(
                 f"{subject}/{condition}: TDS rows mix present and missing offsets "
                 f"(rows {missing.tolist()})")
@@ -647,7 +636,7 @@ def apply_protocol_normalization(
     # the first step each item fails: 1 shift, 2 singleton check, 3 rescale, 4 tick rounding;
     # x holds the shifted, then the scaled, then the rounded breakpoints
     t0 = b[start]
-    latency = (t0 / b[node_end]).tolist()
+    latency = t0 / b[node_end]
     x = b - np.repeat(t0, counts + 1)
     failed = [any_pair(x[1:] <= x[:-1])]
     failed.append(np.logical_or.reduceat(active.sum(axis=1) != 1, _starts(counts))
@@ -666,16 +655,19 @@ def apply_protocol_normalization(
     failed.append(~any_pair(keep))
     error = np.select(failed, [1, 2, 3, 4], 0)
     del failed
-
-    for i in np.flatnonzero(~rejected).tolist():  # a rejected item fails after all others
+    error[rejected] = 0  # a rejected item fails after all others
+    i = int(np.flatnonzero(error)[0]) if error.any() else n  # the first item to fail, else n
+    if report is not None and panel.mode == "TDS":
+        # the items before it record their latency, and it does too if it passed step 2
+        recorded = np.flatnonzero(~rejected[:i + 1 if i < n and error[i] > 2 else i])
+        report.latency.update(zip(map(panel.key, recorded.tolist()), latency[recorded].tolist()))
+    if i < n:
         nodes = slice(start[i], node_end[i] + 1)
         if error[i] == 1:  # the shift made two breakpoints equal
             _as_breakpoints(b[nodes] - t0[i])  # raises
         if error[i] == 2:
             raise ProtocolError(
                 f"{panel.key(i)}: TDS trajectory is not singleton-valued after its first click")
-        if report is not None and panel.mode == "TDS":
-            report.latency[panel.key(i)] = latency[i]
         if error[i] == 3:  # the rescale made two breakpoints equal
             shifted = b[nodes] - t0[i]
             _as_breakpoints(shifted / shifted[-1])  # raises

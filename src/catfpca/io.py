@@ -189,7 +189,7 @@ def read_events_csv(path) -> EventTable:
             missing = [c for c in EVENT_COLUMNS[:4] if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}")
-            return EventTable.from_rows(filter(None, reader), f"{path} ", header)
+            return EventTable.from_rows(filter(None, reader), f"{path} ", header=header)
         except (csv.Error, UnicodeDecodeError) as exc:
             raise SchemaError(f"{path}: unreadable after line {reader.line_num}: {exc}") from None
 

@@ -31,11 +31,11 @@ SP3 = StateSpace(["A", "B", "C"])
 SP2 = StateSpace(["A", "B"])
 
 
-Rec = namedtuple("Rec", "subject condition state onset offset row")
+Rec = namedtuple("Rec", "subject condition state onset offset")
 
 
-def rec(subject, state, onset, offset=None, row=-1, condition="p1"):
-    return Rec(subject, condition, state, onset, offset, row)
+def rec(subject, state, onset, offset=None, condition="p1"):
+    return Rec(subject, condition, state, onset, offset)
 
 
 def parse(records, *args, **kwargs):
@@ -75,16 +75,14 @@ def test_parse_tcata_empty_subject():
 
 
 def test_parse_is_order_insensitive():
-    rows = [rec("s1", "A", 1.0, 3.0, row=1), rec("s1", "B", 2.0, 5.0, row=2),
-            rec("s1", "C", 6.0, 7.0, row=3)]
+    rows = [rec("s1", "A", 1.0, 3.0), rec("s1", "B", 2.0, 5.0), rec("s1", "C", 6.0, 7.0)]
     p1, _ = parse(rows, SP3, "TCATA", 10.0)
     p2, _ = parse(rows[::-1], SP3, "TCATA", 10.0)
     assert p1.items[0].trajectory == p2.items[0].trajectory
 
 
 def test_tds_simultaneous_clicks_keep_last_row():
-    rows = [rec("s1", "A", 0.0, row=1), rec("s1", "B", 4.0, row=2),
-            rec("s1", "C", 4.0, row=3)]
+    rows = [rec("s1", "A", 0.0), rec("s1", "B", 4.0), rec("s1", "C", 4.0)]
     panel, report = parse(rows, SP3, "TDS", 10.0)
     assert report.warnings["simultaneous_clicks_dropped"] == 1
     assert panel.items[0].trajectory.segments == (frozenset({0}), frozenset({2}))
@@ -306,10 +304,13 @@ def ref_tcata_group(pairs, end, report):
     return ref_overlay(intervals, end)
 
 
+Row = namedtuple("Row", Rec._fields + ("row",))  # a record and its row number
+
+
 def ref_parse(records, space, mode, end_time, items=None):
     if mode not in ("TDS", "TCATA"):
         raise ValidationError(f"mode must be one of ('TDS', 'TCATA'), got {mode!r}")
-    records = list(records)
+    records = [Row(*rec, number) for number, rec in enumerate(records, start=2)]
     for rec in records:  # NaN timestamps are rejected while the rows are read
         if rec.onset != rec.onset:
             raise SchemaError(f"row {rec.row}: onset {rec.onset} is not a number")
@@ -468,14 +469,8 @@ def random_events(rng, mode, offsets):
                 off = (None if kind < 0.1 else math.inf if kind < 0.15
                        else end if kind < 0.25 else off)
                 records.append((subject, condition, int(rng.integers(q)), a, off))
-    order = rng.permutation(len(records))
-    numbers = np.arange(len(records)) + 2
-    if rng.random() < 0.3:  # rows handed over in another order than their numbers
-        numbers = rng.permutation(numbers)
-    if rng.random() < 0.2:  # rec's default row number on every row
-        numbers[:] = -1
-    records = [Rec(s, c, space.states[j], float(on), off, int(number))
-               for number, (s, c, j, on, off) in zip(numbers, (records[k] for k in order))]
+    records = [Rec(s, c, space.states[j], float(on), off)
+               for s, c, j, on, off in (records[k] for k in rng.permutation(len(records)))]
     if rng.random() < 0.5:
         end_time = ends[keys[0]] if len(set(ends.values())) == 1 else {
             f"{s}/{c}": e for (s, c), e in ends.items()}
@@ -541,12 +536,12 @@ def test_array_passes_equal_the_per_item_reference(mode, offsets):
 
 
 def test_first_bad_row_in_file_order_is_reported():
-    good = rec("s1", "A", 0.5, 1.5, row=2)
-    bad = [rec("s1", "A", 2.0, 1.0, row=3),   # offset before onset
-           rec("s1", "A", -1.0, 1.0, row=4),  # negative onset
-           rec("s1", "Z", 1.0, 2.0, row=5),   # unknown label
-           rec("s2", "B", 12.0, 13.0, row=6),  # onset after the end
-           rec("s3", "B", 1.0, 2.0, row=7)]   # item not declared
+    good = rec("s1", "A", 0.5, 1.5)
+    bad = [rec("s1", "A", 2.0, 1.0),    # offset before onset
+           rec("s1", "A", -1.0, 1.0),   # negative onset
+           rec("s1", "Z", 1.0, 2.0),    # unknown label
+           rec("s2", "B", 12.0, 13.0),  # onset after the end
+           rec("s3", "B", 1.0, 2.0)]    # item not declared
     expected = ["row 3: offset 1.0 must exceed onset 2.0",
                 "row 4: negative onset -1.0",
                 "unknown state label 'Z'",
@@ -554,7 +549,7 @@ def test_first_bad_row_in_file_order_is_reported():
                 "row 7: item s3/p1 not declared in the item list"]
     items = [("s1", "p1"), ("s2", "p1")]
     for k, message in enumerate(expected):
-        rows = [good, *bad[k:]]
+        rows = [good] * (k + 1) + bad[k:]  # bad[k] is row k + 3
         with pytest.raises(ValidationError) as new:
             parse(rows, SP2, "TCATA", 10.0, items=items)
         with pytest.raises(ValidationError) as ref:
@@ -594,30 +589,37 @@ def test_events_file_short_rows_blank_lines_and_byte_order_mark(tmp_path):
     path.write_bytes(f"\ufeff{EVENTS_HEADER}\n\ns1,p1,A,1\n\n\ns2,p1,B,-0,3\n".encode())
     table = read_events_csv(path)
     assert (table.keys, table.labels) == ((("s1", "p1"), ("s2", "p1")), ("A", "B"))
-    assert table.row.tolist() == [2, 3]  # a row lacking only its offset has none
+    assert len(table) == 2  # a row lacking only its offset has none
     assert table.onset.tobytes() == np.array([1.0, -0.0]).tobytes()
     assert math.isnan(table.offset[0]) and table.offset[1] == 3.0
 
 
 def test_records_in_memory_read_as_file_rows():
-    table = EventTable.from_rows([rec("s1", "A", 1.0, 0.0, row=9), rec("s1", "B", 2.0, row=4)])
-    assert table.row.tolist() == [9, 4]
+    table = EventTable.from_rows([rec("s1", "A", 1.0, 0.0), rec("s1", "B", 2.0)])
+    assert len(table) == 2 and table.onset.tolist() == [1.0, 2.0]
     assert table.offset[0] == 0.0 and math.isnan(table.offset[1])  # 0.0 is an offset
-    for record, message in [
-        (rec("s1", "A", "x", row=7), "row 7: bad onset 'x'"),
-        (rec("s1", "A", math.nan, math.nan, row=7), "row 7: onset nan is not a number"),
-        (rec("s1", "A", 1.0, math.nan, row=7), "row 7: offset nan is not a number"),
+    for record, message in [  # the second record is row 3
+        (rec("s1", "A", "x"), "row 3: bad onset 'x'"),
+        (rec("s1", "A", math.nan, math.nan), "row 3: onset nan is not a number"),
+        (rec("s1", "A", 1.0, math.nan), "row 3: offset nan is not a number"),
     ]:
         with pytest.raises(SchemaError, match=f"^{message}$"):
-            EventTable.from_rows([rec("s1", "A", 0.0, row=2), record])
+            EventTable.from_rows([rec("s1", "A", 0.0), record])
+
+
+def test_nan_onset_of_a_table_built_directly_is_a_schema_error():
+    table = EventTable((("s", "p"),), ("A",), np.array([0, 0]), np.array([0, 0]),
+                       np.array([math.nan, 1.0]), np.array([math.nan, 2.0]))
+    with pytest.raises(SchemaError, match=r"^row 2: onset nan is not a number$"):
+        parse_events(table, StateSpace(["A"]), "TCATA", 4.0)
 
 
 def test_first_bad_item_in_panel_order_is_reported():
-    mixed = [rec("a", "A", 0.0, 6.0, row=4), rec("a", "B", 6.0, row=5)]
-    overlap = [rec("b", "A", 0.0, 6.0, row=2), rec("b", "B", 4.0, 10.0, row=3)]
-    gap = [rec("c", "A", 0.0, 3.0, row=6), rec("c", "B", 5.0, 10.0, row=7)]
+    mixed = [rec("a", "A", 0.0, 6.0), rec("a", "B", 6.0)]
+    overlap = [rec("b", "A", 0.0, 6.0), rec("b", "B", 4.0, 10.0)]
+    gap = [rec("c", "A", 0.0, 3.0), rec("c", "B", 5.0, 10.0)]
     for rows, message in [
-        (gap + overlap + mixed, "a/p1: TDS rows mix present and missing offsets (rows [5])"),
+        (gap + overlap + mixed, "a/p1: TDS rows mix present and missing offsets (rows [7])"),
         (gap + overlap, "b/p1: overlapping dominance intervals near t=4"),
         (gap, "c/p1: dominance gap near t=3"),
     ]:

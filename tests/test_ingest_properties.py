@@ -67,8 +67,7 @@ def event_inputs(draw):
     rows = draw(st.lists(st.tuples(
         st.sampled_from(keys), st.sampled_from([*labels, "unknown"]),
         TIMES, st.one_of(st.none(), TIMES)), max_size=12))
-    records = [Rec(s, c, label, onset, offset, n + 2)
-               for n, ((s, c), label, onset, offset) in enumerate(rows)]
+    records = [Rec(s, c, label, onset, offset) for (s, c), label, onset, offset in rows]
     declared = st.lists(st.sampled_from([*keys, ("s9", "p9")]), unique=True)
     items = draw(st.one_of(st.none(), declared))
     end_time = draw(end_times([*keys, ("s9", "p9")]))
@@ -239,9 +238,9 @@ def test_overlay_of_the_runs_rebuilds_the_panel(panel):
 
 # --- the keyed sorts against np.lexsort, the order they replace ---------------
 
-def lexsort_order(group, t, row=None):
-    """The reference order: by group, then t, then row and position, by np.lexsort."""
-    return np.lexsort((t, group) if row is None else (row, t, group))
+def lexsort_order(group, t):
+    """The reference order: by group, then t, then position, by np.lexsort."""
+    return np.lexsort((t, group))
 
 
 # equal values, both zeros, the extremes of the range and neighbours
@@ -250,15 +249,11 @@ ORDER_TIMES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324, 1e-300, 1e
 
 
 @FUZZ
-@given(st.lists(st.tuples(st.integers(0, 3), ORDER_TIMES, st.integers(-2, 3)), max_size=40))
+@given(st.lists(st.tuples(st.integers(0, 3), ORDER_TIMES), max_size=40))
 def test_order_equals_lexsort(entries):
-    group = np.array([g for g, _, _ in entries], dtype=np.int64)
-    t = np.array([x for _, x, _ in entries], dtype=np.float64)
-    row = np.array([r for _, _, r in entries], dtype=np.int64)
-    assert _order(group, t, row).tolist() == lexsort_order(group, t, row).tolist()
-    order, reference = _order(group, t), lexsort_order(group, t)
-    assert group[order].tolist() == group[reference].tolist()
-    assert t[order].tolist() == t[reference].tolist()  # 0.0 == -0.0: ties in any order
+    group = np.array([g for g, _ in entries], dtype=np.int64)
+    t = np.array([x for _, x in entries], dtype=np.float64)
+    assert _order(group, t).tolist() == lexsort_order(group, t).tolist()  # 0.0 ties -0.0
 
 
 def parsed_arrays(records, space, mode, end_time):
@@ -279,19 +274,16 @@ TIED_ONSETS = [0.0, -0.0, 1.0, 2.0, 3.0]
 @st.composite
 def tied_records(draw, size):
     """(records, space, mode, end time) of ``size`` rows whose times tie across items, states
-    and rows: "-0" onsets, touching and overlapping intervals of one state, simultaneous TDS
-    clicks, and row numbers in file order, descending, shuffled or repeated."""
+    and rows: "-0" onsets, touching and overlapping intervals of one state, and simultaneous
+    TDS clicks."""
     mode = draw(st.sampled_from(["TDS", "TCATA"]))
     offsets = mode == "TCATA" or draw(st.booleans())
     rows = draw(st.lists(st.tuples(
         st.sampled_from([("s1", "p1"), ("s2", "p1"), ("s1", "p2")]), st.sampled_from(TIED_LABELS),
         st.sampled_from(TIED_ONSETS), st.sampled_from([1.0, 2.0, 4.0, math.inf])),
         min_size=size, max_size=size))
-    in_order = list(range(2, size + 2))
-    numbers = draw(st.one_of(st.just(in_order), st.just(in_order[::-1]), st.permutations(in_order),
-                             st.lists(st.integers(2, 4), min_size=size, max_size=size)))
-    records = [Rec(s, c, label, on, on + length if offsets else None, number)
-               for ((s, c), label, on, length), number in zip(rows, numbers)]
+    records = [Rec(s, c, label, on, on + length if offsets else None)
+               for (s, c), label, on, length in rows]
     return records, StateSpace(TIED_LABELS), mode, 4.0
 
 
@@ -311,9 +303,8 @@ def test_large_tables_order_rows_as_lexsort(mode, seed):
     size, keys = 4000, [(f"s{i}", "p1") for i in range(40)]
     on = rng.choice(TIED_ONSETS, size)
     off = on + rng.choice([1.0, 2.0, 4.0], size) if mode == "TCATA" else [None] * size
-    numbers = rng.integers(2, 200, size) if seed else np.arange(size + 1, 1, -1)
-    records = [Rec(*keys[k], TIED_LABELS[j], a, b, int(r)) for k, j, a, b, r in zip(
-        rng.integers(0, len(keys), size), rng.integers(0, 3, size), on, off, numbers)]
+    records = [Rec(*keys[k], TIED_LABELS[j], a, b) for k, j, a, b in zip(
+        rng.integers(0, len(keys), size), rng.integers(0, 3, size), on, off)]
     case = records, StateSpace(TIED_LABELS), mode, 4.0
     new = parsed_arrays(*case)
     assert isinstance(new[1], dict), new  # the rows parse
