@@ -63,13 +63,18 @@ def _keys(panel: Panel, mask: np.ndarray) -> str:
     return ", ".join(map(panel.key, np.flatnonzero(mask)[:5].tolist()))
 
 
-def _not_refined(panel: Panel, grid: CellGrid) -> np.ndarray:
-    """Which items the grid does not refine; GridError for an item off the grid's horizon."""
+def _check_horizon(panel: Panel, grid: CellGrid) -> None:
+    """ValidationError for an empty panel, GridError for an item off the grid's horizon."""
     if panel.n < 1:
         raise ValidationError("need at least one trajectory")
     off_horizon = panel.horizons != grid.horizon
     if off_horizon.any():
         raise GridError(f"items with horizon != {grid.horizon}: {_keys(panel, off_horizon)}")
+
+
+def _not_refined(panel: Panel, grid: CellGrid) -> np.ndarray:
+    """Which items the grid does not refine, after _check_horizon."""
+    _check_horizon(panel, grid)
     b, nodes = panel.breakpoints, grid.nodes
     off_grid = nodes[np.searchsorted(nodes, b)] != b  # every b <= the horizon, nodes[-1]
     first_node = np.cumsum(panel.counts + 1) - panel.counts - 1
@@ -84,8 +89,9 @@ def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: bool = False) -> n
     they are the constant 0/1 segment values.  ``exact=True`` requires such
     a grid (GridError otherwise).
     """
-    not_refined = _not_refined(panel, grid)
-    if exact and not_refined.any():
+    if not exact:
+        _check_horizon(panel, grid)
+    elif (not_refined := _not_refined(panel, grid)).any():
         raise GridError(f"grid is not a refinement of: {_keys(panel, not_refined)}")
     return _kernels.batch_cell_averages(panel.breakpoints, panel.counts, panel.active, grid.nodes)
 

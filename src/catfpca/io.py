@@ -3,16 +3,17 @@
 Export contract: every float is written with 17 significant digits (an exact
 double round-trip) and a non-finite value raises ValidationError before its
 file is opened; JSON objects have sorted keys; CSV text fields are quoted as
-csv.writer quotes them.  CSV files are streamed in blocks of rows, so no file's
-whole text is held in memory.  Identical inputs give byte-identical files.
+csv.writer quotes them.  Identical inputs give byte-identical files.
 
-Each CSV block is formatted as bytes by one %-template: the rows' fixed text,
-with every ``%`` doubled, and a ``%s`` slot per float, filled by a single
-``template % texts`` call (see _fill).  The texts of a block's floats, and of
-every float array in a JSON file, come from one exact integer pass over the
-array (``_digits.format17``), with Python's own conversion as the fallback
-outside the range that pass covers; each text is that of ``"%.17g" % x``,
-which is fmt(x), so the bytes are those of one fmt call per value.
+Every CSV writer streams its rows through one engine, _write_rows, which
+checks, then formats the floats a batch of rows at a time, sliced from flat
+views of the result's arrays.  So a writer's transient memory is a fixed
+budget, whatever n, k, q and m are, plus a short text per item, state, cell
+(per state and cell for the bands) and scores component; write_panel also
+holds a few numbers per event row.  A block of rows is one %-template, its
+fixed text with every ``%`` doubled and a ``%s`` slot per float, filled by
+one ``%``; the texts of its floats, and of every float array in a JSON file,
+come from ``_digits.format17``, each that of ``"%.17g" % x``, which is fmt(x).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import csv
 import json
 from io import StringIO
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -50,11 +51,10 @@ __all__ = [
 ]
 
 _SLOT = b"%s"  # a template slot, filled with format17's text of one float
-_BLOCK_ROWS = 8192  # rows formatted and written at a time
-# write_panel's blocks are smaller: its rows hold several Python objects each, and 8192 of
-# them at once leave partly used allocator arenas that raise the process's later peak RSS
-_PANEL_BLOCK_ROWS = 1024
-_FORMAT_BLOCKS = 4  # write_panel's blocks whose floats one format17 call formats
+# rows one template fills: rows hold several Python objects each, and many more of them at
+# once leave partly used allocator arenas that raise the process's later peak RSS
+_BLOCK_ROWS = 1024
+_FORMAT_BLOCKS = 4  # blocks whose floats one format17 call formats
 
 
 def fmt(x: float) -> str:
@@ -117,18 +117,9 @@ def _csv_fields(*fields) -> bytes:
     return buf.getvalue()[:-1].encode("utf-8")
 
 
-def _write_csv(path, header, blocks) -> None:
-    """The header line, then each block's bytes of rows as soon as they are made."""
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        for block in blocks:
-            fh.write(block)
-
-
-def _check_finite(*arrays) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValidationError(f"cannot serialize non-finite value {a[~np.isfinite(a)][0]}")
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValidationError(f"cannot serialize non-finite value {a[~np.isfinite(a)][0]}")
 
 
 def _fixed(text: bytes) -> bytes:
@@ -136,39 +127,48 @@ def _fixed(text: bytes) -> bytes:
     return text.replace(b"%", b"%%")
 
 
-def _fill(template: bytes, values: np.ndarray) -> bytes:
-    """``template`` with its _SLOTs filled by the texts of ``values`` in C order, by one ``%``."""
-    return template % tuple(_texts(values))
+def _write_rows(path, header, count: int, template, values) -> None:
+    """The header line, then ``count`` rows: ``template(lo, hi)`` is the fixed
+    %-template of rows lo:hi, a _SLOT per float, and ``values(lo, hi)`` their
+    floats, a row per row.  Each batch of _FORMAT_BLOCKS blocks of at most
+    _BLOCK_ROWS rows is checked before the file is opened, then formatted by
+    one format17 call.
+    """
+    step = _FORMAT_BLOCKS * _BLOCK_ROWS
+    for lo in range(0, count, step):
+        _check_finite(values(lo, min(lo + step, count)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            texts = format17(values(lo, hi)).reshape(hi - lo, -1)  # a row of texts per row
+            for a in range(lo, hi, _BLOCK_ROWS):
+                b = min(a + _BLOCK_ROWS, hi)
+                fh.write(template(a, b) % tuple(texts[a - lo:b - lo].ravel().tolist()))
 
 
-def _texts(values: np.ndarray) -> list[bytes]:
-    """fmt's text of each of the (finite) ``values``, in C order, as bytes."""
-    return format17(values).tolist()
+def _write_table(path, header, count: int, prefix, keys: list[list[bytes]], values,
+                 columns: int = 1) -> None:
+    """Rows ``prefix(i) + key + "," + floats`` for i < count and each key of keys[i % len(keys)].
 
-
-def _table_blocks(prefixes: list[bytes], keys: list[list[bytes]], *columns):
-    """Blocks of rows ``prefix + key + "," + values``; prefix i takes each key of keys[i % len(keys)].
-
-    The key lists have equal lengths and ``columns`` hold one float per row
-    each, in row order.  All are checked before the first block; a block
-    formats about _BLOCK_ROWS rows.  Prefixes and keys are escaped once: a
-    prefix's rows are the template ``prefix.join(["", *tails])``, where each
-    key's tail holds its slots.
+    ``prefix(i)`` is fixed template text, the key lists have equal lengths
+    and ``values`` gives ``columns`` floats per row, as for _write_rows.  The
+    rows of prefix p are the template ``p.join(tails)``: each key's tail
+    holds its slots.
     """
     width = len(keys[0])
-    cols = [np.reshape(col, (len(prefixes), width)) for col in columns]
-    _check_finite(*cols)
-    step = max(1, _BLOCK_ROWS // max(1, width))
-    slots = b",".join([_SLOT] * len(cols))
+    slots = b",".join([_SLOT] * columns)
     tails = [[b"", *(_fixed(key) + b"," + slots + b"\n" for key in ks)] for ks in keys]
-    prefixes = list(map(_fixed, prefixes))
 
-    def block(g):
-        template = b"".join([p.join(tails[i % len(tails)])
-                            for i, p in enumerate(prefixes[g:g + step], start=g)])
-        return _fill(template, np.stack([col[g:g + step] for col in cols], axis=-1))
+    def template(lo, hi):
+        parts = []
+        for i in range(lo // width, (hi - 1) // width + 1):  # rows a:b of prefix i
+            a, b = max(lo - i * width, 0), min(hi - i * width, width)
+            own = tails[i % len(tails)]
+            parts.append(prefix(i).join(own if b - a == width else [b"", *own[a + 1:b + 1]]))
+        return b"".join(parts)
 
-    return map(block, range(0, len(prefixes), step))
+    _write_rows(path, header, count * width, template, values)
 
 
 def read_events_csv(path) -> EventTable:
@@ -232,46 +232,29 @@ def _strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
-def _event_rows(panel: Panel):
-    """Blocks of _PANEL_BLOCK_ROWS event rows, as written by write_panel, from the panel's arrays.
+def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
+    """Serialize a panel in the ingestion schema (events CSV + sidecar).
 
     TDS: one onset row per (segment, state) pair of ``active``, in panel
     order; an empty segment is the latency, which the parser restores from
     the first onset.  TCATA: one onset/offset row per run of ``Panel.runs``,
-    ordered by item, state and onset.  The times of _FORMAT_BLOCKS blocks are
-    formatted by one format17 call; each block's row objects are made alone.
+    ordered by item, state and onset.
     """
+    meta_path = meta_path or sidecar_path(csv_path)
     if panel.mode == "TCATA":
         item, states, onset, offset = panel.runs()
         times = np.stack([onset, offset], axis=-1)
         slots = _SLOT + b"," + _SLOT
     else:
-        # segment s of item i starts at breakpoint s + i
         segment, states = np.nonzero(panel.active)
         item = np.repeat(np.arange(panel.n), panel.counts)[segment]
-        times = panel.breakpoints[segment + item]
+        times = panel.breakpoints[segment + item]  # segment s of item i starts at breakpoint s + i
         slots = _SLOT + b","
     prefixes = [_fixed(_csv_fields(subject, condition)) for subject, condition in panel.keys]
     tails = [_fixed(_csv_fields(s)) + slots + b"\n" for s in panel.space.states]
-    step = _FORMAT_BLOCKS * _PANEL_BLOCK_ROWS
-
-    def blocks():
-        for lo in range(0, item.size, step):
-            chunk = times[lo:lo + step]
-            texts = format17(chunk).reshape(chunk.shape)  # a row of texts per event row
-            for a in range(0, len(chunk), _PANEL_BLOCK_ROWS):
-                rows = slice(lo + a, lo + a + _PANEL_BLOCK_ROWS)
-                template = b"".join([prefixes[i] + tails[j]
-                                    for i, j in zip(item[rows].tolist(), states[rows].tolist())])
-                yield template % tuple(texts[a:a + _PANEL_BLOCK_ROWS].ravel().tolist())
-
-    return blocks()
-
-
-def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
-    """Serialize a panel in the ingestion schema (events CSV + sidecar)."""
-    meta_path = meta_path or sidecar_path(csv_path)
-    _write_csv(csv_path, EVENT_COLUMNS, _event_rows(panel))
+    _write_rows(csv_path, EVENT_COLUMNS, item.size, lambda lo, hi: b"".join(
+        [prefixes[i] + tails[j] for i, j in zip(item[lo:hi].tolist(), states[lo:hi].tolist())]),
+        lambda lo, hi: times[lo:hi])
 
     horizons = panel.horizons.tolist()
     distinct = sorted(set(horizons))
@@ -302,47 +285,54 @@ def read_panel(csv_path, meta_path=None) -> tuple[Panel, IngestReport, dict]:
 # analysis exports
 # ---------------------------------------------------------------------------
 
-def _components(result: MfpcaResult, k: Optional[int]) -> tuple[int, list[bytes]]:
-    """k (all retained when None) and the "state,r," prefix of each exported curve."""
+def _components(result: MfpcaResult, k: Optional[int]) -> tuple[int, Callable[[int], bytes]]:
+    """k (all retained when None) and the "state,r," prefix of curve i = (r - 1) * q + state."""
     k = result.R if k is None else k
     if not 0 <= k <= result.R:
         raise DomainError(f"cannot export {k} components; the result has {result.R}")
-    labels = [_csv_fields(s) for s in result.states]
-    return k, [b"%s%d," % (label, r) for r in range(1, k + 1) for label in labels]
+    labels = [_fixed(_csv_fields(s)) for s in result.states]
+    return k, lambda i: b"%s%d," % (labels[i % len(labels)], i // len(labels) + 1)
 
 
 def _cells(grid) -> list[bytes]:
     """The "t_left,t_right" text of every cell, each node formatted once."""
-    nodes = _texts(grid.nodes)
+    nodes = format17(grid.nodes).tolist()
     return [b"%s,%s" % cell for cell in zip(nodes[:-1], nodes[1:])]
 
 
+def _write_curves(result: MfpcaResult, path, curves: np.ndarray) -> None:
+    _write_table(path, ("state", "t_left", "t_right", "value"), len(result.states),
+                 [_fixed(_csv_fields(s)) for s in result.states].__getitem__,
+                 [_cells(result.grid)], lambda lo, hi: np.reshape(curves, -1)[lo:hi])
+
+
 def write_mean_curves(result: MfpcaResult, path) -> None:
-    _write_csv(path, ("state", "t_left", "t_right", "value"), _table_blocks(
-        [_csv_fields(s) for s in result.states], [_cells(result.grid)], result.mean))
+    _write_curves(result, path, result.mean)
 
 
 def write_variance_curves(result: MfpcaResult, path) -> None:
-    _write_csv(path, ("state", "t_left", "t_right", "value"), _table_blocks(
-        [_csv_fields(s) for s in result.states], [_cells(result.grid)], result.variance))
+    _write_curves(result, path, result.variance)
 
 
 def write_selection_count(result: MfpcaResult, path) -> None:
     grid, curve = selection_count_curve(result)
-    _write_csv(path, ("t_left", "t_right", "value"), _table_blocks([b""], [_cells(grid)], curve))
+    _write_table(path, ("t_left", "t_right", "value"), 1, lambda i: b"", [_cells(grid)],
+                 lambda lo, hi: curve[lo:hi])
 
 
 def write_scores(result: MfpcaResult, path, k: Optional[int] = None) -> None:
     k, _ = _components(result, k)
-    _write_csv(path, ("subject", "condition", "r", "value"), _table_blocks(
-        [_csv_fields(subject, condition) for subject, condition in result.items],
-        [[b"%d" % r for r in range(1, k + 1)]], result.scores[:, :k]))
+    scores = result.scores[:, :k]  # maybe strided: rows lo:hi come from the items they cover
+    _write_table(path, ("subject", "condition", "r", "value"), result.n,
+                 [_fixed(_csv_fields(*item)) for item in result.items].__getitem__,
+                 [[b"%d" % r for r in range(1, k + 1)]],
+                 lambda lo, hi: scores[lo // k:(hi - 1) // k + 1].ravel()[lo % k:][:hi - lo])
 
 
 def write_eigenfunctions(result: MfpcaResult, path, k: Optional[int] = None) -> None:
-    k, prefixes = _components(result, k)
-    _write_csv(path, ("state", "r", "t_left", "t_right", "value"), _table_blocks(
-        prefixes, [_cells(result.grid)], result.eigenfunctions[:k]))
+    (k, curve), phis = _components(result, k), np.reshape(result.eigenfunctions, -1)
+    _write_table(path, ("state", "r", "t_left", "t_right", "value"), k * len(result.states),
+                 curve, [_cells(result.grid)], lambda lo, hi: phis[lo:hi])
 
 
 def write_bands(result: MfpcaResult, path, k: Optional[int] = None, c: float = 1.0) -> None:
@@ -351,17 +341,20 @@ def write_bands(result: MfpcaResult, path, k: Optional[int] = None, c: float = 1
     The mean column repeats for every component, so each (state, cell) mean is
     formatted once, into the key that follows the state's prefixes.
     """
-    k, prefixes = _components(result, k)
-    dev = (c * np.sqrt(result.eigenvalues[:k]))[:, None, None] * result.eigenfunctions[:k]
-    lower = result.mean - dev
-    upper = np.add(result.mean, dev, out=dev)
-    _check_finite(np.broadcast_to(result.mean, dev.shape))  # the mean as its rows repeat it
-    cells = _cells(result.grid)
-    means = _texts(result.mean)
-    keys = [[b"%s,%s" % key for key in zip(cells, means[lo:lo + len(cells)])]
-            for lo in range(0, len(means), len(cells))]
-    _write_csv(path, ("state", "r", "t_left", "t_right", "mean", "lower", "upper"), _table_blocks(
-        prefixes, keys, lower, upper))
+    (k, curve), phis = _components(result, k), np.reshape(result.eigenfunctions, -1)
+    means, q = np.reshape(result.mean, -1), len(result.states)
+    keys = [[b"%s,%s" % key for key in zip(_cells(result.grid), format17(mean).tolist())]
+            for mean in result.mean]
+
+    def bands(lo, hi):  # a batch of rows; a non-finite mean makes its bands non-finite
+        r, a = np.divmod(np.arange(lo, hi), means.size)  # component r, (state, cell) a
+        mean, dev = means[a], amp[r] * phis[lo:hi]
+        return np.stack([mean - dev, mean + dev], axis=-1)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the finiteness check
+        amp = c * np.sqrt(result.eigenvalues[:k])
+        _write_table(path, ("state", "r", "t_left", "t_right", "mean", "lower", "upper"), k * q,
+                     curve, keys, bands, columns=2)
 
 
 def result_to_dict(result: MfpcaResult, config_echo: Optional[dict] = None) -> dict:

@@ -1,8 +1,10 @@
-"""Shared panel generators for the test suite.
+"""Shared panel generators and a memory probe for the test suite.
 
 Random panels place their breakpoints on a 1/20 lattice so that union grids
 stay small enough for the brute-force oracles.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -15,6 +17,16 @@ LATTICE = 20
 def fuzz(max_examples):
     """Hypothesis settings that draw the same examples on every run and keep no database."""
     return settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and its peak memory by tracemalloc, to which numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_tds_trajectory(rng, q, lattice=LATTICE):

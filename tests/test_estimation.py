@@ -104,6 +104,23 @@ def test_cell_values_reject_mismatched_horizons():
         panel_cell_values(panel, CellGrid.uniform(4), exact=None)
 
 
+def test_cell_values_check_the_panel_without_the_refinement_mask(monkeypatch):
+    def no_mask(panel, grid):
+        raise AssertionError("the refinement mask is computed only for exact=True")
+
+    monkeypatch.setattr(catfpca.estimation, "_not_refined", no_mask)
+    space = StateSpace(["A", "B"])
+    with pytest.raises(ValidationError, match="need at least one trajectory"):
+        panel_cell_values(Panel("TDS", space, []), CellGrid.uniform(4))
+    items = [PanelItem("s1", "c", CategoricalTrajectory([0.0, 0.3, 1.0], [{0}, {1}])),
+             PanelItem("s2", "c", CategoricalTrajectory([0.0, 2.0], [{1}]))]
+    with pytest.raises(GridError, match="items with horizon != 1.0: s2/c"):
+        panel_cell_values(Panel("TDS", space, items), CellGrid.uniform(4))
+    # a grid that does not refine the panel gives cell averages: state A holds 0.05 of 0.25
+    Z = panel_cell_values(Panel("TDS", space, items[:1]), CellGrid.uniform(4))
+    np.testing.assert_allclose(Z[0, 0], [1.0, 0.2, 0.0, 0.0])
+
+
 def test_oracle_equivalence_on_random_panels(rng):
     for _ in range(10):
         mode = "TDS" if rng.random() < 0.5 else "TCATA"

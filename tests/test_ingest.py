@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -25,7 +24,7 @@ from catfpca import (
 from catfpca.ingest import DEFAULT_TICK, _end_for
 from catfpca.io import read_events_csv, write_panel
 
-from conftest import random_panel
+from conftest import random_panel, traced_peak
 
 SP3 = StateSpace(["A", "B", "C"])
 SP2 = StateSpace(["A", "B"])
@@ -690,16 +689,6 @@ def tcata_log(path, subjects=200, products=4, q=6, runs=5, seed=7):
                 fh.writelines(f"{subject},{product},{label},{on:.3f},{off:.3f}\n"
                               for on, off in zip(t[::2], t[1::2]))
     return labels
-
-
-def traced_peak(fn, *args, **kwargs):
-    """fn's result and its peak memory by tracemalloc, to which numpy reports its buffers."""
-    tracemalloc.start()
-    try:
-        result = fn(*args, **kwargs)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_ingest_steps_peak_memory_per_row_is_bounded(tmp_path):

@@ -15,7 +15,8 @@ from catfpca.errors import ValidationError
 from catfpca.estimation import selection_count_curve
 from catfpca.io import fmt, read_panel, write_panel
 
-from conftest import fuzz, random_panel, random_tcata_trajectory, random_tds_trajectory
+from conftest import (fuzz, random_panel, random_tcata_trajectory, random_tds_trajectory,
+                      traced_peak)
 
 # a comma, a quote, a newline, non-ASCII text and an empty field
 STATES = ("sweet, sour", 'say "hi"', "crème brûlée", "plain")
@@ -163,10 +164,10 @@ def test_curve_writers_match_reference(tmp_path, result):
 
 @pytest.mark.parametrize("block_rows", [None, 5])
 def test_outputs_larger_than_one_block(tmp_path, rng, monkeypatch, block_rows):
-    # n * k and k * q * m both exceed the default block of rows
+    # n * k and k * q * m both exceed the default batch of blocks of rows
     result = run_mfpca(labelled_panel(rng, "TCATA", n=200, lattice=60))
-    assert result.n * result.R > io._BLOCK_ROWS
-    assert result.eigenfunctions.size > io._BLOCK_ROWS
+    assert result.n * result.R > io._FORMAT_BLOCKS * io._BLOCK_ROWS
+    assert result.eigenfunctions.size > io._FORMAT_BLOCKS * io._BLOCK_ROWS
     if block_rows is not None:  # blocks that split the rows of one component
         monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
     for name, write, reference in (
@@ -195,6 +196,48 @@ def test_non_finite_eigenfunction_raises(tmp_path, result, bad):
         assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_overflowing_bands_raise_before_the_file_is_opened(tmp_path, result, monkeypatch,
+                                                           block_rows):
+    # every input is finite, but c * sqrt(lambda_1) * phi overflows in the last row of
+    # component 1, a later batch than the first when blocks hold 5 rows
+    if block_rows is not None:
+        monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+    phis = result.eigenfunctions.copy()
+    phis[0, -1, -1] = 1e300
+    with np.errstate(over="ignore"):
+        assert np.isinf(1e10 * np.sqrt(result.eigenvalues[0]) * 1e300)
+    broken = dataclasses.replace(result, eigenfunctions=phis)
+    io.write_eigenfunctions(broken, tmp_path / "eigenfunctions.csv")
+    with pytest.raises(ValidationError, match="non-finite"):
+        io.write_bands(broken, tmp_path / "bands.csv", c=1e10)
+    assert not (tmp_path / "bands.csv").exists()
+
+
+WRITER_BUDGET = 3 << 20  # bytes: a batch of floats and their texts, a block's template, labels
+ANALYSIS_WRITERS = (io.write_scores, io.write_eigenfunctions, io.write_bands,
+                    io.write_mean_curves, io.write_variance_curves, io.write_selection_count)
+
+
+def test_writer_peak_memory_is_a_fixed_budget(tmp_path, rng):
+    panel = labelled_panel(rng, "TCATA", n=200, lattice=60)
+    result = run_mfpca(panel)
+    # the component writers' rows already fill a batch, so ten times the components add
+    # rows and a short label each, and no memory per row
+    assert min(result.n * result.R, result.eigenfunctions.size) > \
+        io._FORMAT_BLOCKS * io._BLOCK_ROWS
+    tiled = dataclasses.replace(
+        result, eigenvalues=np.tile(result.eigenvalues, 10),
+        eigenfunctions=np.tile(result.eigenfunctions, (10, 1, 1)),
+        scores=np.tile(result.scores, (1, 10)), importance=np.tile(result.importance, (10, 1)))
+    peaks = {write.__name__: [traced_peak(write, r, tmp_path / "out.csv")[1]
+                              for r in (result, tiled)] for write in ANALYSIS_WRITERS}
+    assert all(large <= WRITER_BUDGET and large - small < 0.5e6
+               for small, large in peaks.values()), peaks
+    # write_panel holds a few numbers per event row besides, which test_ingest bounds
+    assert traced_peak(write_panel, panel, tmp_path / "panel.csv")[1] <= WRITER_BUDGET
+
+
 @pytest.mark.parametrize("mode", ["TDS", "TCATA"])
 def test_panel_round_trip_matches_reference(tmp_path, rng, mode):
     panel = labelled_panel(rng, mode, n=40)
@@ -220,7 +263,7 @@ def test_panel_rows_split_across_blocks(tmp_path, rng, monkeypatch, mode):
         start = CategoricalTrajectory([0.0, 0.5, 1.0], [{0, 2}, {2}])
         panel = Panel(mode, panel.space, [*panel.items, PanelItem("end", "p", end),
                                           PanelItem("start", "p", start)])
-    monkeypatch.setattr(io, "_PANEL_BLOCK_ROWS", 3)
+    monkeypatch.setattr(io, "_BLOCK_ROWS", 3)
     write_panel(panel, tmp_path / "panel.csv")
     reference_panel(panel, tmp_path / "panel.ref")
     assert same_bytes(tmp_path / "panel.csv", tmp_path / "panel.ref")
@@ -243,7 +286,6 @@ def test_template_metacharacters_in_labels_match_reference(tmp_path, rng, monkey
                            subjects=SUBJECTS + PCT_SUBJECTS, condition="%(x)s %{}, %%")
     if block_rows is not None:
         monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
-        monkeypatch.setattr(io, "_PANEL_BLOCK_ROWS", block_rows)
     result = run_mfpca(panel)
     assert result.R > 2
     for name, write, reference in (
@@ -266,11 +308,14 @@ def test_template_metacharacters_in_labels_match_reference(tmp_path, rng, monkey
         assert same_bytes(tmp_path / f"{name}.csv", tmp_path / f"{name}.ref"), name
 
 
-def test_table_keys_are_escaped_too():
+def test_table_keys_are_escaped_too(tmp_path):
     # no writer passes a key with a % today (keys are cells, means and component numbers)
-    blocks = io._table_blocks([b"a%,", b"%%,"], [[b"%s", b"%(x)s"]],
-                              np.array([1.0, 2.0, 3.0, 0.5]))
-    assert b"".join(blocks) == b"a%,%s,1\na%,%(x)s,2\n%%,%s,3\n%%,%(x)s,0.5\n"
+    values = np.array([1.0, 2.0, 3.0, 0.5])
+    prefixes = [io._fixed(b"a%,"), io._fixed(b"%%,")]
+    io._write_table(tmp_path / "t.csv", ("h",), 2, prefixes.__getitem__, [[b"%s", b"%(x)s"]],
+                    lambda lo, hi: values[lo:hi])
+    assert (tmp_path / "t.csv").read_bytes() == \
+        b"h\na%,%s,1\na%,%(x)s,2\n%%,%s,3\n%%,%(x)s,0.5\n"
 
 
 def boundary_values():
@@ -289,7 +334,7 @@ def boundary_values():
     return np.concatenate([values, -values])
 
 
-def test_template_slot_digits_equal_fmt():
+def test_template_slot_digits_equal_fmt(tmp_path):
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
     # subnormals: a zero exponent field, any sign and mantissa
@@ -301,8 +346,11 @@ def test_template_slot_digits_equal_fmt():
     texts = [fmt(x).encode() for x in values]
     assert [b"%.17g" % x for x in values] == texts  # the kernel's fallback
     assert_format17_equals_fmt(values)
-    # and as the writers fill a block: one template, one % call
-    assert io._fill(b"%s\n" * len(values), np.array(values)).split(b"\n")[:-1] == texts
+    # and as the writers fill their blocks: one template and one % call per block
+    x = np.array(values)
+    io._write_rows(tmp_path / "x.csv", ("x",), x.size, lambda lo, hi: b"%s\n" * (hi - lo),
+                   lambda lo, hi: x[lo:hi])
+    assert (tmp_path / "x.csv").read_bytes().split(b"\n")[1:-1] == texts
 
 
 def assert_format17_equals_fmt(values):

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from catfpca.estimation import WeightScheme
 from catfpca.mfpca import _weight_diag, eigendecompose, importance, run_mfpca
 from catfpca.oracles import ProbabilityField, assemble_operator, estimate_field, mercer_check
 
-from conftest import mirror_panel, random_panel
+from conftest import mirror_panel, random_panel, traced_peak
 
 
 def h_gram(result):
@@ -450,12 +449,7 @@ def test_decomposition_peak_memory_is_bounded(n, q, cells):
     # the (N, N) Gram matrix and eigh's output bound the solve itself
     panel = simulated_panel(n, q)
     p = q * cells
-    tracemalloc.start()  # numpy reports its buffers to tracemalloc
-    try:
-        result = run_mfpca(panel, grid=CellGrid.uniform(cells))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(run_mfpca, panel, grid=CellGrid.uniform(cells))
     assert (p > n) == (n == 200)  # one dual and one primal panel
     R, N = result.R, min(n, p)
     rasterizer = 2 << 20
