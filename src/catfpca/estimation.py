@@ -1,12 +1,12 @@
 """Cell values, mean probability curves and weighting schemes.
 
-Everything is computed exactly on a cell grid from the panel's flat arrays
-(breakpoints, segment counts and the segment x state ``active`` matrix):
-when the grid refines all sample paths (the union grid does by
-construction), cell values are the constant 0/1 segment values and every
-time integral is a finite sum with no quadrature error.  The dense
-covariance kernel is not built here; ``oracles.estimate_field`` builds it
-from :func:`panel_cell_values` as a reference.
+Everything is computed exactly on a cell grid from the panel's runs, the
+maximal on-runs of each state that ``Panel.runs()`` returns: when the grid
+refines all sample paths (the union grid does by construction), cell values
+are the constant 0/1 segment values and every time integral is a finite sum
+with no quadrature error.  The dense covariance kernel is not built here;
+``oracles.estimate_field`` builds it from :func:`panel_cell_values` as a
+reference.
 """
 from __future__ import annotations
 
@@ -93,28 +93,25 @@ def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: bool = False) -> n
         _check_horizon(panel, grid)
     elif (not_refined := _not_refined(panel, grid)).any():
         raise GridError(f"grid is not a refinement of: {_keys(panel, not_refined)}")
-    return _kernels.batch_cell_averages(panel.breakpoints, panel.counts, panel.active, grid.nodes)
+    return _kernels.batch_cell_averages(panel.runs(), panel.n, panel.space.q, grid.nodes)
 
 
 def mean_on_grid(panel: Panel, grid: CellGrid) -> np.ndarray:
-    """(q, m) mean curves via segment accumulation, without the dense tensor.
+    """(q, m) mean curves via run accumulation, without the dense tensor.
 
-    Exact-integer accumulation: each (segment, state) pair of ``active``
-    adds +1 at the segment's first node and -1 at its last, and a cumulative
-    sum over the nodes recovers occupancy counts.  Requires the grid to
-    refine the panel.
+    Exact-integer accumulation: each run of ``Panel.runs()`` adds +1 at its
+    onset's node and -1 at its offset's, and a cumulative sum over the nodes
+    recovers occupancy counts.  Requires the grid to refine the panel.
     """
     not_refined = _not_refined(panel, grid)
     if not_refined.any():
         raise GridError(f"{panel.key(int(np.argmax(not_refined)))}: breakpoints are not grid nodes")
     q, m = panel.space.q, grid.m
-    node = np.searchsorted(grid.nodes, panel.breakpoints)
-    # segment s of item i runs from breakpoint s + i to s + i + 1
-    segment, state = np.nonzero(panel.active)
-    left = segment + np.repeat(np.arange(panel.n), panel.counts)[segment]
+    _, state, onset, offset = panel.runs()
     at = state * (m + 1)
-    diff = np.bincount(np.concatenate([at + node[left], at + node[left + 1]]),
-                       weights=np.repeat([1.0, -1.0], left.size), minlength=q * (m + 1))
+    diff = np.bincount(np.concatenate([at + np.searchsorted(grid.nodes, onset),
+                                       at + np.searchsorted(grid.nodes, offset)]),
+                       weights=np.repeat([1.0, -1.0], state.size), minlength=q * (m + 1))
     return np.cumsum(diff.reshape(q, m + 1)[:, :-1], axis=1) / panel.n
 
 

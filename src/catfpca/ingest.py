@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, islice
 from typing import Mapping, Optional, Sequence, Union
 
@@ -201,16 +201,7 @@ class IngestReport:
         return sum(self.warnings.values())
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_rows": self.n_rows,
-            "n_items": self.n_items,
-            "warnings": dict(self.warnings),
-            "total_warnings": self.total_warnings,
-            "rejected_subjects": list(self.rejected_subjects),
-            "latency": dict(self.latency),
-            "per_state": {k: dict(v) for k, v in self.per_state.items()},
-        }
+        return {**asdict(self), "total_warnings": self.total_warnings}
 
 
 class EventTable:

@@ -10,7 +10,8 @@ checks, then formats the floats a batch of rows at a time, sliced from flat
 views of the result's arrays.  So a writer's transient memory is a fixed
 budget, whatever n, k, q and m are, plus a short text per item, state, cell
 (per state and cell for the bands) and scores component; write_panel also
-holds a few numbers per event row.  A block of rows is one %-template, its
+holds a few numbers per event row.  The cell texts of the last grid written
+are kept, so the five grid writers of one result format its nodes once.  A block of rows is one %-template, its
 fixed text with every ``%`` doubled and a ``%s`` slot per float, filled by
 one ``%``; the texts of its floats, and of every float array in a JSON file,
 come from ``_digits.format17``, each that of ``"%.17g" % x``, which is fmt(x).
@@ -18,10 +19,11 @@ come from ``_digits.format17``, each that of ``"%.17g" % x``, which is fmt(x).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from io import StringIO
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -147,7 +149,7 @@ def _write_rows(path, header, count: int, template, values) -> None:
                 fh.write(template(a, b) % tuple(texts[a - lo:b - lo].ravel().tolist()))
 
 
-def _write_table(path, header, count: int, prefix, keys: list[list[bytes]], values,
+def _write_table(path, header, count: int, prefix, keys: list[Sequence[bytes]], values,
                  columns: int = 1) -> None:
     """Rows ``prefix(i) + key + "," + floats`` for i < count and each key of keys[i % len(keys)].
 
@@ -294,10 +296,11 @@ def _components(result: MfpcaResult, k: Optional[int]) -> tuple[int, Callable[[i
     return k, lambda i: b"%s%d," % (labels[i % len(labels)], i // len(labels) + 1)
 
 
-def _cells(grid) -> list[bytes]:
+@functools.lru_cache(maxsize=1)  # the grid writers of one result share one tuple
+def _cells(grid) -> tuple[bytes, ...]:
     """The "t_left,t_right" text of every cell, each node formatted once."""
     nodes = format17(grid.nodes).tolist()
-    return [b"%s,%s" % cell for cell in zip(nodes[:-1], nodes[1:])]
+    return tuple(b"%s,%s" % cell for cell in zip(nodes[:-1], nodes[1:]))
 
 
 def _write_curves(result: MfpcaResult, path, curves: np.ndarray) -> None:
@@ -343,8 +346,8 @@ def write_bands(result: MfpcaResult, path, k: Optional[int] = None, c: float = 1
     """
     (k, curve), phis = _components(result, k), np.reshape(result.eigenfunctions, -1)
     means, q = np.reshape(result.mean, -1), len(result.states)
-    keys = [[b"%s,%s" % key for key in zip(_cells(result.grid), format17(mean).tolist())]
-            for mean in result.mean]
+    texts = format17(means).reshape(q, -1).tolist()
+    keys = [[b"%s,%s" % key for key in zip(_cells(result.grid), row)] for row in texts]
 
     def bands(lo, hi):  # a batch of rows; a non-finite mean makes its bands non-finite
         r, a = np.divmod(np.arange(lo, hi), means.size)  # component r, (state, cell) a

@@ -178,24 +178,26 @@ def _dual_pairs(A: np.ndarray, U: np.ndarray, mu: np.ndarray) -> np.ndarray:
         phis[rows] /= np.linalg.norm(phis[rows], axis=1)[:, None]
     if big < mu.size:
         _orthonormalize_tail(phis, big, live)
-        U[:, big:] = A @ phis[big:].T
+        np.matmul(A, phis[big:].T, out=U[:, big:])
     return phis
 
 
 def _orthonormalize_tail(phis: np.ndarray, lo: int, live: int) -> None:
     """Rebuild rows lo: of ``phis`` orthonormal to the rows above them, in place.
 
-    Rows lo:live are projected off rows :lo twice (classical Gram-Schmidt
-    twice is orthogonal to working precision), then orthonormalized by QR.
-    Each row from ``live`` on starts from the unit vector e_j whose squared
+    Rows lo:live go in row blocks of at most _BLOCK_VALUES values, so no
+    temporary holds more than a block: each block is projected off every row
+    above it twice (classical Gram-Schmidt twice is orthogonal to working
+    precision), then orthonormalized by QR.  A tail of one block is the whole
+    tail's QR; past one block the last bits depend on the block size.  Each
+    row from ``live`` on starts from the unit vector e_j whose squared
     projection on the rows above it is smallest, so its residual keeps a
     squared norm of at least 1/p, and is projected off those rows twice.
     """
-    top = phis[:lo]
-    block = phis[lo:live]
-    if block.size:
+    for rows in _row_blocks(live - lo, phis.shape[1]):
+        above, block = phis[:lo + rows.start], phis[lo + rows.start:lo + rows.stop]
         for _ in range(2):
-            block -= (block @ top.T) @ top
+            block -= (block @ above.T) @ above
         block[:] = np.linalg.qr(block.T)[0].T
     for r in range(live, phis.shape[0]):
         prev = phis[:r]

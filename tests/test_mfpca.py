@@ -8,9 +8,12 @@ import pytest
 
 import catfpca
 from catfpca import (
+    CategoricalTrajectory,
     CellGrid,
     DomainError,
     NumericalError,
+    Panel,
+    PanelItem,
     StateSpace,
     ValidationError,
     compute_weights,
@@ -443,15 +446,42 @@ def simulated_panel(n, q):
     return catfpca.simulate_panel(spec, n, seed=1)
 
 
-@pytest.mark.parametrize(("n", "q", "cells"), [(200, 4, 1000), (1000, 4, 100)])
-def test_decomposition_peak_memory_is_bounded(n, q, cells):
+def blip_panel(n, q, cells):
+    """A TDS panel whose spectrum is mostly a tail below 1e-4 of lambda_1.
+
+    Each item switches from S0 to S1 at one of three times and holds S2 for a
+    blip of log-uniform length, 1e-6 to 1e-1 of a cell of the uniform grid of
+    ``cells``, inside one cell away from the switch.
+    """
+    rng = np.random.default_rng(1)
+    h, items = 1.0 / cells, []
+    for i in range(n):
+        switch = rng.choice([0.25, 0.5, 0.75])
+        cell = rng.choice(np.flatnonzero(np.abs(np.arange(cells) * h - switch) >= 2 * h))
+        onset = (cell + 0.25) * h
+        offset = onset + h * 10.0 ** rng.uniform(-6, -1)
+        breaks = np.sort([0.0, switch, onset, offset, 1.0])
+        states = [{2} if b == onset else {0} if b < switch else {1} for b in breaks[:-1]]
+        items.append(PanelItem(f"s{i}", "c", CategoricalTrajectory(breaks, states)))
+    return Panel("TDS", StateSpace([f"S{j}" for j in range(q)]), items)
+
+
+@pytest.mark.parametrize(("n", "q", "cells", "tail"),
+                         [(200, 4, 1000, False), (1000, 4, 100, False), (300, 3, 1000, True)],
+                         ids=["200-4-1000", "1000-4-100", "300-3-1000-tail"])
+def test_decomposition_peak_memory_is_bounded(n, q, cells, tail):
     # after eigh only A, the (R, q*m) eigenfunctions and one (n, R) block are held;
-    # the (N, N) Gram matrix and eigh's output bound the solve itself
-    panel = simulated_panel(n, q)
+    # the (N, N) Gram matrix and eigh's output bound the solve itself, and a dual
+    # tail below 1e-4 of lambda_1 is re-orthonormalized a bounded row block at a time
+    panel = blip_panel(n, q, cells) if tail else simulated_panel(n, q)
     p = q * cells
     result, peak = traced_peak(run_mfpca, panel, grid=CellGrid.uniform(cells))
-    assert (p > n) == (n == 200)  # one dual and one primal panel
+    assert (p > n) == (n != 1000)  # two dual panels and one primal one
     R, N = result.R, min(n, p)
+    if tail:  # a tail of many row blocks, which stays orthonormal
+        lam = result.eigenvalues
+        assert np.count_nonzero(lam < 1e-4 * lam[0]) * p > 4 * catfpca.mfpca._BLOCK_VALUES
+        check_pairs(result, 1e-10)
     rasterizer = 2 << 20
     assert peak <= 8 * (n * p + R * p + n * R + 2 * N * N) + rasterizer
 
