@@ -226,14 +226,14 @@ def cmd_oracle_check(args) -> int:
     mean_dev = float(np.abs(field.mean - oracle.mean).max())
     cov_dev = float(np.abs(field.cov_matrix - oracle.cov_matrix).max())
 
-    # the eigenvalues of the path `mfpca` runs, zero-padded to all q*m of the oracle's
+    # the retained eigenvalues of the path `mfpca` runs, zero-padded to all q*m of the oracle's
     weights = WeightScheme.equal(panel.space.q)
-    result = run_mfpca(panel, grid=grid, weights=weights, retain="full")
+    result = run_mfpca(panel, grid=grid, weights=weights)
     evals = np.zeros(panel.space.q * grid.m)
     evals[:result.R] = result.eigenvalues
     evals_naive = jacobi_eigenvalues(naive_operator_matrix(oracle, weights))
     eig_dev = float(np.abs(evals - evals_naive).max())
-    # H-Gram of every eigenfunction, null completions included
+    # H-Gram of every retained eigenfunction
     phis = result.eigenfunctions.reshape(result.R, -1)
     gram = (phis * _weight_diag(weights, grid)) @ phis.T
     orth_dev = float(np.abs(gram - np.eye(result.R)).max(initial=0.0))

@@ -11,8 +11,9 @@ Its nonzero spectrum is also that of the n x n matrix A A^T / n (the
 kernel-PCA identity), so one symmetric eigensolve of the smaller Gram
 matrix gives the whole decomposition: the primal A^T A when q*m <= n, the
 dual A A^T otherwise.  Eigenvalues are mu / n, eigenfunction cell values
-D^{-1/2} V and scores A V = U sqrt(mu).  In the dual, eigenfunctions far
-below lambda_1 are re-orthonormalized (see :func:`eigendecompose`).  The
+D^{-1/2} V and scores A V = U sqrt(mu).  Only eigenvalues above 1e-12 of
+lambda_1, at most n - 1 of them, are retained (see :func:`eigendecompose`);
+in the dual, eigenfunctions far below lambda_1 are re-orthonormalized.  The
 dense (q*m, q*m) kernel is never formed, and the cost is
 O(n * q*m * min(n, q*m)).  The dense kernel and the operator matrix the
 tests compare against live in ``oracles``.
@@ -25,9 +26,8 @@ and output, a workspace of about 2 N^2 doubles of its own, N = min(n, q*m).
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
     "run_mfpca",
 ]
 
-# relative spectral cut for the "auto" retention policy
+# relative spectral cut of the retained eigenvalues
 _EIG_RTOL = 1e-12
 # dual-form components below this fraction of the largest eigenvalue are
 # re-orthonormalized (see eigendecompose)
@@ -58,24 +58,10 @@ def _weight_diag(weights: WeightScheme, grid: CellGrid) -> np.ndarray:
     return (weights.weights[:, None] * grid.lengths[None, :]).ravel()
 
 
-def _check_retain(retain: Union[int, str]) -> Union[int, str]:
-    """The retention policy as "auto", "full" or a Python int; bools are rejected."""
-    if isinstance(retain, str):
-        if retain not in ("auto", "full"):
-            raise ValidationError(f"retain must be 'auto', 'full' or an int, got {retain!r}")
-        return retain
-    if isinstance(retain, bool) or not isinstance(retain, numbers.Integral):
-        raise ValidationError(f"retain must be 'auto', 'full' or an int, got {retain!r}")
-    if retain < 0:
-        raise DomainError(f"retain must be >= 0, got {retain}")
-    return int(retain)
-
-
 def eigendecompose(
     A: np.ndarray,
     weights: WeightScheme,
     grid: CellGrid,
-    retain: Union[int, str] = "auto",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Descending eigenvalues, eigenfunction blocks and scores from one eigh.
 
@@ -93,42 +79,33 @@ def eigendecompose(
     In the dual, A^T u_r / sqrt(mu_r) is H-orthogonal to the other
     components only to about eps * lambda_1 / lambda_r, so every retained
     component below 1e-4 of lambda_1 is projected off all larger ones twice
-    and the block is orthonormalized by QR; its scores are then A V.  Null
-    components, below the "auto" cut, which "full" or an int ``retain`` can
-    reach, start from the unit vector e_j with the smallest projection on
-    the components above them.
+    and the block is orthonormalized by QR; its scores are then A V.
+
+    Retention: the eigenvalues above 1e-12 of the largest are kept, at most
+    n - 1 of them (the rank bound of an n-sample empirical operator); none
+    when the largest is 0.  Below the cut, eigh's eigenvalues are at the
+    level of its rounding error, so their components are not determined.
 
     Parameters
     ----------
     A : (n, q*m) centred cell values scaled by the square root of the
         weight diagonal of ``weights`` on ``grid``.
-    retain : "auto", "full" or int
-        "auto" keeps eigenvalues above 1e-12 of the largest, capped by
-        n - 1 (the rank bound of an n-sample empirical operator); "full"
-        keeps all min(n, q*m); an int keeps at most that many.
 
     Returns
     -------
-    (eigenvalues (R,), eigenfunctions (R, q, m), scores (n, R), possibly a strided view)
+    (eigenvalues (R,), eigenfunctions (R, q, m), scores (n, R))
 
     Eigenfunctions are orthonormal under the weighted inner product, and
     each is sign-fixed so its entry of largest absolute value is positive;
     its score column follows the same sign.
     """
-    retain = _check_retain(retain)
     n, p = A.shape
     primal = p <= n
     mu, vecs = np.linalg.eigh(A.T @ A if primal else A @ A.T)
     mu = np.maximum(mu[::-1], 0.0)
     evals = mu / n
-
-    if retain == "full":
-        R = evals.size
-    elif retain == "auto":
-        R = int(np.count_nonzero(evals > _EIG_RTOL * evals[0])) if evals[0] > 0 else 0
-        R = min(R, n - 1)
-    else:
-        R = min(retain, evals.size)
+    R = int(np.count_nonzero(evals > _EIG_RTOL * evals[0])) if evals[0] > 0 else 0
+    R = min(R, n - 1)
 
     # the R leading eigenvectors are copied once and eigh's (N, N) array is
     # dropped before any product with A
@@ -137,11 +114,7 @@ def eigendecompose(
         del vecs
         scores = A @ phis.T
     else:
-        # the scores start as the eigenvectors, in rows padded to two entries: a lone
-        # eigenvector then keeps a non-unit stride, as in eigh's array, since OpenBLAS's
-        # gemv sums a unit-stride vector in another order and its last bits would move
-        scores = np.empty((n, max(R, 2)))[:, :R]
-        scores[:] = vecs[:, ::-1][:, :R]
+        scores = vecs[:, ::-1][:, :R].copy()
         del vecs
         phis = _dual_pairs(A, scores, mu[:R])
     phis /= np.sqrt(_weight_diag(weights, grid))
@@ -169,43 +142,29 @@ def _dual_pairs(A: np.ndarray, U: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """
     phis = U.T @ A
     U *= np.sqrt(mu)
-    if mu.size == 0 or mu[0] == 0:
-        big = live = 0
-    else:
-        big = int(np.count_nonzero(mu >= _DUAL_RTOL * mu[0]))
-        live = int(np.count_nonzero(mu > _EIG_RTOL * mu[0]))
+    big = int(np.count_nonzero(mu >= _DUAL_RTOL * mu[0])) if mu.size else 0
     for rows in _row_blocks(big, A.shape[1]):
         phis[rows] /= np.linalg.norm(phis[rows], axis=1)[:, None]
     if big < mu.size:
-        _orthonormalize_tail(phis, big, live)
+        _orthonormalize_tail(phis, big)
         np.matmul(A, phis[big:].T, out=U[:, big:])
     return phis
 
 
-def _orthonormalize_tail(phis: np.ndarray, lo: int, live: int) -> None:
+def _orthonormalize_tail(phis: np.ndarray, lo: int) -> None:
     """Rebuild rows lo: of ``phis`` orthonormal to the rows above them, in place.
 
-    Rows lo:live go in row blocks of at most _BLOCK_VALUES values, so no
+    The rows go in row blocks of at most _BLOCK_VALUES values, so no
     temporary holds more than a block: each block is projected off every row
     above it twice (classical Gram-Schmidt twice is orthogonal to working
     precision), then orthonormalized by QR.  A tail of one block is the whole
-    tail's QR; past one block the last bits depend on the block size.  Each
-    row from ``live`` on starts from the unit vector e_j whose squared
-    projection on the rows above it is smallest, so its residual keeps a
-    squared norm of at least 1/p, and is projected off those rows twice.
+    tail's QR; past one block the last bits depend on the block size.
     """
-    for rows in _row_blocks(live - lo, phis.shape[1]):
+    for rows in _row_blocks(phis.shape[0] - lo, phis.shape[1]):
         above, block = phis[:lo + rows.start], phis[lo + rows.start:lo + rows.stop]
         for _ in range(2):
             block -= (block @ above.T) @ above
         block[:] = np.linalg.qr(block.T)[0].T
-    for r in range(live, phis.shape[0]):
-        prev = phis[:r]
-        v = np.zeros(phis.shape[1])
-        v[np.argmin(np.einsum("ij,ij->j", prev, prev))] = 1.0
-        for _ in range(2):
-            v -= (prev @ v) @ prev
-        phis[r] = v / np.linalg.norm(v)
 
 
 def importance(weights: WeightScheme, grid: CellGrid, eigenfunctions: np.ndarray) -> np.ndarray:
@@ -239,7 +198,7 @@ class MfpcaResult:
 
     eigenvalues: np.ndarray        # (R,) descending, >= 0
     eigenfunctions: np.ndarray     # (R, q, m) cell values
-    scores: np.ndarray             # (n, R), possibly a strided view
+    scores: np.ndarray             # (n, R)
     importance: np.ndarray         # (R, q)
     total_variance: float          # sum of all eigenvalues = weighted trace
     mean: np.ndarray               # (q, m)
@@ -281,7 +240,6 @@ def run_mfpca(
     scheme: str = "equal",
     weights: Optional[WeightScheme] = None,
     grid: Optional[CellGrid] = None,
-    retain: Union[int, str] = "auto",
 ) -> MfpcaResult:
     """Full pipeline: cell values -> weights -> one Gram eigensolve -> result.
 
@@ -309,7 +267,7 @@ def run_mfpca(
     d = _weight_diag(weights, grid)
     A *= np.sqrt(d)
     total_variance = float(np.sum(variance * d))  # no BLAS: the same at every thread count
-    evals, phis, scores = eigendecompose(A, weights, grid, retain=retain)
+    evals, phis, scores = eigendecompose(A, weights, grid)
     return MfpcaResult(
         eigenvalues=evals,
         eigenfunctions=phis,

@@ -125,8 +125,9 @@ def assemble_operator(field: ProbabilityField, weights: WeightScheme) -> np.ndar
 def mercer_check(result: MfpcaResult, field: ProbabilityField) -> float:
     """Max absolute deviation of the kernel from its spectral expansion.
 
-    Meaningful when the full decomposition is retained; with a truncated
-    result the deviation reflects the discarded tail.
+    A result of ``run_mfpca`` retains every eigenvalue above 1e-12 of the
+    largest, so its deviation is rounding; a result cut to fewer components
+    deviates by the discarded ones.
     """
     R = result.eigenvalues.size
     qm = field.q * field.m

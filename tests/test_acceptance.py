@@ -59,7 +59,7 @@ def test_criterion_1_property_suite():
     while panels < 50:
         mode = "TDS" if panels % 2 == 0 else "TCATA"
         panel = random_panel(rng, mode)
-        result = run_mfpca(panel, retain="full")
+        result = run_mfpca(panel)
         field = estimate_field(panel, result.grid, exact=None)
         trace = result.total_variance
         scale = max(trace, 1e-30)
@@ -125,7 +125,7 @@ def test_criterion_2_oracle_equivalence():
         evals = np.sort(np.linalg.eigvalsh(assemble_operator(fast, weights)))[::-1]
         evals_naive = jacobi_eigenvalues(naive_operator_matrix(slow, weights))
         worst_eig = max(worst_eig, float(np.abs(evals - evals_naive).max()))
-        result = run_mfpca(panel, grid=grid, weights=weights, retain="full")
+        result = run_mfpca(panel, grid=grid, weights=weights)
         padded = np.zeros(evals_naive.size)
         padded[:result.R] = result.eigenvalues
         worst_run = max(worst_run, float(np.abs(padded - evals_naive).max()))
@@ -142,7 +142,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_mirror_fixture():
     panel = mirror_panel()
-    result = run_mfpca(panel, retain="full")
+    result = run_mfpca(panel)
     nonzero = result.eigenvalues[result.eigenvalues > 1e-12]
     if nonzero.size != 1 or abs(nonzero[0] - 0.25) > 1e-12:
         fail(3, f"eigenvalues {result.eigenvalues[:3]} != (0.25, 0, ...)")
@@ -165,7 +165,7 @@ def test_criterion_4_kl_optimality():
         n = int(rng.integers(3, 9))       # n <= 8
         q = int(rng.integers(2, 4))       # q <= 3
         panel = random_panel(rng, "TDS" if trial % 2 else "TCATA", n=n, q=q, lattice=12)
-        result = run_mfpca(panel, retain="full")
+        result = run_mfpca(panel)
         live = [r for r in range(result.R) if result.eigenvalues[r] > 1e-13]
         if len(live) < 2:
             continue

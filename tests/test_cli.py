@@ -228,6 +228,47 @@ def test_oracle_check_fails_on_non_orthonormal_eigenfunctions(tmp_path, capsys, 
     assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "NumericalError"
 
 
+def test_oracle_check_covers_every_retained_component_of_a_rank_deficient_panel(
+        tmp_path, capsys, monkeypatch):
+    # four distinct TDS paths and two repeats: six items, rank 3, and the dual form
+    paths = {"s1": "A@0 B@2", "s2": "B@0 C@3", "s3": "C@0 A@5", "s4": "A@0 C@7 B@8"}
+    paths.update(s5=paths["s1"], s6=paths["s2"])
+    events = tmp_path / "events.csv"
+    events.write_text("subject,product,descriptor,onset,offset\n" + "".join(
+        f"{subject},p1,{click.replace('@', ',')},\n"
+        for subject, path in paths.items() for click in path.split()))
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({"mode": "TDS", "states": ["A", "B", "C"], "end_time": 10.0}))
+    out = tmp_path / "ingested"
+    assert run(["ingest", events, "--meta", meta, "--out", out]) == 0
+    real, seen = cli.run_mfpca, []
+
+    def recorded(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "run_mfpca", recorded)
+    capsys.readouterr()
+    assert run(["oracle-check", out / "panel.csv"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["ok"] is True
+    result = seen[-1]
+    assert 3 * result.grid.m > result.n == 6
+    assert result.R == 3
+
+    def last_stretched(*args, **kwargs):
+        result = real(*args, **kwargs)
+        phis = result.eigenfunctions.copy()
+        phis[-1] *= 1.01
+        return dataclasses.replace(result, eigenfunctions=phis)
+
+    # the last retained eigenfunction is inside the check
+    monkeypatch.setattr(cli, "run_mfpca", last_stretched)
+    assert run(["oracle-check", out / "panel.csv"]) == 3
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["orthonormality_deviation"] == pytest.approx(1.01 ** 2 - 1.0, rel=1e-6)
+
+
 def assert_config_refused(tmp_path, capsys, command, options, key):
     """``command`` exits 2 with one JSON line naming ``key``, before reading its input.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from catfpca import (
     Panel,
     PanelItem,
     StateSpace,
-    ValidationError,
     compute_weights,
     panel_cell_values,
     reconstruct,
@@ -56,8 +56,7 @@ def test_mirror_panel_full_decomposition(mirror):
     assert result.importance[0] == pytest.approx([0.5, 0.5], abs=1e-12)
     assert result.variance_proportions[0] == pytest.approx(1.0, abs=1e-12)
     assert mean_residual_sq(mirror, result, 1) <= 1e-20
-    full = run_mfpca(mirror, retain="full")
-    assert mercer_check(full, estimate_field(mirror, full.grid, exact=None)) <= 1e-10
+    assert mercer_check(result, estimate_field(mirror, result.grid, exact=None)) <= 1e-10
 
 
 def test_zero_kernel_single_sample():
@@ -85,9 +84,9 @@ def test_synthetic_identity_kernel_gives_diagonal_eigenvalues():
     S = assemble_operator(field, weights)
     d = _weight_diag(weights, grid)
     assert np.allclose(S, np.diag(d), atol=1e-15)
-    # A = sqrt(n) D^{1/2} with n = q*m rows has A^T A / n = S
-    A = np.sqrt(qm) * np.diag(np.sqrt(d))
-    evals, phis, _ = eigendecompose(A, weights, grid, retain="full")
+    # the n = 2*q*m centred rows of A = sqrt(q*m) [D^{1/2}; -D^{1/2}] have A^T A / n = S
+    A = np.sqrt(qm) * np.vstack([np.diag(np.sqrt(d)), -np.diag(np.sqrt(d))])
+    evals, phis, _ = eigendecompose(A, weights, grid)
     assert np.allclose(evals, np.sort(d)[::-1], atol=1e-15)
 
 
@@ -139,7 +138,7 @@ def test_svd_eigenvalues_match_dense_operator(rng):
     # give the same spectrum
     for mode in ("TDS", "TCATA") * 10:
         panel = random_panel(rng, mode)
-        result = run_mfpca(panel, retain="full")
+        result = run_mfpca(panel)
         field = estimate_field(panel, result.grid, exact=None)
         dense = np.linalg.eigvalsh(assemble_operator(field, result.weights))[::-1]
         svd = np.zeros_like(dense)
@@ -147,17 +146,9 @@ def test_svd_eigenvalues_match_dense_operator(rng):
         assert np.abs(svd - dense).max() <= 1e-12 * max(dense[0], 1e-30)
 
 
-def test_zero_eigenvalue_components_have_zero_scores(rng):
-    panel = random_panel(rng, "TDS", n=3, q=3)
-    result = run_mfpca(panel, retain="full")
-    null = result.eigenvalues <= 1e-14
-    if null.any():
-        assert np.abs(result.scores[:, null]).max() <= 1e-8
-
-
 def test_parseval_residuals(rng):
     panel = random_panel(rng, "TCATA", n=6, q=3)
-    result = run_mfpca(panel, retain="full")
+    result = run_mfpca(panel)
     for k in (0, 1, min(3, result.R)):
         expected = result.total_variance - result.eigenvalues[:k].sum()
         got = mean_residual_sq(panel, result, k)
@@ -175,13 +166,14 @@ def test_reconstruct_contracts(mirror):
 
 def test_mercer_deviation_decreases_with_rank(rng):
     panel = random_panel(rng, "TDS", n=8, q=3)
-    full = run_mfpca(panel, retain="full")
+    full = run_mfpca(panel)
     field = estimate_field(panel, full.grid, exact=None)
     trace = full.total_variance
     assert mercer_check(full, field) <= 1e-8 * max(trace, 1e-30)
     devs = []
     for k in (1, 2, full.R):
-        truncated = run_mfpca(panel, retain=k)
+        truncated = dataclasses.replace(full, eigenvalues=full.eigenvalues[:k],
+                                        eigenfunctions=full.eigenfunctions[:k])
         devs.append(mercer_check(truncated, field))
     assert devs[0] >= devs[1] >= devs[2]
 
@@ -243,7 +235,7 @@ def test_trace_normalizing_gives_unit_traces_on_a_coarse_grid(rng):
     # 64 uniform cells do not refine the 1/20 lattice, so cell values are averages
     panel = random_panel(rng, "TCATA", n=60, q=4)
     grid = CellGrid.uniform(64)
-    result = run_mfpca(panel, grid=grid, scheme="trace_normalizing", retain="full")
+    result = run_mfpca(panel, grid=grid, scheme="trace_normalizing")
     field = estimate_field(panel, grid, exact=None)
     assert not set(np.unique(panel_cell_values(panel, grid))) <= {0.0, 1.0}
     traces = result.weights.weights * (field.variance_diagonal @ grid.lengths)
@@ -290,7 +282,7 @@ def test_kl_truncation_beats_alternative_subspaces(rng):
     # eigenvectors and among random H-orthonormal frames
     for _ in range(3):
         panel = random_panel(rng, "TDS", n=6, q=3, lattice=10)
-        result = run_mfpca(panel, retain="full")
+        result = run_mfpca(panel)
         Z = panel_cell_values(panel, result.grid)
         d = _weight_diag(result.weights, result.grid)
         Zc = Z.reshape(panel.n, -1) - result.mean.ravel()[None, :]
@@ -336,7 +328,7 @@ def test_graded_spectrum_keeps_pairs_orthonormal(rng, mode, small):
     for n in (8, 22, 26, 29, 40):
         panel = random_panel(rng, mode, n=n, q=3, lattice=10)
         weights = WeightScheme("equal", np.array([1.0, 1.0, small]))
-        result = run_mfpca(panel, weights=weights, retain="full")
+        result = run_mfpca(panel, weights=weights)
         if result.eigenvalues[0] <= 0:
             continue
         check_pairs(result, 1e-10)
@@ -355,7 +347,7 @@ def test_primal_dual_boundary_matches_dense_and_svd(rng, mode, offset):
     grid = CellGrid.uniform(m)
     for _ in range(3):
         panel = random_panel(rng, mode, n=q * m + offset, q=q, lattice=m)
-        result = run_mfpca(panel, grid=grid, retain="full")
+        result = run_mfpca(panel, grid=grid)
         lam = result.eigenvalues
         field = estimate_field(panel, grid, exact=True)
         dense = np.linalg.eigvalsh(assemble_operator(field, result.weights))[::-1]
@@ -380,37 +372,20 @@ def test_primal_dual_boundary_matches_dense_and_svd(rng, mode, offset):
             assert np.abs(phis[r] - sign * ref[r]).max() <= 1e-10
 
 
-def test_full_retention_in_the_dual_completes_the_basis(rng):
-    # repeated trajectories lower the rank, so "full" reaches several null components
+def test_dual_retains_exactly_the_rank_of_a_panel_with_repeats(rng):
+    # centring and three repeated trajectories take four off the rank of n = 9 items
     base = random_panel(rng, "TCATA", n=6, q=3)
-    from catfpca import Panel, PanelItem
-
     items = list(base.items) + [PanelItem(f"dup{i}", "c0", base.items[i].trajectory)
                                 for i in range(3)]
     panel = Panel("TCATA", base.space, items)
-    result = run_mfpca(panel, retain="full")
+    result = run_mfpca(panel)
     assert panel.space.q * result.grid.m > panel.n  # the dual form
-    assert result.R == panel.n
-    null = result.eigenvalues <= 1e-12 * result.eigenvalues[0]
-    assert null.sum() >= 4  # centring plus three repeats
-    assert np.abs(h_gram(result) - np.eye(result.R)).max() <= 1e-10
-    assert np.abs(result.scores[:, null]).max() <= 1e-10 * np.sqrt(result.eigenvalues[0])
+    assert result.R == panel.n - 4
+    assert np.abs(h_gram(result) - np.eye(result.R)).max() <= 1e-11
     assert np.abs(result.importance.sum(axis=1) - 1.0).max() <= 1e-10
-    again = run_mfpca(panel, retain="full")
-    assert np.array_equal(result.eigenvalues, again.eigenvalues)
-    assert np.array_equal(result.eigenfunctions, again.eigenfunctions)
-    assert np.array_equal(result.scores, again.scores)
-
-
-def test_retain_accepts_any_integer_and_rejects_bools(rng):
-    panel = random_panel(rng, "TDS", n=8, q=3)
-    two = run_mfpca(panel, retain=2)
-    np_two = run_mfpca(panel, retain=np.int64(2))
-    assert np_two.R == two.R == 2
-    assert np.array_equal(np_two.eigenfunctions, two.eigenfunctions)
-    for flag in (True, False):
-        with pytest.raises(ValidationError, match="retain"):
-            run_mfpca(panel, retain=flag)
+    again = run_mfpca(panel)
+    for name in ("eigenvalues", "eigenfunctions", "scores", "importance"):
+        assert getattr(result, name).tobytes() == getattr(again, name).tobytes()
 
 
 def test_total_variance_does_not_depend_on_the_blas_thread_count():
@@ -487,10 +462,13 @@ def test_decomposition_peak_memory_is_bounded(n, q, cells, tail):
 
 
 @pytest.mark.parametrize("mode", ["TDS", "TCATA"])
-@pytest.mark.parametrize("n", [4, 40])  # dual and primal on a 1/10 lattice
-def test_retain_zero_gives_empty_blocks(rng, mode, n):
-    panel = random_panel(rng, mode, n=n, q=3, lattice=10)
-    result = run_mfpca(panel, retain=0)
+@pytest.mark.parametrize("n", [4, 40])  # dual and primal on four cells
+def test_retain_zero_gives_empty_blocks(mode, n):
+    # n copies of one trajectory: lambda_1 = 0, so no component is retained
+    path = CategoricalTrajectory([0.0, 0.1, 0.3, 0.6, 1.0], [{0}, {1}, {2}, {0}])
+    panel = Panel(mode, StateSpace(["A", "B", "C"]),
+                  [PanelItem(f"s{i}", "c", path) for i in range(n)])
+    result = run_mfpca(panel)
     q, m = panel.space.q, result.grid.m
     assert (q * m > n) == (n == 4)
     assert result.eigenvalues.shape == (0,)
@@ -503,10 +481,10 @@ def test_retain_zero_gives_empty_blocks(rng, mode, n):
 def test_row_blocks_give_the_same_bits_at_any_block_size(monkeypatch, rng, n):
     panel = random_panel(rng, "TCATA", n=n, q=4)
     grid = CellGrid.uniform(40)
-    whole = run_mfpca(panel, grid=grid, retain="full")
-    # three rows per block: R is not a multiple of it
-    monkeypatch.setattr(catfpca.mfpca, "_BLOCK_VALUES", 3 * 4 * 40)
-    blocked = run_mfpca(panel, grid=grid, retain="full")
-    assert whole.R % 3
+    whole = run_mfpca(panel, grid=grid)
+    # seven rows per block: R is not a multiple of it
+    monkeypatch.setattr(catfpca.mfpca, "_BLOCK_VALUES", 7 * 4 * 40)
+    blocked = run_mfpca(panel, grid=grid)
+    assert whole.R % 7
     for name in ("eigenvalues", "eigenfunctions", "scores", "importance"):
         assert getattr(whole, name).tobytes() == getattr(blocked, name).tobytes()
