@@ -215,6 +215,35 @@ def test_retained_count_is_capped_by_sample_size(rng):
     assert result.R <= panel.n - 1
 
 
+def spectral_rows(rng, n, q, m, lams):
+    """(n, q*m) rows A with A^T A / n = V diag(lams) V^T, V random orthonormal."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, len(lams))))
+    V, _ = np.linalg.qr(rng.standard_normal((q * m, len(lams))))
+    return (U * np.sqrt(n * np.asarray(lams))) @ V.T
+
+
+@pytest.mark.parametrize("n, q, m", [(12, 2, 3), (6, 3, 4)])  # primal, dual
+def test_eigendecompose_keeps_eigenvalues_above_the_relative_cut(rng, n, q, m):
+    # 1e-10 of lambda_1 is above the 1e-12 cut and 1e-14 is below it
+    A = spectral_rows(rng, n, q, m, [2.0, 2e-3, 2e-10, 2e-14])
+    weights = WeightScheme("equal", np.ones(q))
+    evals, phis, scores = eigendecompose(A, weights, CellGrid.uniform(m))
+    assert evals == pytest.approx([2.0, 2e-3, 2e-10], rel=1e-5)
+    assert phis.shape == (3, q, m)
+    assert scores.shape == (n, 3)
+
+
+def test_eigendecompose_keeps_at_most_n_minus_one_components(rng):
+    # uncentred rows of full rank n: n positive eigenvalues, n - 1 retained
+    n, q, m = 5, 2, 4
+    A = spectral_rows(rng, n, q, m, [5.0, 4.0, 3.0, 2.0, 1.0])
+    evals, phis, scores = eigendecompose(A, WeightScheme("equal", np.ones(q)),
+                                         CellGrid.uniform(m))
+    assert evals == pytest.approx([5.0, 4.0, 3.0, 2.0], rel=1e-12)
+    assert phis.shape == (n - 1, q, m)
+    assert scores.shape == (n, n - 1)
+
+
 def test_default_grid_is_the_union_grid_past_512_cells(rng):
     panel = random_panel(rng, "TCATA", n=600, q=2, lattice=1000)
     assert panel.grid().m > 512
