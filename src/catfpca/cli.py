@@ -133,7 +133,7 @@ def cmd_validate(args) -> int:
         "warnings": report.warnings,
     }), end="")
     if problems:
-        raise ValidationError(f"{len(problems)} invariant violation(s)")
+        raise ValidationError(f"{len(problems)} invariant violation(s), first {problems[0]}")
     return 0
 
 

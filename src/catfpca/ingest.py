@@ -192,9 +192,8 @@ class IngestReport:
         "intervals_clipped": 0,
         "intervals_at_end": 0,
     })
-    rejected_subjects: list = field(default_factory=list)
     latency: dict = field(default_factory=dict)  # item key -> removed TDS latency
-    per_state: dict = field(default_factory=dict)  # label -> {clicks, total_duration}
+    per_state: dict = field(default_factory=dict)  # label -> {clicks, total_duration: on-time}
 
     @property
     def total_warnings(self) -> int:
@@ -485,6 +484,27 @@ def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> tuple:
     return nodes, np.bincount(node_owner, minlength=n) - 1, active
 
 
+def _dominance_faults(panel: Panel, latent: bool) -> dict:
+    """{item: message} for each TDS item with a segment that does not hold exactly one state.
+
+    The one check of the TDS rule (TCATA: none).  With ``latent`` an item's
+    first segment may also be empty: the latency before its first click,
+    which normalization removes.  The message names the first bad segment.
+    """
+    if panel.mode != "TDS":
+        return {}
+    sizes, first = np.count_nonzero(panel.active, axis=1), _starts(panel.counts)
+    bad = sizes != 1
+    if latent:
+        bad[first] = sizes[first] > 1
+    k = np.flatnonzero(bad)
+    item = np.searchsorted(first, k, side="right") - 1
+    lead = np.unique(item, return_index=True)[1]  # each item's first bad segment
+    kinds = np.where(sizes[k[lead]] > 1, "overlapping dominance intervals", "dominance gap")
+    return {i: f"{panel.key(i)}: {kind} near t={panel.breakpoints[j + i]:g}"
+            for i, j, kind in zip(item[lead].tolist(), k[lead].tolist(), kinds.tolist())}
+
+
 def parse_events(
     events: EventTable,
     space: StateSpace,
@@ -541,12 +561,7 @@ def parse_events(
         _raise_row_error(events, int(np.argmax(bad)), space, end_time)
 
     has_offset = ~np.isnan(offset)
-    duration = np.where(has_offset, np.minimum(offset, row_end) - onset, 0.0)
-    clicks = np.bincount(events.label, minlength=len(events.labels)).tolist()
-    totals = np.bincount(events.label, weights=duration, minlength=len(events.labels)).tolist()
-    report.per_state = {label: {"clicks": c, "total_duration": d}
-                        for label, c, d in zip(events.labels, clicks, totals)}
-    del row_end, bad, duration  # row-length temporaries go before the overlay's peak
+    del row_end, bad  # row-length temporaries go before the overlay's peak
     rows = np.bincount(row_item, minlength=n)
     with_offset = np.bincount(row_item[has_offset], minlength=n)
     mixed = (mode == "TDS") & (with_offset > 0) & (with_offset < rows)
@@ -559,15 +574,8 @@ def parse_events(
         mode, events, row_item, codes, ends, end_ok, with_offset < rows, report.warnings),
         ends, space.q))
 
-    bad_item = ~end_ok | mixed
-    if mode == "TDS" and n:
-        # dominance must be exclusive, and gap-free after the first click: adjacent
-        # segments differ, so only an item's first segment may be empty
-        sizes, first = panel.active.sum(axis=1), _starts(panel.counts)
-        bad_segment = sizes != 1
-        bad_segment[first] = sizes[first] > 1
-        bad_item |= np.logical_or.reduceat(bad_segment, first)
-        owner = np.repeat(np.arange(n), panel.counts)
+    faults = _dominance_faults(panel, latent=True)
+    bad_item = ~end_ok | mixed | np.isin(np.arange(n), list(faults))
     if bad_item.any():
         i = int(np.argmax(bad_item))
         subject, condition = keys[i]
@@ -578,11 +586,14 @@ def parse_events(
                 f"{subject}/{condition}: TDS rows mix present and missing offsets "
                 f"(rows {missing.tolist()})")
         _as_breakpoints([0.0, end_i])  # raises for an impossible end time
-        k = int(np.flatnonzero(bad_segment & (owner == i))[0])
-        kind = "overlapping dominance intervals" if sizes[k] > 1 else "dominance gap"
-        raise ProtocolError(
-            f"{subject}/{condition}: {kind} near t={panel.breakpoints[k + i]:g}")
+        raise ProtocolError(faults[i])
 
+    # a state's on-time is the length of the segments that hold it, in the file's time units
+    lengths = np.delete(np.diff(panel.breakpoints), _starts(panel.counts + 1)[1:] - 1)
+    on_time = [float(lengths[panel.active[:, j]].sum()) for j in range(space.q)]
+    clicks = np.bincount(events.label, minlength=len(events.labels)).tolist()
+    report.per_state = {label: {"clicks": c, "total_duration": on_time[j]}
+                        for label, c, j in zip(events.labels, clicks, codes.tolist())}
     report.n_items = n
     return panel, report
 
@@ -601,9 +612,10 @@ def apply_protocol_normalization(
     subjects.  TCATA: the latency is kept and the trajectory is rescaled.
     Breakpoints are then rounded to the ``tick`` lattice (not when
     ``tick <= 0``) so union_grid can use exact equality; segments rounded to
-    zero length are dropped.
+    zero length are dropped.  A failure leaves ``report`` untouched.
     """
     n, b, counts, active = panel.n, panel.breakpoints, panel.counts, panel.active
+    faults = _dominance_faults(panel, latent=True)
     rejected = np.zeros(n, dtype=bool)
     if panel.mode == "TDS":
         # adjacent segments differ, so only an item's first segment can be empty: the
@@ -624,14 +636,12 @@ def apply_protocol_normalization(
         flags[joins] = False
         return np.logical_or.reduceat(flags, start)
 
-    # the first step each item fails: 1 shift, 2 singleton check, 3 rescale, 4 tick rounding;
+    # the first step each item fails: 1 shift, 2 TDS rule, 3 rescale, 4 tick rounding;
     # x holds the shifted, then the scaled, then the rounded breakpoints
     t0 = b[start]
     latency = t0 / b[node_end]
     x = b - np.repeat(t0, counts + 1)
-    failed = [any_pair(x[1:] <= x[:-1])]
-    failed.append(np.logical_or.reduceat(active.sum(axis=1) != 1, _starts(counts))
-                  if panel.mode == "TDS" else np.zeros(n, dtype=bool))
+    failed = [any_pair(x[1:] <= x[:-1]), np.isin(np.arange(n), list(faults))]
     x /= np.repeat(x[node_end], counts + 1)  # exactly 0 and 1 at each item's ends
     failed.append(any_pair(x[1:] <= x[:-1]))
     if tick <= 0:
@@ -647,28 +657,22 @@ def apply_protocol_normalization(
     error = np.select(failed, [1, 2, 3, 4], 0)
     del failed
     error[rejected] = 0  # a rejected item fails after all others
-    i = int(np.flatnonzero(error)[0]) if error.any() else n  # the first item to fail, else n
-    if report is not None and panel.mode == "TDS":
-        # the items before it record their latency, and it does too if it passed step 2
-        recorded = np.flatnonzero(~rejected[:i + 1 if i < n and error[i] > 2 else i])
-        report.latency.update(zip(map(panel.key, recorded.tolist()), latency[recorded].tolist()))
-    if i < n:
+    if error.any():
+        i = int(np.flatnonzero(error)[0])
         nodes = slice(start[i], node_end[i] + 1)
         if error[i] == 1:  # the shift made two breakpoints equal
             _as_breakpoints(b[nodes] - t0[i])  # raises
         if error[i] == 2:
-            raise ProtocolError(
-                f"{panel.key(i)}: TDS trajectory is not singleton-valued after its first click")
+            raise ProtocolError(faults[i])
         if error[i] == 3:  # the rescale made two breakpoints equal
             shifted = b[nodes] - t0[i]
             _as_breakpoints(shifted / shifted[-1])  # raises
-        if error[i] == 4:
-            raise ValidationError(f"tick {tick} coarser than the whole trajectory")
-    rejected_keys = [panel.key(i) for i in np.flatnonzero(rejected).tolist()]
-    if rejected_keys:
-        if report is not None:
-            report.rejected_subjects.extend(rejected_keys)
-        raise ProtocolError("TDS items without any click: " + ", ".join(rejected_keys))
+        raise ValidationError(f"tick {tick} coarser than the whole trajectory")
+    if rejected.any():
+        raise ProtocolError("TDS items without any click: "
+                            + ", ".join(map(panel.key, np.flatnonzero(rejected).tolist())))
+    if report is not None and panel.mode == "TDS":
+        report.latency.update(zip(map(panel.key, range(n)), latency.tolist()))
     kept = np.delete(keep, joins)  # by segment
     if not kept.all():  # drop each segment rounded to zero length, with its right node
         counts = np.add.reduceat(keep, start, dtype=np.int64)
@@ -682,16 +686,9 @@ def apply_protocol_normalization(
 
 
 def validate_panel(panel: Panel) -> list[str]:
-    """Structural invariant checks; returns human-readable violations (empty = OK)."""
+    """A normalized panel's violations (empty = OK): more than one horizon, and the TDS rule."""
     problems = []
     horizons = sorted(set(panel.horizons.tolist()))
     if len(horizons) > 1:
         problems.append(f"trajectories carry {len(horizons)} distinct horizons: {horizons}")
-    sizes, first = panel.active.sum(axis=1), _starts(panel.counts)
-    checks = [("TDS trajectory with non-singleton segment",
-               np.logical_or.reduceat(sizes != 1, first))] if panel.mode == "TDS" else [
-        ("TCATA trajectory starts with an active state", sizes[first] > 0),
-        ("TCATA trajectory still active at the horizon", sizes[first + panel.counts - 1] > 0)]
-    flagged = np.nonzero(np.stack([flags for _, flags in checks], axis=1))
-    problems += [f"{panel.key(i)}: {checks[k][0]}" for i, k in zip(*flagged)]
-    return problems
+    return problems + list(_dominance_faults(panel, latent=False).values())

@@ -49,6 +49,8 @@ _EIG_RTOL = 1e-12
 # dual-form components below this fraction of the largest eigenvalue are
 # re-orthonormalized (see eigendecompose)
 _DUAL_RTOL = 1e-4
+# entries within this fraction of an eigenfunction's largest |value| tie for its sign pivot
+_PIVOT_RTOL = 1e-10
 # values of an (R, q*m) block reduced per pass; bounds each temporary at about 0.5 MB
 _BLOCK_VALUES = 1 << 16
 
@@ -96,8 +98,9 @@ def eigendecompose(
     (eigenvalues (R,), eigenfunctions (R, q, m), scores (n, R))
 
     Eigenfunctions are orthonormal under the weighted inner product, and
-    each is sign-fixed so its entry of largest absolute value is positive;
-    its score column follows the same sign.
+    each is sign-fixed so its first entry within 1e-10 (relative) of its
+    largest absolute value is positive; its score column follows the same
+    sign.
     """
     n, p = A.shape
     primal = p <= n
@@ -118,10 +121,13 @@ def eigendecompose(
         del vecs
         phis = _dual_pairs(A, scores, mu[:R])
     phis /= np.sqrt(_weight_diag(weights, grid))
-    # deterministic sign: largest-|value| cell entry made positive
+    # deterministic sign: the first cell entry within _PIVOT_RTOL of the largest |value| made
+    # positive, so entries that tie up to rounding cannot flip the component
     pivot = np.empty(R, dtype=np.intp)
     for rows in _row_blocks(R, p):
-        pivot[rows] = np.abs(phis[rows]).argmax(axis=1)
+        size = np.abs(phis[rows])
+        pivot[rows] = (size >= size.max(axis=1, keepdims=True) * (1 - _PIVOT_RTOL)).argmax(axis=1)
+        del size  # before the next block is made
     sign = np.where(phis[np.arange(R), pivot] < 0, -1.0, 1.0)
     phis *= sign[:, None]
     scores *= sign

@@ -135,19 +135,23 @@ def test_utf8_bom_before_the_header_is_ignored(tmp_path, capsys, mode, bad_row, 
 
 
 def test_validate_exit_code_on_violation(tmp_path, capsys):
-    # hand-written panel that claims normalization but breaks TDS exclusivity
+    # hand-written TDS panel that claims normalization but keeps its latency
     (tmp_path / "panel.csv").write_text(
         "subject,product,descriptor,onset,offset\n"
-        "s1,p1,A,0.0,0.6\n"
-        "s1,p1,B,0.4,1.0\n"
+        "s1,p1,A,0.0,1.0\n"
+        "s2,p1,A,0.25,0.5\n"
+        "s2,p1,B,0.5,1.0\n"
     )
     (tmp_path / "panel.json").write_text(canonical_json({
-        "mode": "TCATA", "states": ["A", "B"], "end_time": 1.0,
-        "items": [["s1", "p1"]], "normalized": True,
+        "mode": "TDS", "states": ["A", "B"], "end_time": 1.0,
+        "items": [["s1", "p1"], ["s2", "p1"]], "normalized": True,
     }))
-    # TCATA active at t=0? no; active at horizon? yes -> violation
-    code = run(["validate", tmp_path / "panel.csv"])
-    assert code == 2
+    assert run(["validate", tmp_path / "panel.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["violations"] == ["s2/p1: dominance gap near t=0"]
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "ValidationError",
+         "message": "1 invariant violation(s), first s2/p1: dominance gap near t=0"}]
 
 
 def test_simulate_round_trip(tmp_path):
@@ -358,6 +362,73 @@ def test_cell_count_beyond_an_array_length_exits_2(tmp_path, capsys, options):
     assert len(lines) == 1
     error = json.loads(lines[0])
     assert error["error"] == "ValidationError" and "cell count" in error["message"]
+
+
+@pytest.mark.parametrize("options,message", [
+    (["--grid", "bogus"], "grid policy must be 'union' or 'uniform', got 'bogus'"),
+    (["--var-frac", 1.5], "variance fraction must be in (0, 1], got 1.5"),
+    (["--cells", 0], "cells must be >= 1"),
+], ids=["grid", "var-frac", "cells"])
+def test_analysis_options_out_of_range_exit_2_before_reading_input(tmp_path, capsys, options,
+                                                                    message):
+    assert run(["mfpca", tmp_path / "missing.csv", "--out", tmp_path / "out", *options]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ValidationError", "message": message}]
+    assert not (tmp_path / "out").exists()
+
+
+def simulated_panel(tmp_path, n=12):
+    """The panel file of ``catfpca simulate`` for n TDS trajectories of a two-state chain."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "states": ["A", "B"], "horizon": 1.0, "initial": [0.5, 0.5],
+        "transition": [[0.0, 1.0], [1.0, 0.0]],
+        "sojourn": [{"dist": "exponential", "rate": 3.0}] * 2,
+    }))
+    assert run(["simulate", "--spec", spec, "--n", n, "--seed", 3, "--out", tmp_path / "sim"]) == 0
+    return tmp_path / "sim" / "panel.csv"
+
+
+@pytest.mark.parametrize("options", [["--k", 2], ["--var-frac", 0.9]], ids=["k", "var-frac"])
+def test_export_count_flags_set_what_is_exported(tmp_path, options):
+    out = tmp_path / "res"
+    assert run(["mfpca", simulated_panel(tmp_path), "--out", out, *options]) == 0
+    result = json.loads((out / "result.json").read_text())
+    k, evals = result["config"]["exported_components"], result["eigenvalues"]
+    if options[0] == "--k":
+        assert k == 2
+    else:  # the fewest leading components that reach the fraction
+        cumulative = np.cumsum(evals) / result["total_variance"]
+        assert cumulative[k - 1] >= 0.9 and (k == 1 or cumulative[k - 2] < 0.9)
+    assert 0 < k < len(evals)
+
+    def rows(name):
+        return (out / name).read_text().splitlines()[1:]
+
+    n, q, m = result["n"], len(result["states"]), result["grid"]["cells"]
+    assert len(rows("scores.csv")) == n * k
+    assert len(rows("eigenfunctions.csv")) == q * k * m
+    summary = (out / "summary.txt").read_text().split("\n\n")
+    dims = summary[1].splitlines()[1:]  # below the table's header line
+    assert [line.split()[0] for line in dims] == [str(r) for r in range(1, k + 1)]
+    assert [line.split(":")[0] for line in summary[2].splitlines()[1:]] == [
+        f"  dim {r}" for r in range(1, min(k, 4) + 1)]  # importance of the first four at most
+
+
+def test_validate_and_mfpca_normalize_a_raw_events_file(tmp_path, capsys):
+    events, meta = write_inputs(tmp_path, "TDS")  # a sidecar without "normalized"
+    assert run(["validate", events, "--meta", meta]) == 0
+    checked = json.loads(capsys.readouterr().out)
+    assert (checked["n"], checked["mode"], checked["violations"]) == (2, "TDS", [])
+    ingested = tmp_path / "ingested"
+    assert run(["ingest", events, "--meta", meta, "--out", ingested]) == 0
+    assert run(["mfpca", events, "--meta", meta, "--out", tmp_path / "raw"]) == 0
+    assert run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "panel"]) == 0
+    names = sorted(p.name for p in (tmp_path / "raw").iterdir())
+    assert len(names) == 8
+    for name in names:  # the same normalized panel, so the same bytes
+        assert (tmp_path / "raw" / name).read_bytes() == (tmp_path / "panel" / name).read_bytes()
 
 
 def test_zero_tick_and_band_multiplier_are_accepted(tmp_path):

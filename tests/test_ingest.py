@@ -52,6 +52,22 @@ def test_parse_tds_consecutive_dominance():
     assert report.total_warnings == 0
 
 
+def test_report_durations_are_on_times():
+    # onset-only TDS: a dominance lasts until the next click or the end, after a latency
+    rows = [rec("s1", "A", 1.0), rec("s1", "B", 4.0), rec("s2", "B", 0.5), rec("s2", "A", 3.0)]
+    panel, report = parse(rows, SP3, "TDS", 10.0)
+    assert report.per_state == {"A": {"clicks": 2, "total_duration": 3.0 + 7.0},
+                                "B": {"clicks": 2, "total_duration": 6.0 + 2.5}}
+    # normalization does not touch them: they are in the file's time units
+    apply_protocol_normalization(panel, report=report)
+    assert report.per_state["A"]["total_duration"] == 10.0
+    # TCATA: an unclosed interval lasts to the end, and overlapping runs of a state count once
+    rows = [rec("s1", "A", 2.0), rec("s1", "B", 1.0, 3.0), rec("s1", "B", 2.0, 4.0)]
+    _, report = parse(rows, SP2, "TCATA", 10.0)
+    assert report.per_state == {"A": {"clicks": 1, "total_duration": 8.0},
+                                "B": {"clicks": 2, "total_duration": 3.0}}
+
+
 def test_parse_tcata_overlay():
     panel, _ = parse(
         [rec("s1", "A", 1.0, 3.0), rec("s1", "B", 2.0, 5.0)], SP3, "TCATA", 10.0
@@ -179,13 +195,20 @@ def test_validate_panel_reports_problems():
     panel = apply_protocol_normalization(parse(rows, SP2, "TDS", 10.0)[0])
     assert validate_panel(panel) == []
 
-    from catfpca import CategoricalTrajectory, PanelItem
+    def panel_of(mode, *trajectories):
+        return Panel(mode, SP2, [PanelItem(f"s{i}", "p1", CategoricalTrajectory(b, segments))
+                                 for i, (b, segments) in enumerate(trajectories)])
 
-    bad = Panel("TDS", SP2, [
-        PanelItem("s1", "p1", CategoricalTrajectory([0.0, 0.5, 1.0], [{0, 1}, {0}]))
-    ])
-    problems = validate_panel(bad)
-    assert any("non-singleton" in p for p in problems)
+    bad = panel_of("TDS", ([0.0, 0.5, 1.0], [{0}, {1}]), ([0.0, 0.5, 1.0], [{0, 1}, {0}]),
+                   ([0.0, 0.25, 1.0], [set(), {1}]), ([0.0, 0.5, 0.75, 1.0], [{0}, set(), {1}]))
+    assert validate_panel(bad) == ["s1/p1: overlapping dominance intervals near t=0",
+                                   "s2/p1: dominance gap near t=0",  # a latency kept
+                                   "s3/p1: dominance gap near t=0.5"]
+    # a TCATA path may hold any subset of states, at its start and its end too
+    tcata = panel_of("TCATA", ([0.0, 0.5, 1.0], [{0, 1}, {0}]), ([0.0, 0.5, 1.0], [set(), {1}]))
+    assert validate_panel(tcata) == []
+    assert validate_panel(panel_of("TCATA", ([0.0, 1.0], [{0}]), ([0.0, 2.0], [{0}]))) == [
+        "trajectories carry 2 distinct horizons: [1.0, 2.0]"]
 
 
 def test_panel_of_its_own_items_has_the_same_arrays(rng):
@@ -256,6 +279,18 @@ def ref_overlay(intervals, end):
     return CategoricalTrajectory(nodes, segments)
 
 
+def ref_dominance(key, traj):
+    """Raise for the first segment after the first click that does not hold one state."""
+    first_active = next((k for k, s in enumerate(traj.segments) if s), None)
+    for k in range(first_active or 0, traj.n_segments):
+        card = len(traj.segments[k])
+        if card > 1:
+            raise ProtocolError(
+                f"{key}: overlapping dominance intervals near t={traj.breakpoints[k]:g}")
+        if card == 0 and first_active is not None and k > first_active:
+            raise ProtocolError(f"{key}: dominance gap near t={traj.breakpoints[k]:g}")
+
+
 def ref_tds_group(pairs, end, report):
     first = pairs[0][0]
     key = f"{first.subject}/{first.condition}"
@@ -276,14 +311,7 @@ def ref_tds_group(pairs, end, report):
         onsets = [r.onset for r, _ in ordered] + [end]
         intervals = [(onsets[k], onsets[k + 1], j) for k, (_, j) in enumerate(ordered)]
     traj = ref_overlay(intervals, end)
-    first_active = next((k for k, s in enumerate(traj.segments) if s), None)
-    for k in range(first_active or 0, traj.n_segments):
-        card = len(traj.segments[k])
-        if card > 1:
-            raise ProtocolError(
-                f"{key}: overlapping dominance intervals near t={traj.breakpoints[k]:g}")
-        if card == 0 and first_active is not None and k > first_active:
-            raise ProtocolError(f"{key}: dominance gap near t={traj.breakpoints[k]:g}")
+    ref_dominance(key, traj)
     return traj
 
 
@@ -338,10 +366,7 @@ def ref_parse(records, space, mode, end_time, items=None):
             raise SchemaError(
                 f"row {rec.row}: item {key[0]}/{key[1]} not declared in the item list")
         groups.setdefault(key, []).append((rec, j))
-        stats = report.per_state.setdefault(rec.state, {"clicks": 0, "total_duration": 0.0})
-        stats["clicks"] += 1
-        if rec.offset is not None:
-            stats["total_duration"] += min(rec.offset, end) - rec.onset
+        report.per_state.setdefault(rec.state, {"clicks": 0})["clicks"] += 1
     keys = list(groups) if items is not None else sorted(groups)
     panel_items = []
     for subject, condition in keys:
@@ -354,6 +379,13 @@ def ref_parse(records, space, mode, end_time, items=None):
         else:
             traj = ref_tcata_group(pairs, end, report)
         panel_items.append(PanelItem(subject, condition, traj))
+    # each state's on-time: the lengths of the segments that hold it, summed in panel order
+    lengths = np.array([length for it in panel_items
+                        for length in np.diff(it.trajectory.breakpoints)])
+    for label, stats in report.per_state.items():
+        j = space.index(label)
+        held = [j in segment for it in panel_items for segment in it.trajectory.segments]
+        stats["total_duration"] = float(lengths[np.array(held, dtype=bool)].sum())
     report.n_items = len(panel_items)
     return Panel(mode, space, panel_items), report
 
@@ -389,7 +421,7 @@ def ref_quantize(traj, tick):
 
 
 def ref_normalize(panel, tick=DEFAULT_TICK, report=None):
-    new_items, rejected = [], []
+    new_items, rejected, latencies = [], [], {}
     for it in panel.items:
         traj = it.trajectory
         if panel.mode == "TDS":
@@ -398,20 +430,16 @@ def ref_normalize(panel, tick=DEFAULT_TICK, report=None):
                 rejected.append(it.key)
                 continue
             t0 = float(traj.breakpoints[first_active])
-            latency = t0 / traj.horizon
-            if t0 > 0.0:
-                traj = ref_shift_origin(traj, t0)
-            if any(len(s) != 1 for s in traj.segments):
-                raise ProtocolError(
-                    f"{it.key}: TDS trajectory is not singleton-valued after its first click")
-            if report is not None:
-                report.latency[it.key] = latency
+            latencies[it.key] = t0 / traj.horizon
+            shifted = ref_shift_origin(traj, t0) if t0 > 0.0 else traj
+            ref_dominance(it.key, traj)
+            traj = shifted
         traj = ref_quantize(ref_normalize_time(traj), tick)
         new_items.append(PanelItem(it.subject, it.condition, traj))
     if rejected:
-        if report is not None:
-            report.rejected_subjects.extend(rejected)
         raise ProtocolError("TDS items without any click: " + ", ".join(rejected))
+    if report is not None:  # only a panel that passes records its latencies
+        report.latency.update(latencies)
     return Panel(panel.mode, panel.space, new_items)
 
 
@@ -659,6 +687,8 @@ def test_normalization_failures_match_the_reference(tick):
             except CatfpcaError as exc:
                 results.append((type(exc).__name__, str(exc), report.to_dict()))
         assert results[0] == results[1]
+        if isinstance(results[0][0], str):  # a failure leaves the report untouched
+            assert results[0][2] == IngestReport(mode=mode).to_dict()
         outcomes.add(results[0][1] if isinstance(results[0][0], str) else "ok")
     assert len(outcomes) >= 2
 

@@ -187,7 +187,29 @@ def test_sign_convention_and_determinism(rng):
     assert np.array_equal(r1.scores, r2.scores)
     for r in range(r1.R):
         flat = r1.eigenfunctions[r].ravel()
-        assert flat[np.argmax(np.abs(flat))] > 0
+        size = np.abs(flat)
+        assert flat[np.argmax(size >= size.max() * (1 - 1e-10))] > 0
+
+
+def test_sign_of_a_component_with_tied_extremes_survives_last_bit_noise():
+    # a rank-1 dual panel: two TCATA paths, three times each; the component's largest
+    # |entries| tie, with both signs, on the cells where the two paths differ in one state
+    paths = [CategoricalTrajectory([0.0, 0.25, 0.75, 1.0], [{0}, {0, 1}, set()]),
+             CategoricalTrajectory([0.0, 0.5, 1.0], [{1}, {0}])]
+    panel = Panel("TCATA", StateSpace(["A", "B"]),
+                  [PanelItem(f"s{i}", "p", paths[i % 2]) for i in range(6)])
+    grid, weights = CellGrid.uniform(64), WeightScheme.equal(2)
+    Z = panel_cell_values(panel, grid).reshape(panel.n, -1)
+    A = (Z - Z.mean(axis=0)) * np.sqrt(_weight_diag(weights, grid))
+    evals, phis, scores = eigendecompose(A, weights, grid)
+    size = np.abs(phis[0])
+    tied = phis[0][size >= size.max() * (1 - 1e-10)]
+    assert evals.size == 1 and tied.min() < 0 < tied.max()
+    rng = np.random.default_rng(5)
+    for _ in range(16):  # a few ulps on every entry move the tied entries by a few ulps
+        nudged = A * (1 + rng.integers(-4, 5, A.shape) * np.finfo(float).eps)
+        _, phis2, scores2 = eigendecompose(nudged, weights, grid)
+        assert np.abs(phis2 - phis).max() < 1e-12 and np.abs(scores2 - scores).max() < 1e-12
 
 
 def test_importance_single_state_support():
@@ -213,6 +235,17 @@ def test_retained_count_is_capped_by_sample_size(rng):
     panel = random_panel(rng, "TCATA", n=4, q=3)
     result = run_mfpca(panel)
     assert result.R <= panel.n - 1
+
+
+def test_components_for_fraction(rng):
+    result = dataclasses.replace(run_mfpca(random_panel(rng, "TDS", n=5, q=2)),
+                                 eigenvalues=np.array([0.5, 0.25, 0.125]), total_variance=1.0)
+    assert [result.components_for_fraction(f) for f in (0.5, 0.75, 0.7501, 0.875)] == [1, 2, 3, 3]
+    assert result.components_for_fraction(1.0) == 3  # never reached: every retained component
+    assert dataclasses.replace(result, total_variance=0.0).components_for_fraction(0.5) == 0
+    for fraction in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(DomainError, match="variance fraction must be in"):
+            result.components_for_fraction(fraction)
 
 
 def spectral_rows(rng, n, q, m, lams):
