@@ -17,9 +17,9 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from . import io
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ProtocolError, ValidationError
 from .estimation import WeightScheme, check_weight_scheme
-from .ingest import DEFAULT_TICK, apply_protocol_normalization, validate_panel
+from .ingest import DEFAULT_TICK, _dominance_faults, apply_protocol_normalization, validate_panel
 from .mfpca import _weight_diag, run_mfpca
 from .simulate import ProcessSpec, simulate_panel
 from .trajectory import CellGrid
@@ -110,6 +110,16 @@ def _load_normalized_panel(args, tick: float):
     return panel, report, meta
 
 
+def _analysed_panel(args, tick: float):
+    """The normalized panel; ProtocolError when it breaks the TDS rule, as a panel read as
+    normalized may."""
+    panel = _load_normalized_panel(args, tick)[0]
+    faults = _dominance_faults(panel, latent=False)
+    if faults:
+        raise ProtocolError(next(iter(faults.values())))
+    return panel
+
+
 def cmd_ingest(args) -> int:
     cfg = RunConfig.load(args)
     panel, report, _ = io.read_panel(args.events, args.meta)
@@ -139,7 +149,7 @@ def cmd_validate(args) -> int:
 
 def cmd_mfpca(args) -> int:
     cfg = RunConfig.load(args)
-    panel, report, meta = _load_normalized_panel(args, cfg.tick)
+    panel = _analysed_panel(args, cfg.tick)
     union = panel.grid()
     grid = (union if cfg.grid == "union" and union.m <= cfg.cells
             else CellGrid.uniform(cfg.cells, union.horizon))
@@ -215,7 +225,7 @@ def cmd_oracle_check(args) -> int:
     from .oracles import (estimate_field, jacobi_eigenvalues, naive_operator_matrix,
                           oracle_covariance)
 
-    panel, report, meta = _load_normalized_panel(args, DEFAULT_TICK)
+    panel = _analysed_panel(args, DEFAULT_TICK)
     grid = panel.grid()
     if panel.space.q * grid.m > 600:
         raise ValidationError(

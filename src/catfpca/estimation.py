@@ -73,12 +73,14 @@ def _check_horizon(panel: Panel, grid: CellGrid) -> None:
 
 
 def _not_refined(panel: Panel, grid: CellGrid) -> np.ndarray:
-    """Which items the grid does not refine, after _check_horizon."""
+    """Which items the grid does not refine, after _check_horizon: those with a run endpoint
+    off the grid's nodes."""
     _check_horizon(panel, grid)
-    b, nodes = panel.breakpoints, grid.nodes
-    off_grid = nodes[np.searchsorted(nodes, b)] != b  # every b <= the horizon, nodes[-1]
-    first_node = np.cumsum(panel.counts + 1) - panel.counts - 1
-    return np.logical_or.reduceat(off_grid, first_node)
+    item, _, onset, offset = panel.runs()
+    nodes = grid.nodes
+    off_grid = [item[nodes[np.searchsorted(nodes, t)] != t]  # every t <= the horizon, nodes[-1]
+                for t in (onset, offset)]
+    return np.isin(np.arange(panel.n), np.concatenate(off_grid))
 
 
 def panel_cell_values(panel: Panel, grid: CellGrid, *, exact: bool = False) -> np.ndarray:

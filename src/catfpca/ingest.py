@@ -11,12 +11,11 @@ them all with masks, orders them by (item, onset, position), turns them into
 state intervals, and overlays the intervals of every item with one cumulative
 count per state.  Both orderings (rows, then interval bounds) sort one exact
 int64 key per entry, a group number times the count of distinct times plus
-the rank of its time (``_order``).  ``apply_protocol_normalization`` shifts,
-rescales and tick-rounds the breakpoints of every item in place in one array.
-Neither builds a trajectory object.
-When a check fails, the first failing row (input order) or item (panel
-order) is checked again on its own, so the error raised is the one a
-row-by-row, item-by-item parse meets first.
+the rank of its time (``_order``).  ``apply_protocol_normalization`` maps
+the runs of every item onto [0, 1] and overlays them the same way.  Neither
+builds a trajectory object.  When a check fails, the first failing row
+(input order) or item (panel order) is checked again on its own, so the
+error raised is the one a row-by-row, item-by-item parse meets first.
 """
 from __future__ import annotations
 
@@ -606,83 +605,54 @@ def apply_protocol_normalization(
 ) -> Panel:
     """Normalize every trajectory to the unit horizon.
 
-    TDS: the latency before the first click is removed (origin shifted to the
-    first click, then rescaled) so exactly one state is active on all of
-    [0, 1]; trajectories with no clicks raise ProtocolError naming their
-    subjects.  TCATA: the latency is kept and the trajectory is rescaled.
-    Breakpoints are then rounded to the ``tick`` lattice (not when
-    ``tick <= 0``) so union_grid can use exact equality; segments rounded to
-    zero length are dropped.  A failure leaves ``report`` untouched.
+    Every run of an item goes through one map onto [0, 1], t -> (t - t0) /
+    (T - t0), where T is the item's horizon and t0 its first click (TDS:
+    the latency before it is removed) or 0 (TCATA: the latency is kept).
+    The mapped times are rounded to the ``tick`` lattice (not when ``tick
+    <= 0``), so union_grid can use exact equality, and clipped into [0, 1];
+    T goes to exactly 1.  A run mapped to zero length is dropped, and the
+    rest are overlaid as ``parse_events`` overlays its intervals.  A TDS
+    item that breaks the TDS rule after its first click, or has no click,
+    raises ProtocolError; a tick that is not finite raises ValidationError.
+    A failure leaves ``report`` untouched.
     """
-    n, b, counts, active = panel.n, panel.breakpoints, panel.counts, panel.active
     faults = _dominance_faults(panel, latent=True)
-    rejected = np.zeros(n, dtype=bool)
+    if faults:
+        raise ProtocolError(next(iter(faults.values())))
+    horizon, t0 = panel.horizons, np.zeros(panel.n)
     if panel.mode == "TDS":
-        # adjacent segments differ, so only an item's first segment can be empty: the
-        # latency, which goes with its left node; an item of one empty segment has no click
-        first = _starts(counts)
-        latent = ~active[first].any(axis=1)
-        rejected = latent & (counts == 1)
-        shed = latent & ~rejected
-        b = np.delete(b, first[shed] + np.flatnonzero(shed))
-        active = np.delete(active, first[shed], axis=0)
-        counts = counts - shed
-    start = _starts(counts + 1)  # each item's first node: its first click (TCATA: 0)
-    node_end = start + counts
-    joins = node_end[:-1]  # node pairs (k, k + 1) that join two items; all others bound a segment
-
-    def any_pair(flags):
-        """Whether each item has a segment whose node pair ``flags`` marks; clears the joins."""
-        flags[joins] = False
-        return np.logical_or.reduceat(flags, start)
-
-    # the first step each item fails: 1 shift, 2 TDS rule, 3 rescale, 4 tick rounding;
-    # x holds the shifted, then the scaled, then the rounded breakpoints
-    t0 = b[start]
-    latency = t0 / b[node_end]
-    x = b - np.repeat(t0, counts + 1)
-    failed = [any_pair(x[1:] <= x[:-1]), np.isin(np.arange(n), list(faults))]
-    x /= np.repeat(x[node_end], counts + 1)  # exactly 0 and 1 at each item's ends
-    failed.append(any_pair(x[1:] <= x[:-1]))
-    if tick <= 0:
-        keep = np.ones(x[1:].shape, dtype=bool)
-    else:
-        x /= tick
-        np.round(x, out=x)
-        x *= tick
-        x[start] = 0.0
-        x[node_end] = 1.0
-        keep = x[1:] > x[:-1]
-    failed.append(~any_pair(keep))
-    error = np.select(failed, [1, 2, 3, 4], 0)
-    del failed
-    error[rejected] = 0  # a rejected item fails after all others
-    if error.any():
-        i = int(np.flatnonzero(error)[0])
-        nodes = slice(start[i], node_end[i] + 1)
-        if error[i] == 1:  # the shift made two breakpoints equal
-            _as_breakpoints(b[nodes] - t0[i])  # raises
-        if error[i] == 2:
-            raise ProtocolError(faults[i])
-        if error[i] == 3:  # the rescale made two breakpoints equal
-            shifted = b[nodes] - t0[i]
-            _as_breakpoints(shifted / shifted[-1])  # raises
-        raise ValidationError(f"tick {tick} coarser than the whole trajectory")
-    if rejected.any():
-        raise ProtocolError("TDS items without any click: "
-                            + ", ".join(map(panel.key, np.flatnonzero(rejected).tolist())))
+        # adjacent segments differ, so only an item's first segment can be empty: the latency
+        first = _starts(panel.counts)
+        latent = ~panel.active[first].any(axis=1)
+        silent = latent & (panel.counts == 1)
+        if silent.any():
+            raise ProtocolError("TDS items without any click: "
+                                + ", ".join(map(panel.key, np.flatnonzero(silent).tolist())))
+        t0 = panel.breakpoints[first + np.arange(panel.n) + latent]
+    if not math.isfinite(tick):
+        raise ValidationError(f"tick {tick} is not finite")
+    item, state, onset, offset = panel.runs()
+    at_end = offset == horizon[item]
+    span = horizon - t0
+    for t in (onset, offset):  # in place: runs() returns new arrays
+        t -= t0[item]
+        t /= span[item]
+        if tick > 0:
+            t /= tick
+            np.round(t, out=t)
+            t *= tick
+        np.clip(t, 0.0, 1.0, out=t)
+    offset[at_end] = 1.0
+    # drop the runs mapped to zero length; each copy replaces its array (t no longer holds
+    # offset), so the overlay's peak meets four arrays of runs, not eight
+    del t, at_end
+    keep = onset < offset
+    item, state = item[keep], state[keep]
+    onset, offset = onset[keep], offset[keep]
     if report is not None and panel.mode == "TDS":
-        report.latency.update(zip(map(panel.key, range(n)), latency.tolist()))
-    kept = np.delete(keep, joins)  # by segment
-    if not kept.all():  # drop each segment rounded to zero length, with its right node
-        counts = np.add.reduceat(keep, start, dtype=np.int64)
-        keep = np.concatenate([[True], keep])  # by node
-        keep[start] = True
-        x = x[keep]
-        # a bool mask on 2-D rows indexes them by int64; one void element per row does not
-        rows = np.ascontiguousarray(active).view(np.dtype((np.void, panel.space.q)))[:, 0]
-        active = rows[kept].view(bool).reshape(-1, panel.space.q)
-    return Panel._of(panel.mode, panel.space, panel.keys, x, counts, active)
+        report.latency.update(zip(map(panel.key, range(panel.n)), (t0 / horizon).tolist()))
+    return Panel._of(panel.mode, panel.space, panel.keys, *_overlay(
+        item, onset, offset, state, np.ones(panel.n), panel.space.q))
 
 
 def validate_panel(panel: Panel) -> list[str]:

@@ -30,7 +30,8 @@ import numpy as np
 from ._digits import format17
 from .errors import DomainError, SchemaError, ValidationError
 from .estimation import selection_count_curve
-from .ingest import EVENT_COLUMNS, EventTable, IngestReport, Panel, parse_events
+from .ingest import (EVENT_COLUMNS, EventTable, IngestReport, Panel, _dominance_faults, _order,
+                     parse_events)
 from .mfpca import MfpcaResult
 from .trajectory import StateSpace
 
@@ -237,20 +238,20 @@ def _strings(value) -> bool:
 def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
     """Serialize a panel in the ingestion schema (events CSV + sidecar).
 
-    TDS: one onset row per (segment, state) pair of ``active``, in panel
-    order; an empty segment is the latency, which the parser restores from
-    the first onset.  TCATA: one onset/offset row per run of ``Panel.runs``,
-    ordered by item, state and onset.
+    Rows are the runs of ``Panel.runs``.  TDS: one onset row per run, by
+    item and onset; an empty first segment is the latency, which the parser
+    restores from the first onset.  TCATA: one onset/offset row per run, by
+    item, state and onset.  The sidecar says ``"normalized": true`` when
+    every horizon is 1 and the panel holds the TDS rule from time 0.
     """
     meta_path = meta_path or sidecar_path(csv_path)
+    item, states, onset, offset = panel.runs()
     if panel.mode == "TCATA":
-        item, states, onset, offset = panel.runs()
         times = np.stack([onset, offset], axis=-1)
         slots = _SLOT + b"," + _SLOT
     else:
-        segment, states = np.nonzero(panel.active)
-        item = np.repeat(np.arange(panel.n), panel.counts)[segment]
-        times = panel.breakpoints[segment + item]  # segment s of item i starts at breakpoint s + i
+        order = _order(item, onset)
+        item, states, times = item[order], states[order], onset[order]
         slots = _SLOT + b","
     prefixes = [_fixed(_csv_fields(subject, condition)) for subject, condition in panel.keys]
     tails = [_fixed(_csv_fields(s)) + slots + b"\n" for s in panel.space.states]
@@ -267,7 +268,7 @@ def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
         "states": list(panel.space.states),
         "end_time": end_time,
         "items": [list(key) for key in panel.keys],
-        "normalized": distinct == [1.0],
+        "normalized": distinct == [1.0] and not _dominance_faults(panel, latent=False),
     }
     _write_text(meta_path, canonical_json(meta))
 

@@ -13,7 +13,10 @@ import pytest
 import catfpca
 from catfpca import CategoricalTrajectory, cli
 from catfpca.cli import main
+from catfpca.ingest import apply_protocol_normalization
 from catfpca.io import canonical_json, read_panel
+
+from test_perfbench_hooks import perfbench_module
 
 TDS_EVENTS = """subject,product,descriptor,onset,offset
 s1,p1,A,1.0,
@@ -134,8 +137,8 @@ def test_utf8_bom_before_the_header_is_ignored(tmp_path, capsys, mode, bad_row, 
     assert seen["bom"] == seen["plain"]
 
 
-def test_validate_exit_code_on_violation(tmp_path, capsys):
-    # hand-written TDS panel that claims normalization but keeps its latency
+def write_latent_panel(tmp_path):
+    """A hand-written TDS panel that claims normalization but keeps its latency."""
     (tmp_path / "panel.csv").write_text(
         "subject,product,descriptor,onset,offset\n"
         "s1,p1,A,0.0,1.0\n"
@@ -146,12 +149,51 @@ def test_validate_exit_code_on_violation(tmp_path, capsys):
         "mode": "TDS", "states": ["A", "B"], "end_time": 1.0,
         "items": [["s1", "p1"], ["s2", "p1"]], "normalized": True,
     }))
-    assert run(["validate", tmp_path / "panel.csv"]) == 2
+    return tmp_path / "panel.csv"
+
+
+def test_validate_exit_code_on_violation(tmp_path, capsys):
+    assert run(["validate", write_latent_panel(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert json.loads(out)["violations"] == ["s2/p1: dominance gap near t=0"]
     assert [json.loads(line) for line in err.splitlines()] == [
         {"error": "ValidationError",
          "message": "1 invariant violation(s), first s2/p1: dominance gap near t=0"}]
+
+
+@pytest.mark.parametrize("command", ["mfpca", "oracle-check"])
+def test_analysis_refuses_a_false_normalized_claim(tmp_path, capsys, command):
+    out = ["--out", tmp_path / "results"] if command == "mfpca" else []
+    assert run([command, write_latent_panel(tmp_path), *out]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "ProtocolError", "message": "s2/p1: dominance gap near t=0"}]
+    assert not (tmp_path / "results").exists()
+
+
+def test_ingest_with_a_coarse_tick_ends_every_item_at_one(tmp_path):
+    events, meta = write_inputs(tmp_path, "TDS")
+    events.write_text("subject,product,descriptor,onset\n"
+                      "s1,p1,A,0.0\ns1,p1,B,9.5\ns2,p1,B,0.0\n")  # 0.95 rounds to 1.2
+    out = tmp_path / "out"
+    assert run(["ingest", events, "--meta", meta, "--out", out, "--tick", 0.6]) == 0
+    sidecar = json.loads((out / "panel.json").read_text())
+    assert (sidecar["end_time"], sidecar["normalized"]) == (1, True)
+
+
+@pytest.mark.parametrize("workload", ["tds-decomp", "tcata-ingest"])
+def test_normalizing_an_ingested_panel_again_changes_nothing(tmp_path, workload):
+    workloads = perfbench_module("workloads")
+    workloads.generate(workloads.WORKLOADS[workload], 3, tmp_path)
+    for tick in (1e-6, 1 / 16):
+        out = tmp_path / f"tick{tick}"
+        assert run(["ingest", tmp_path / "events.csv", "--meta", tmp_path / "meta.json",
+                    "--out", out, "--tick", tick]) == 0
+        panel = read_panel(out / "panel.csv")[0]
+        again = apply_protocol_normalization(panel, tick=tick)
+        for name in ("breakpoints", "counts", "active"):
+            assert getattr(again, name).tobytes() == getattr(panel, name).tobytes(), name
 
 
 def test_simulate_round_trip(tmp_path):

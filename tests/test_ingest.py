@@ -190,6 +190,24 @@ def test_tick_rounding_merges_near_equal_breakpoints():
     assert np.array_equal(grid.nodes, [0.0, 0.3, 1.0])
 
 
+@pytest.mark.parametrize("mode", ["TDS", "TCATA"])
+@pytest.mark.parametrize("tick", [0.3, 0.6, 0.7, 2.0])
+def test_every_normalized_horizon_is_exactly_one(mode, tick):
+    # times near the end map past the last lattice point below 1: 0.6 rounds 0.95 to 1.2
+    rows = [rec("s1", "A", 0.0, 9.5), rec("s1", "B", 9.5, 10.0), rec("s2", "B", 0.0, 10.0),
+            rec("s3", "A", 1.0, 9.6), rec("s3", "B", 9.6, 10.0)]  # TDS: 8.6 / 9 of the way
+    panel = apply_protocol_normalization(parse(rows, SP2, mode, 10.0)[0], tick=tick)
+    assert panel.horizons.tolist() == [1.0] * 3
+    assert validate_panel(panel) == []
+
+
+@pytest.mark.parametrize("tick", [math.inf, -math.inf, math.nan])
+def test_a_tick_that_is_not_finite_is_a_validation_error(tick):
+    panel = parse([rec("s1", "A", 0.0, 4.0)], SP2, "TCATA", 10.0)[0]
+    with pytest.raises(ValidationError, match=f"^tick {tick} is not finite$"):
+        apply_protocol_normalization(panel, tick=tick)
+
+
 def test_validate_panel_reports_problems():
     rows = [rec("s1", "A", 0.0), rec("s1", "B", 4.0)]
     panel = apply_protocol_normalization(parse(rows, SP2, "TDS", 10.0)[0])
@@ -390,55 +408,45 @@ def ref_parse(records, space, mode, end_time, items=None):
     return Panel(mode, space, panel_items), report
 
 
-def ref_shift_origin(traj, t0):
-    b = traj.breakpoints
-    k = int(np.searchsorted(b, t0, side="right")) - 1
-    new_b = np.concatenate([[t0], b[k + 1:]]) - t0
-    new_b[0] = 0.0
-    return CategoricalTrajectory(new_b, traj.segments[k:])
-
-
-def ref_normalize_time(traj):
-    if traj.horizon == 1.0:
-        return traj
-    b = (traj.breakpoints / traj.horizon).copy()
-    b[0] = 0.0
-    b[-1] = 1.0
-    return CategoricalTrajectory(b, traj.segments)
-
-
-def ref_quantize(traj, tick):
-    if tick <= 0:
-        return traj
-    b = np.round(traj.breakpoints / tick) * tick
-    b[0] = 0.0
-    b[-1] = traj.horizon
-    keep = np.diff(b) > 0
-    if not keep.any():
-        raise ValidationError(f"tick {tick} coarser than the whole trajectory")
-    nodes = np.concatenate([b[:1], b[1:][keep]])
-    return CategoricalTrajectory(nodes, [s for s, k in zip(traj.segments, keep) if k])
+def ref_unit_map(b, t0, tick):
+    """Breakpoints ``b`` through their item's map onto [0, 1]: shifted to t0, rescaled,
+    rounded to the tick and clipped; the horizon goes to exactly 1."""
+    x = (b - t0) / (b[-1] - t0)
+    if tick > 0:
+        x = np.round(x / tick) * tick
+    x = np.clip(x, 0.0, 1.0)
+    x[-1] = 1.0
+    return x
 
 
 def ref_normalize(panel, tick=DEFAULT_TICK, report=None):
-    new_items, rejected, latencies = [], [], {}
+    """Item by item: a TDS item loses its latency, every breakpoint goes through the
+    item's map onto [0, 1], and each segment mapped to zero length is dropped."""
+    first, rejected = [], []
     for it in panel.items:
-        traj = it.trajectory
+        segments = it.trajectory.segments
+        k = next((k for k, s in enumerate(segments) if s), None) if panel.mode == "TDS" else 0
         if panel.mode == "TDS":
-            first_active = next((k for k, s in enumerate(traj.segments) if s), None)
-            if first_active is None:
+            ref_dominance(it.key, it.trajectory)
+            if k is None:
                 rejected.append(it.key)
-                continue
-            t0 = float(traj.breakpoints[first_active])
-            latencies[it.key] = t0 / traj.horizon
-            shifted = ref_shift_origin(traj, t0) if t0 > 0.0 else traj
-            ref_dominance(it.key, traj)
-            traj = shifted
-        traj = ref_quantize(ref_normalize_time(traj), tick)
-        new_items.append(PanelItem(it.subject, it.condition, traj))
+        first.append(k)
     if rejected:
         raise ProtocolError("TDS items without any click: " + ", ".join(rejected))
-    if report is not None:  # only a panel that passes records its latencies
+    if not math.isfinite(tick):
+        raise ValidationError(f"tick {tick} is not finite")
+    new_items, latencies = [], {}
+    for it, k in zip(panel.items, first):
+        traj = it.trajectory
+        t0 = float(traj.breakpoints[k])
+        latencies[it.key] = t0 / traj.horizon
+        x = ref_unit_map(traj.breakpoints[k:], t0, tick)
+        keep = x[:-1] < x[1:]  # monotone: a kept segment starts where the last kept one ends
+        nodes = np.concatenate([[0.0], x[1:][keep]])
+        segments = [s for s, kept in zip(traj.segments[k:], keep) if kept]
+        new_items.append(PanelItem(it.subject, it.condition,
+                                   CategoricalTrajectory(nodes, segments)))
+    if report is not None and panel.mode == "TDS":  # only a panel that passes records them
         report.latency.update(latencies)
     return Panel(panel.mode, panel.space, new_items)
 
@@ -552,7 +560,7 @@ def test_array_passes_equal_the_per_item_reference(mode, offsets):
     seen = set()
     for _ in range(300):
         records, space, end_time, items = random_events(rng, mode, offsets)
-        tick = float(rng.choice([DEFAULT_TICK, 0.0, 1 / 16]))
+        tick = float(rng.choice([DEFAULT_TICK, 0.0, 1 / 16, 0.6]))
         ref = outcome(ref_parse, ref_normalize, records, space, mode, end_time, items=items,
                       tick=tick)
         new = outcome(parse, apply_protocol_normalization, records, space, mode, end_time,
@@ -660,7 +668,8 @@ def test_first_bad_item_in_panel_order_is_reported():
 
 @pytest.mark.parametrize("tick", [DEFAULT_TICK, 0.0, 0.3, 0.6, math.inf, math.nan])
 def test_normalization_failures_match_the_reference(tick):
-    """Hand-built panels that parse_events never returns: each fails the way the reference does."""
+    """Hand-built panels that parse_events never returns: each normalizes, or fails, as the
+    reference does."""
     def traj(breaks, segments):
         return CategoricalTrajectory(breaks, segments)
 
@@ -669,21 +678,21 @@ def test_normalization_failures_match_the_reference(tick):
     double = traj([0.0, 1.0, 2.0], [{0}, {0, 1}])
     fine = traj([0.0, 1.5, 2.0, 3.0], [set(), {1}, {0}])
     outcomes = set()
-    tiny = traj([0.0, 5e-324, 8.0], [{0}, {1}])  # 5e-324 / 8 rounds to zero
-    # 1e16 and 1e16 + 2 both become 1e16 when shifted by the first click at 1
+    # the map sends a segment to zero length, which is dropped: 5e-324 / 8 rounds to zero,
+    # and 1e16 and 1e16 + 2 both become 1e16 when shifted by the first click at 1
+    tiny = traj([0.0, 5e-324, 8.0], [{0}, {1}])
     far = traj([0.0, 1.0, 1e16, 1e16 + 2, 2e16], [set(), {0}, {1}, {0}])
     for mode, trajectories in [
         ("TDS", [fine, silent, double]), ("TDS", [silent, gap, fine]), ("TDS", [fine, silent]),
-        ("TDS", [fine, tiny]), ("TDS", [fine, far, gap]), ("TCATA", [gap, double, fine]),
-        ("TCATA", [fine, tiny]),
+        ("TDS", [fine, tiny]), ("TDS", [fine, far]), ("TDS", [fine, far, gap]),
+        ("TCATA", [gap, double, fine]), ("TCATA", [fine, tiny]),
     ]:
         panel = Panel(mode, SP2, [PanelItem(f"s{i}", "p", t) for i, t in enumerate(trajectories)])
         results = []
         for normalize in (apply_protocol_normalization, ref_normalize):
             report = IngestReport(mode=mode)
             try:
-                with np.errstate(invalid="ignore"):  # an infinite tick rounds to inf * 0
-                    results.append(snapshot(normalize(panel, tick=tick, report=report), report))
+                results.append(snapshot(normalize(panel, tick=tick, report=report), report))
             except CatfpcaError as exc:
                 results.append((type(exc).__name__, str(exc), report.to_dict()))
         assert results[0] == results[1]
@@ -691,6 +700,7 @@ def test_normalization_failures_match_the_reference(tick):
             assert results[0][2] == IngestReport(mode=mode).to_dict()
         outcomes.add(results[0][1] if isinstance(results[0][0], str) else "ok")
     assert len(outcomes) >= 2
+    assert ("ok" in outcomes) == math.isfinite(tick)
 
 
 # --- memory: each ingest step holds a few typed columns per event row ---------

@@ -278,6 +278,20 @@ def test_empty_panel_writes_the_header_only(tmp_path, mode, n):
     assert (tmp_path / "panel.csv").read_text() == "subject,product,descriptor,onset,offset\n"
 
 
+def test_sidecar_claims_normalized_only_for_a_normalized_panel(tmp_path):
+    def claim(mode, *trajectories):
+        items = [PanelItem(f"s{i}", "p", t) for i, t in enumerate(trajectories)]
+        write_panel(Panel(mode, StateSpace(STATES), items), tmp_path / "panel.csv")
+        return io.read_meta(tmp_path / "panel.json")["normalized"]
+
+    whole = CategoricalTrajectory([0.0, 1.0], [{1}])
+    latent = CategoricalTrajectory([0.0, 0.25, 1.0], [set(), {0}])  # silent on [0, 0.25)
+    assert claim("TDS", whole, whole) is True
+    assert claim("TDS", whole, latent) is False
+    assert claim("TCATA", whole, latent) is True  # a TCATA path may hold no state
+    assert claim("TDS", CategoricalTrajectory([0.0, 2.0], [{0}])) is False
+
+
 @pytest.mark.parametrize("mode", ["TDS", "TCATA"])
 @pytest.mark.parametrize("block_rows", [None, 3])
 def test_template_metacharacters_in_labels_match_reference(tmp_path, rng, monkeypatch, mode,
