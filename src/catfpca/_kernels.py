@@ -1,14 +1,15 @@
 """Grid rasterization of a panel's step functions, read from its runs.
 
 State j of an item is the 0/1 step function that is 1 on the state's
-maximal on-runs, the ``(item, state, onset, offset)`` arrays of
-``Panel.runs()``.  Each cell value is the length-weighted average of that
-step function over the cell, an exact integral.  A run [a, b) meets a
-contiguous span of cells, and each (run, cell) piece adds |[a, b) ∩ cell| to
-its state.  On a grid that refines the trajectory every cell lies inside one
-run or outside all of them, so the value is exactly 0 or 1.  On any other
-grid a run that spans several segments within one cell is added as one piece,
-so such a cell can differ in its last bit from a sum over the segments.
+maximal on-runs, the ``(item, state, onset, offset)`` arrays that a
+``Panel`` stores and ``Panel.runs()`` returns without a copy.  Each cell
+value is the length-weighted average of that step function over the cell,
+an exact integral.  A run [a, b) meets a contiguous span of cells, and each
+(run, cell) piece adds |[a, b) ∩ cell| to its state.  On a grid that refines
+the trajectory every cell lies inside one run or outside all of them, so the
+value is exactly 0 or 1.  On any other grid a run that spans several
+segments within one cell is added as one piece, so such a cell can differ in
+its last bit from a sum over the segments.
 """
 from __future__ import annotations
 

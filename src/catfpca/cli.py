@@ -19,7 +19,7 @@ import numpy as np
 from . import io
 from .errors import NumericalError, ProtocolError, ValidationError
 from .estimation import WeightScheme, check_weight_scheme
-from .ingest import DEFAULT_TICK, _dominance_faults, apply_protocol_normalization, validate_panel
+from .ingest import DEFAULT_TICK, apply_protocol_normalization, validate_panel
 from .mfpca import _weight_diag, run_mfpca
 from .simulate import ProcessSpec, simulate_panel
 from .trajectory import CellGrid
@@ -111,12 +111,12 @@ def _load_normalized_panel(args, tick: float):
 
 
 def _analysed_panel(args, tick: float):
-    """The normalized panel; ProtocolError when it breaks the TDS rule, as a panel read as
-    normalized may."""
+    """The normalized panel; ProtocolError naming the first problem ``validate_panel`` finds,
+    which only a panel read as normalized can have."""
     panel = _load_normalized_panel(args, tick)[0]
-    faults = _dominance_faults(panel, latent=False)
-    if faults:
-        raise ProtocolError(next(iter(faults.values())))
+    problems = validate_panel(panel)
+    if problems:
+        raise ProtocolError(problems[0])
     return panel
 
 

@@ -1,10 +1,11 @@
 """Cell values, mean probability curves and weighting schemes.
 
 Everything is computed exactly on a cell grid from the panel's runs, the
-maximal on-runs of each state that ``Panel.runs()`` returns: when the grid
-refines all sample paths (the union grid does by construction), cell values
-are the constant 0/1 segment values and every time integral is a finite sum
-with no quadrature error.  The dense covariance kernel is not built here;
+maximal on-runs of each state that a ``Panel`` stores and ``Panel.runs()``
+returns: when the grid refines all sample paths (the union grid, whose
+nodes are every run endpoint, does by construction), cell values are the
+constant 0/1 segment values and every time integral is a finite sum with
+no quadrature error.  The dense covariance kernel is not built here;
 ``oracles.estimate_field`` builds it from :func:`panel_cell_values` as a
 reference.
 """

@@ -5,16 +5,16 @@ TCATA records carry onset/offset pairs per descriptor.  Protocol
 normalization shifts TDS trajectories to their first click and rescales
 every trajectory to the unit horizon; TCATA keeps its latency.
 
-Both steps make whole-panel array passes over a ``Panel``'s flat arrays.
+Both steps make whole-panel array passes over a ``Panel``'s runs.
 ``parse_events`` takes the rows as an ``EventTable`` of typed columns, checks
-them all with masks, orders them by (item, onset, position), turns them into
-state intervals, and overlays the intervals of every item with one cumulative
-count per state.  Both orderings (rows, then interval bounds) sort one exact
-int64 key per entry, a group number times the count of distinct times plus
-the rank of its time (``_order``).  ``apply_protocol_normalization`` maps
-the runs of every item onto [0, 1] and overlays them the same way.  Neither
-builds a trajectory object.  When a check fails, the first failing row
-(input order) or item (panel order) is checked again on its own, so the
+them all with masks, orders them by (item, onset, position) and turns them
+into state intervals, which ``Panel._of`` merges into each state's maximal
+on-runs.  Both orderings (rows, then intervals by item and state) sort one
+exact int64 key per entry, a group number times the count of distinct times
+plus the rank of its time (``_order``).  ``apply_protocol_normalization``
+maps the runs of every item onto [0, 1] and merges them the same way.
+Neither builds a trajectory object.  When a check fails, the first failing
+row (input order) or item (panel order) is checked again on its own, so the
 error raised is the one a row-by-row, item-by-item parse meets first.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import numbers
 from array import array
 from dataclasses import asdict, dataclass, field
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -63,17 +63,17 @@ class PanelItem:
 
 
 class Panel:
-    """Immutable panel of categorical trajectories with one state space, stored flat.
+    """Immutable panel of categorical trajectories with one state space, stored as runs.
 
-    ``keys`` holds each item's (subject, condition) pair, ``breakpoints`` all
-    breakpoints, item after item, ``counts`` each item's segment count, and
-    ``active`` a (segments, q) bool matrix whose row s holds the states on
-    over segment s, which runs from breakpoint s + i to s + i + 1 in item i.
-    Adjacent segments of an item differ.  The arrays are read-only;
-    ``items`` and ``trajectories`` are built from them on every call.
+    ``keys`` holds each item's (subject, condition) pair and ``horizons`` its
+    horizon.  ``item``, ``state``, ``onset`` and ``offset`` hold every maximal
+    on-run [onset, offset) of a state, ordered by item, state and onset: each
+    run has positive length within [0, horizon], no time is -0.0, and two runs
+    of one item and state neither overlap nor touch.  The arrays are
+    read-only; ``items`` and ``trajectories`` are built from them on every call.
     """
 
-    __slots__ = ("mode", "space", "keys", "breakpoints", "counts", "active")
+    __slots__ = ("mode", "space", "keys", "horizons", "item", "state", "onset", "offset")
 
     def __init__(self, mode: str, space: StateSpace, items: Sequence[PanelItem]):
         if mode not in MODES:
@@ -83,32 +83,56 @@ class Panel:
             if it.trajectory.max_state_index() >= space.q:
                 raise ValidationError(f"item {it.key}: state index out of range for q={space.q}")
         trajectories = [it.trajectory for it in items]
+        # each (segment, state) pair is one interval; segment s of item i starts at breakpoint
+        # s + i, as each item before it has one breakpoint more than segments
         segments = [subset for t in trajectories for subset in t.segments]
-        active = np.zeros((len(segments), space.q), dtype=bool)
-        active[np.repeat(np.arange(len(segments)), list(map(len, segments))),
-               list(chain.from_iterable(segments))] = True
+        segment = np.repeat(np.arange(len(segments)), list(map(len, segments)))
+        item = np.repeat(np.arange(len(items)), [t.n_segments for t in trajectories])[segment]
+        state = np.fromiter(chain.from_iterable(segments), np.int64, segment.size)
+        b = np.concatenate([t.breakpoints for t in trajectories] or [np.empty(0)])
         self._set(mode, space, [(it.subject, it.condition) for it in items],
-                  np.concatenate([t.breakpoints for t in trajectories] or [np.empty(0)]),
-                  np.array([t.n_segments for t in trajectories], dtype=np.int64), active)
+                  [t.horizon for t in trajectories], item, state, b[segment + item],
+                  b[segment + item + 1])
 
     @classmethod
-    def _of(cls, mode: str, space: StateSpace, keys, breakpoints, counts, active) -> "Panel":
-        """The panel of trusted flat arrays; equal adjacent segments of an item are merged."""
+    def _of(cls, mode: str, space: StateSpace, keys, horizons, item, state, onset, offset
+            ) -> "Panel":
+        """The panel of trusted intervals [onset, offset) of (item, state), merged into runs."""
         panel = object.__new__(cls)
-        panel._set(mode, space, keys, breakpoints, counts, active)
+        panel._set(mode, space, keys, horizons, item, state, onset, offset)
         return panel
 
-    def _set(self, mode, space, keys, breakpoints, counts, active) -> None:
-        owner = np.repeat(np.arange(counts.size), counts)
-        same = np.zeros(owner.size, dtype=bool)
-        same[1:] = (owner[1:] == owner[:-1]) & (active[1:] == active[:-1]).all(axis=1)
-        if same.any():  # segment s joins segment s - 1, and its left breakpoint goes
-            breakpoints = np.delete(breakpoints, np.flatnonzero(same) + owner[same])
-            active, counts = active[~same], np.bincount(owner[~same], minlength=counts.size)
-        for a in (breakpoints, counts, active):
+    def _set(self, mode, space, keys, horizons, item, state, onset, offset) -> None:
+        """Store the maximal runs of the intervals, less those of zero length.
+
+        Sorted by group, item * q + state, and onset, an interval starts a
+        new run when it is its group's first or starts past every offset
+        before it in its group.  That reach is a running maximum of group * U
+        plus each offset's rank among its U distinct values; modulo U it is
+        the rank of the reach's offset.
+        """
+        keep = onset < offset
+        group = item[keep] * space.q + state[keep]
+        onset, offset = onset[keep], offset[keep]
+        del keep
+        order = _order(group, onset)
+        group, onset, offset = group[order], onset[order] + 0.0, offset[order]  # -0.0 -> 0.0
+        del order
+        reach, distinct = _ranks(offset)
+        reach += group * np.int64(distinct.size)
+        np.maximum.accumulate(reach, out=reach)
+        start = np.ones(group.size, dtype=bool)
+        np.greater(onset[1:], distinct[reach[:-1] % distinct.size], out=start[1:])
+        start[1:] |= group[1:] != group[:-1]
+        del reach, distinct
+        start = np.flatnonzero(start)
+        item, state = np.divmod(group[start], space.q)
+        onset, offset = onset[start], np.maximum.reduceat(offset, start)
+        horizons = np.array(horizons, dtype=np.float64)
+        for a in (horizons, item, state, onset, offset):
             a.setflags(write=False)
-        for name, value in zip(self.__slots__, (mode, space, tuple(keys), breakpoints, counts,
-                                                active)):
+        for name, value in zip(self.__slots__, (mode, space, tuple(keys), horizons, item, state,
+                                                onset, offset)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -123,19 +147,21 @@ class Panel:
         return "%s/%s" % self.keys[i]
 
     @property
-    def horizons(self) -> np.ndarray:
-        """Each item's last breakpoint."""
-        return self.breakpoints[np.cumsum(self.counts + 1) - 1]
-
-    @property
     def trajectories(self) -> list[CategoricalTrajectory]:
-        """A new trajectory per item, built from the arrays."""
-        patterns, pattern = np.unique(self.active, axis=0, return_inverse=True)
-        subsets = [frozenset(np.flatnonzero(p).tolist()) for p in patterns]
-        segments = [subsets[k] for k in pattern.tolist()]
-        first = _starts(self.counts).tolist()
-        return [CategoricalTrajectory(self.breakpoints[f + i:f + i + c + 1], segments[f:f + c])
-                for i, (f, c) in enumerate(zip(first, self.counts.tolist()))]
+        """A new trajectory per item, with breakpoints 0, its horizon and its run endpoints."""
+        bounds = np.searchsorted(self.item, np.arange(self.n + 1)).tolist()
+        states, out = range(self.space.q), []
+        for i, horizon in enumerate(self.horizons.tolist()):
+            runs = slice(bounds[i], bounds[i + 1])
+            onset, offset, state = self.onset[runs], self.offset[runs], self.state[runs]
+            b = _union(np.concatenate([[0.0, horizon], onset, offset]), self.horizons[i:i + 1]
+                       ).nodes
+            steps = np.zeros((b.size, self.space.q), dtype=np.int8)  # runs of a state never touch
+            steps[np.searchsorted(b, onset), state] = 1
+            steps[np.searchsorted(b, offset), state] = -1
+            on = (np.cumsum(steps[:-1], axis=0) > 0).tolist()
+            out.append(CategoricalTrajectory(b, [frozenset(compress(states, row)) for row in on]))
+        return out
 
     @property
     def items(self) -> tuple[PanelItem, ...]:
@@ -143,36 +169,13 @@ class Panel:
         return tuple(PanelItem(s, c, t) for (s, c), t in zip(self.keys, self.trajectories))
 
     def grid(self) -> CellGrid:
-        """The union grid of all items' breakpoints."""
-        return _union(self.breakpoints, self.horizons)
+        """The union grid of 0, the horizons and every run endpoint."""
+        return _union(np.concatenate([[0.0], self.horizons, self.onset, self.offset]),
+                      self.horizons)
 
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every maximal on-run of a state, as (item, state, onset, offset) arrays.
-
-        A run is a stretch of an item's consecutive segments that all hold the
-        state, from the first one's left breakpoint to the last one's right
-        breakpoint.  Runs are ordered by item, state and onset.  Each state's
-        column of ``active`` is scanned on its own, so no temporary holds a
-        (segment, state) pair.
-        """
-        first = _starts(self.counts)  # each item's first segment
-        last = first + self.counts - 1
-        found = []
-        for j in range(self.space.q):
-            on = self.active[:, j]
-            begins, ends = on.copy(), on.copy()
-            begins[1:] &= ~on[:-1]
-            begins[first] = on[first]
-            ends[:-1] &= ~on[1:]
-            ends[last] = on[last]
-            begins, ends = np.flatnonzero(begins), np.flatnonzero(ends)
-            item = np.searchsorted(first, begins, side="right") - 1
-            found.append((item, self.breakpoints[begins + item],
-                          self.breakpoints[ends + item + 1]))
-        item, onset, offset = (np.concatenate(a) for a in zip(*found))
-        state = np.repeat(np.arange(self.space.q), [f[0].size for f in found])
-        order = np.argsort(item, kind="stable")  # each state's runs already go by item, onset
-        return item[order], state[order], onset[order], offset[order]
+        """Every maximal on-run of a state, as the stored (item, state, onset, offset) arrays."""
+        return self.item, self.state, self.onset, self.offset
 
     def __repr__(self) -> str:
         return f"Panel(mode={self.mode}, n={self.n}, q={self.space.q})"
@@ -376,7 +379,7 @@ def _raise_row_error(table: EventTable, r: int, space: StateSpace, end_time) -> 
 
 def _intervals(mode: str, events: EventTable, row_item, codes, ends, keep, chained,
                warnings: dict) -> tuple:
-    """(item, start, stop, state) of the rows of the items ``keep`` marks, by item and onset.
+    """(item, state, start, stop) of the rows of the items ``keep`` marks, by item and onset.
 
     Rows of one onset go by position.  TDS: a row of a ``chained`` item
     lasts until the next row's onset or its item's end, and of rows with one
@@ -410,7 +413,24 @@ def _intervals(mode: str, events: EventTable, row_item, codes, ends, keep, chain
         warnings["unclosed_intervals"] = int(unclosed.sum())
         warnings["intervals_clipped"] = int(clipped.sum())
         warnings["intervals_at_end"] = int((stop == end).sum())
-    return item, onset, stop, state
+    return item, state, onset, stop
+
+
+def _ranks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's rank among the distinct values of t, free of NaN, and those values in order.
+
+    -0.0 ranks with 0.0.
+    """
+    perm = np.argsort(t)
+    ordered = t[perm]
+    new = np.empty(t.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    del ordered
+    rank = np.empty(t.size, dtype=np.int64)
+    rank[perm] = np.cumsum(new) - 1
+    return rank, distinct
 
 
 def _order(group: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -420,88 +440,47 @@ def _order(group: np.ndarray, t: np.ndarray) -> np.ndarray:
     group))``.  The sort key is ``group * U`` plus the rank of t among its U
     distinct values, exact while groups * U < 2**63; -0.0 ranks with 0.0.
     """
-    perm = np.argsort(t)
-    ordered = t[perm]
-    new = np.empty(t.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    del ordered
-    key = np.empty(t.size, dtype=np.int64)
-    key[perm] = np.cumsum(new) - 1
-    del perm
-    key += group * np.int64(new.sum())
+    key, distinct = _ranks(t)
+    key += group * np.int64(distinct.size)
+    del distinct
     return np.argsort(key, kind="stable")
 
 
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Offset of each run in a concatenation of runs of the given lengths."""
-    out = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=out[1:])
-    return out
-
-
-def _overlay(item, start, stop, state, ends: np.ndarray, q: int) -> tuple:
-    """Breakpoints, segment counts and active matrix of ``ends.size`` items from state intervals.
-
-    An item's nodes are 0, its end and the bounds of its intervals [start,
-    stop), and each node but the last starts a segment.  Each interval of
-    state j adds +1 to j's count at its start segment and -1 at its stop
-    segment; an item's entries net to zero, so one cumulative sum over the
-    segments of the whole panel counts the open intervals of state j on every
-    segment.  The states are counted one at a time, straight into their
-    column of the bool matrix.  ``Panel._of`` merges equal neighbours.
-    """
-    n, m = ends.size, item.size
-    owner = np.concatenate([np.arange(n), np.arange(n), item, item])
-    t = np.concatenate([np.zeros(n), ends, start, stop])
-    t += 0.0  # an onset written "-0" reads -0.0; every node at zero is then the zeros' +0.0
-    order = _order(owner, t)  # entries tied on (owner, t) fall on one node
-    t = t[order]
-    owner = owner[order]
-    new = np.ones(t.size, dtype=bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (t[1:] != t[:-1])
-    nodes, node_owner = t[new], owner[new]
-    del t
-    # the segment a node starts is its node number less its item's, as each item before it
-    # has one node more than segments; an item's end falls on the next item's first segment
-    # (the last item's on one spare), where every count is back to zero
-    segment = np.cumsum(new, dtype=np.int64)
-    segment -= 1
-    segment -= owner
-    del owner, new
-    segment_of = np.empty_like(segment)
-    segment_of[order] = segment
-    del order, segment
-    starts, stops = segment_of[2 * n:2 * n + m], segment_of[2 * n + m:]
-    size = nodes.size - n
-    active = np.empty((size, q), dtype=bool)
-    for j in range(q):
-        mine = state == j
-        count = np.bincount(starts[mine], minlength=size + 1)
-        count -= np.bincount(stops[mine], minlength=size + 1)
-        np.greater(np.cumsum(count, out=count)[:size], 0, out=active[:, j])
-    return nodes, np.bincount(node_owner, minlength=n) - 1, active
-
-
 def _dominance_faults(panel: Panel, latent: bool) -> dict:
-    """{item: message} for each TDS item with a segment that does not hold exactly one state.
+    """{item: message} for each TDS item whose runs do not cover [0, horizon) exactly once.
 
-    The one check of the TDS rule (TCATA: none).  With ``latent`` an item's
-    first segment may also be empty: the latency before its first click,
-    which normalization removes.  The message names the first bad segment.
+    The one check of the TDS rule (TCATA: none).  An item's runs are taken
+    in onset order.  Up to its first fault they tile the line, so the
+    stretch covered before a run ends at the previous run's offset (at 0
+    before the first run): a run that starts past it leaves a gap there, one
+    that starts before it overlaps from its onset, and an item whose last run
+    ends before its horizon has a gap there.  With ``latent`` the stretch
+    before an item's first run may also be empty: the latency before its
+    first click, which normalization removes.  The message names the first
+    fault's time.
     """
     if panel.mode != "TDS":
         return {}
-    sizes, first = np.count_nonzero(panel.active, axis=1), _starts(panel.counts)
-    bad = sizes != 1
-    if latent:
-        bad[first] = sizes[first] > 1
-    k = np.flatnonzero(bad)
-    item = np.searchsorted(first, k, side="right") - 1
-    lead = np.unique(item, return_index=True)[1]  # each item's first bad segment
-    kinds = np.where(sizes[k[lead]] > 1, "overlapping dominance intervals", "dominance gap")
-    return {i: f"{panel.key(i)}: {kind} near t={panel.breakpoints[j + i]:g}"
-            for i, j, kind in zip(item[lead].tolist(), k[lead].tolist(), kinds.tolist())}
+    item, _, onset, offset = panel.runs()
+    order = _order(item, onset)
+    item, onset, offset = item[order], onset[order], offset[order]
+    first = np.ones(item.size + 1, dtype=bool)  # first[k]: run k starts its item; k = size: the end
+    first[1:-1] = item[1:] != item[:-1]
+    covered = np.empty_like(onset)
+    covered[1:] = offset[:-1]
+    covered[first[:-1]] = onset[first[:-1]] if latent else 0.0
+    end_gap = first[1:] & (offset < panel.horizons[item])
+    k = np.flatnonzero((onset != covered) | end_gap)
+    k = k[np.diff(item[k], prepend=-1) != 0]  # each item's first fault
+    at_run = onset[k] != covered[k]
+    kinds = np.where(at_run & (onset[k] < covered[k]), "overlapping dominance intervals",
+                     "dominance gap")
+    at = np.where(at_run, np.minimum(onset[k], covered[k]), offset[k])
+    faults = dict(zip(item[k].tolist(), zip(kinds.tolist(), at.tolist())))
+    if not latent:  # an item without a run is one gap from 0
+        faults.update((i, ("dominance gap", 0.0))
+                      for i in np.flatnonzero(np.bincount(item, minlength=panel.n) == 0).tolist())
+    return {i: f"{panel.key(i)}: {kind} near t={t:g}" for i, (kind, t) in sorted(faults.items())}
 
 
 def parse_events(
@@ -560,7 +539,7 @@ def parse_events(
         _raise_row_error(events, int(np.argmax(bad)), space, end_time)
 
     has_offset = ~np.isnan(offset)
-    del row_end, bad  # row-length temporaries go before the overlay's peak
+    del row_end, bad  # row-length temporaries go before the merge's peak
     rows = np.bincount(row_item, minlength=n)
     with_offset = np.bincount(row_item[has_offset], minlength=n)
     mixed = (mode == "TDS") & (with_offset > 0) & (with_offset < rows)
@@ -569,9 +548,8 @@ def parse_events(
     ends = ends[:n]
     end_ok = found[:n] & (ends > 0) & np.isfinite(ends)
     ends[~end_ok] = 1.0
-    panel = Panel._of(mode, space, keys, *_overlay(*_intervals(
-        mode, events, row_item, codes, ends, end_ok, with_offset < rows, report.warnings),
-        ends, space.q))
+    panel = Panel._of(mode, space, keys, ends, *_intervals(
+        mode, events, row_item, codes, ends, end_ok, with_offset < rows, report.warnings))
 
     faults = _dominance_faults(panel, latent=True)
     bad_item = ~end_ok | mixed | np.isin(np.arange(n), list(faults))
@@ -587,9 +565,9 @@ def parse_events(
         _as_breakpoints([0.0, end_i])  # raises for an impossible end time
         raise ProtocolError(faults[i])
 
-    # a state's on-time is the length of the segments that hold it, in the file's time units
-    lengths = np.delete(np.diff(panel.breakpoints), _starts(panel.counts + 1)[1:] - 1)
-    on_time = [float(lengths[panel.active[:, j]].sum()) for j in range(space.q)]
+    # a state's on-time is the length of its runs, in the file's time units
+    lengths = panel.offset - panel.onset
+    on_time = [float(lengths[panel.state == j].sum()) for j in range(space.q)]
     clicks = np.bincount(events.label, minlength=len(events.labels)).tolist()
     report.per_state = {label: {"clicks": c, "total_duration": on_time[j]}
                         for label, c, j in zip(events.labels, clicks, codes.tolist())}
@@ -611,7 +589,7 @@ def apply_protocol_normalization(
     The mapped times are rounded to the ``tick`` lattice (not when ``tick
     <= 0``), so union_grid can use exact equality, and clipped into [0, 1];
     T goes to exactly 1.  A run mapped to zero length is dropped, and the
-    rest are overlaid as ``parse_events`` overlays its intervals.  A TDS
+    rest are merged into runs as ``parse_events`` merges its intervals.  A TDS
     item that breaks the TDS rule after its first click, or has no click,
     raises ProtocolError; a tick that is not finite raises ValidationError.
     A failure leaves ``report`` untouched.
@@ -619,22 +597,20 @@ def apply_protocol_normalization(
     faults = _dominance_faults(panel, latent=True)
     if faults:
         raise ProtocolError(next(iter(faults.values())))
+    item, state, onset, offset = panel.runs()
     horizon, t0 = panel.horizons, np.zeros(panel.n)
-    if panel.mode == "TDS":
-        # adjacent segments differ, so only an item's first segment can be empty: the latency
-        first = _starts(panel.counts)
-        latent = ~panel.active[first].any(axis=1)
-        silent = latent & (panel.counts == 1)
+    if panel.mode == "TDS":  # t0 is the item's first onset, after the latency
+        silent = np.bincount(item, minlength=panel.n) == 0
         if silent.any():
             raise ProtocolError("TDS items without any click: "
                                 + ", ".join(map(panel.key, np.flatnonzero(silent).tolist())))
-        t0 = panel.breakpoints[first + np.arange(panel.n) + latent]
+        t0 = np.minimum.reduceat(onset, np.searchsorted(item, np.arange(panel.n)))
     if not math.isfinite(tick):
         raise ValidationError(f"tick {tick} is not finite")
-    item, state, onset, offset = panel.runs()
     at_end = offset == horizon[item]
     span = horizon - t0
-    for t in (onset, offset):  # in place: runs() returns new arrays
+    onset, offset = onset.copy(), offset.copy()  # mapped in place
+    for t in (onset, offset):
         t -= t0[item]
         t /= span[item]
         if tick > 0:
@@ -643,22 +619,14 @@ def apply_protocol_normalization(
             t *= tick
         np.clip(t, 0.0, 1.0, out=t)
     offset[at_end] = 1.0
-    # drop the runs mapped to zero length; each copy replaces its array (t no longer holds
-    # offset), so the overlay's peak meets four arrays of runs, not eight
-    del t, at_end
-    keep = onset < offset
-    item, state = item[keep], state[keep]
-    onset, offset = onset[keep], offset[keep]
     if report is not None and panel.mode == "TDS":
         report.latency.update(zip(map(panel.key, range(panel.n)), (t0 / horizon).tolist()))
-    return Panel._of(panel.mode, panel.space, panel.keys, *_overlay(
-        item, onset, offset, state, np.ones(panel.n), panel.space.q))
+    return Panel._of(panel.mode, panel.space, panel.keys, np.ones(panel.n), item, state, onset,
+                     offset)
 
 
 def validate_panel(panel: Panel) -> list[str]:
-    """A normalized panel's violations (empty = OK): more than one horizon, and the TDS rule."""
-    problems = []
-    horizons = sorted(set(panel.horizons.tolist()))
-    if len(horizons) > 1:
-        problems.append(f"trajectories carry {len(horizons)} distinct horizons: {horizons}")
+    """A normalized panel's violations (empty = OK): horizons other than 1, and the TDS rule."""
+    off = sorted(set(panel.horizons.tolist()) - {1.0})
+    problems = [f"trajectories carry horizons other than 1: {off}"] if off else []
     return problems + list(_dominance_faults(panel, latent=False).values())

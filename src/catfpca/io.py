@@ -22,6 +22,7 @@ import csv
 import functools
 import json
 from io import StringIO
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -113,11 +114,18 @@ def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _csv_fields(*fields) -> bytes:
-    """``fields`` quoted as csv.writer quotes them inside a row, each followed by a comma."""
+def _csv_fields(rows) -> list[bytes]:
+    """Each row of fields as fixed template text: quoted as csv.writer quotes them inside a
+    row, each field followed by a comma, every ``%`` doubled.
+
+    One writer writes all rows; each row's text is sliced off by the length
+    ``writerow`` returns.
+    """
     buf = StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((*fields, ""))
-    return buf.getvalue()[:-1].encode("utf-8")
+    writer = csv.writer(buf, lineterminator="\n")
+    ends = list(accumulate(writer.writerow((*fields, "")) for fields in rows))
+    text = buf.getvalue()
+    return [_fixed(text[a:b - 1].encode("utf-8")) for a, b in zip([0, *ends], ends)]
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -239,10 +247,11 @@ def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
     """Serialize a panel in the ingestion schema (events CSV + sidecar).
 
     Rows are the runs of ``Panel.runs``.  TDS: one onset row per run, by
-    item and onset; an empty first segment is the latency, which the parser
-    restores from the first onset.  TCATA: one onset/offset row per run, by
-    item, state and onset.  The sidecar says ``"normalized": true`` when
-    every horizon is 1 and the panel holds the TDS rule from time 0.
+    item and onset; the stretch before an item's first run is the latency,
+    which the parser restores from the first onset.  TCATA: one
+    onset/offset row per run, by item, state and onset.  The sidecar says
+    ``"normalized": true`` when every horizon is 1 and the panel holds the
+    TDS rule from time 0.
     """
     meta_path = meta_path or sidecar_path(csv_path)
     item, states, onset, offset = panel.runs()
@@ -253,8 +262,8 @@ def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
         order = _order(item, onset)
         item, states, times = item[order], states[order], onset[order]
         slots = _SLOT + b","
-    prefixes = [_fixed(_csv_fields(subject, condition)) for subject, condition in panel.keys]
-    tails = [_fixed(_csv_fields(s)) + slots + b"\n" for s in panel.space.states]
+    prefixes = _csv_fields(panel.keys)
+    tails = [label + slots + b"\n" for label in _csv_fields((s,) for s in panel.space.states)]
     _write_rows(csv_path, EVENT_COLUMNS, item.size, lambda lo, hi: b"".join(
         [prefixes[i] + tails[j] for i, j in zip(item[lo:hi].tolist(), states[lo:hi].tolist())]),
         lambda lo, hi: times[lo:hi])
@@ -293,7 +302,7 @@ def _components(result: MfpcaResult, k: Optional[int]) -> tuple[int, Callable[[i
     k = result.R if k is None else k
     if not 0 <= k <= result.R:
         raise DomainError(f"cannot export {k} components; the result has {result.R}")
-    labels = [_fixed(_csv_fields(s)) for s in result.states]
+    labels = _csv_fields((s,) for s in result.states)
     return k, lambda i: b"%s%d," % (labels[i % len(labels)], i // len(labels) + 1)
 
 
@@ -306,7 +315,7 @@ def _cells(grid) -> tuple[bytes, ...]:
 
 def _write_curves(result: MfpcaResult, path, curves: np.ndarray) -> None:
     _write_table(path, ("state", "t_left", "t_right", "value"), len(result.states),
-                 [_fixed(_csv_fields(s)) for s in result.states].__getitem__,
+                 _csv_fields((s,) for s in result.states).__getitem__,
                  [_cells(result.grid)], lambda lo, hi: np.reshape(curves, -1)[lo:hi])
 
 
@@ -328,7 +337,7 @@ def write_scores(result: MfpcaResult, path, k: Optional[int] = None) -> None:
     k, _ = _components(result, k)
     scores = result.scores[:, :k]  # maybe strided: rows lo:hi come from the items they cover
     _write_table(path, ("subject", "condition", "r", "value"), result.n,
-                 [_fixed(_csv_fields(*item)) for item in result.items].__getitem__,
+                 _csv_fields(result.items).__getitem__,
                  [[b"%d" % r for r in range(1, k + 1)]],
                  lambda lo, hi: scores[lo // k:(hi - 1) // k + 1].ravel()[lo % k:][:hi - lo])
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SchemaError, ValidationError
-from .ingest import Panel, _number, _overlay
+from .ingest import Panel, _number
 from .trajectory import StateSpace
 
 __all__ = [
@@ -216,7 +216,7 @@ def _tcata_intervals(spec: ProcessSpec, rng: np.random.Generator, key: str) -> l
 def simulate_panel(spec: ProcessSpec, n: int, seed: int) -> Panel:
     """Draw n independent trajectories; deterministic given (spec, n, seed).
 
-    Both modes draw (on, off, state) intervals, overlaid into the panel by ``_overlay``.
+    Both modes draw (on, off, state) intervals, which ``Panel._of`` merges into runs.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -230,5 +230,5 @@ def simulate_panel(spec: ProcessSpec, n: int, seed: int) -> Panel:
     item = np.repeat(np.arange(n), [len(d) for d in drawn])
     intervals = np.array([iv for d in drawn for iv in d], dtype=np.float64).reshape(-1, 3)
     on, off, state = intervals.T
-    return Panel._of(spec.mode, space, keys, *_overlay(
-        item, on, off, state.astype(np.int64), np.full(n, spec.horizon), spec.q))
+    return Panel._of(spec.mode, space, keys, np.full(n, spec.horizon), item,
+                     state.astype(np.int64), on, off)

@@ -3,10 +3,10 @@
 Segments follow the right-continuous convention: the value on [t_k, t_{k+1})
 is segments[k], and the value at the horizon T is the last segment's value.
 State j of a trajectory is the 0/1 step function that is 1 on the segments
-whose subset holds j.  A ``Panel`` stores these step functions of all its
-items as flat arrays (breakpoints, segment counts and a segment x state
-matrix) and builds trajectories from them only when asked.  All types are
-immutable after construction and safe to share across threads.
+whose subset holds j, and so on finitely many maximal on-runs.  A
+``Panel`` stores those runs of all its items as flat arrays and builds
+trajectories from them only when asked.  All types are immutable after
+construction and safe to share across threads.
 """
 from __future__ import annotations
 

@@ -172,6 +172,42 @@ def test_analysis_refuses_a_false_normalized_claim(tmp_path, capsys, command):
     assert not (tmp_path / "results").exists()
 
 
+def write_long_panel(tmp_path):
+    """A hand-written TCATA panel that claims normalization on the horizon 10."""
+    (tmp_path / "panel.csv").write_text(
+        "subject,product,descriptor,onset,offset\n"
+        "s1,p1,A,0.0,4.0\n"
+        "s2,p1,B,1.0,10.0\n"
+        "s3,p1,A,2.0,3.0\n"
+        "s3,p1,B,2.5,7.0\n"
+    )
+    (tmp_path / "panel.json").write_text(canonical_json({
+        "mode": "TCATA", "states": ["A", "B"], "end_time": 10.0,
+        "items": [["s1", "p1"], ["s2", "p1"], ["s3", "p1"]], "normalized": True,
+    }))
+    return tmp_path / "panel.csv"
+
+
+def test_validate_reports_a_horizon_other_than_one(tmp_path, capsys):
+    assert run(["validate", write_long_panel(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["violations"] == ["trajectories carry horizons other than 1: [10.0]"]
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "ValidationError", "message": "1 invariant violation(s), first trajectories "
+                                                "carry horizons other than 1: [10.0]"}]
+
+
+@pytest.mark.parametrize("command", ["mfpca", "oracle-check"])
+def test_analysis_refuses_a_normalized_claim_on_another_horizon(tmp_path, capsys, command):
+    out = ["--out", tmp_path / "results"] if command == "mfpca" else []
+    assert run([command, write_long_panel(tmp_path), *out]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "ProtocolError", "message": "trajectories carry horizons other than 1: [10.0]"}]
+    assert not (tmp_path / "results").exists()
+
+
 def test_ingest_with_a_coarse_tick_ends_every_item_at_one(tmp_path):
     events, meta = write_inputs(tmp_path, "TDS")
     events.write_text("subject,product,descriptor,onset\n"
@@ -192,8 +228,8 @@ def test_normalizing_an_ingested_panel_again_changes_nothing(tmp_path, workload)
                     "--out", out, "--tick", tick]) == 0
         panel = read_panel(out / "panel.csv")[0]
         again = apply_protocol_normalization(panel, tick=tick)
-        for name in ("breakpoints", "counts", "active"):
-            assert getattr(again, name).tobytes() == getattr(panel, name).tobytes(), name
+        for a, b in zip((again.horizons, *again.runs()), (panel.horizons, *panel.runs())):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 def test_simulate_round_trip(tmp_path):

@@ -226,11 +226,15 @@ def test_validate_panel_reports_problems():
     tcata = panel_of("TCATA", ([0.0, 0.5, 1.0], [{0, 1}, {0}]), ([0.0, 0.5, 1.0], [set(), {1}]))
     assert validate_panel(tcata) == []
     assert validate_panel(panel_of("TCATA", ([0.0, 1.0], [{0}]), ([0.0, 2.0], [{0}]))) == [
-        "trajectories carry 2 distinct horizons: [1.0, 2.0]"]
+        "trajectories carry horizons other than 1: [2.0]"]
+    # one horizon is not enough: a normalized panel's is 1
+    assert validate_panel(panel_of("TDS", ([0.0, 10.0], [{0}]), ([0.0, 4.0, 10.0], [{0}, set()]),
+                                   ([0.0, 0.5], [{1}]))) == [
+        "trajectories carry horizons other than 1: [0.5, 10.0]", "s1/p1: dominance gap near t=4"]
 
 
 def test_panel_of_its_own_items_has_the_same_arrays(rng):
-    """Panel(mode, space, items) reads the item views back into the arrays they were built from."""
+    """Panel(mode, space, items) reads the item views back into the runs they were built from."""
     subjects = [f"s{i}" for i in range(6)]
     tds = [rec(s, "ABC"[int(rng.integers(3))], float(on)) for s in subjects
            for on in np.sort(rng.uniform(0.0, 9.0, 5))]
@@ -242,9 +246,8 @@ def test_panel_of_its_own_items_has_the_same_arrays(rng):
     for panel in panels:
         back = Panel(panel.mode, panel.space, panel.items)
         assert back.keys == panel.keys
-        assert back.breakpoints.tobytes() == panel.breakpoints.tobytes()
-        assert back.counts.tolist() == panel.counts.tolist()
-        assert np.array_equal(back.active, panel.active)
+        for a, b in zip((back.horizons, *back.runs()), (panel.horizons, *panel.runs())):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 def test_panel_round_trip_through_files(tmp_path):
@@ -295,6 +298,19 @@ def ref_overlay(intervals, end):
     active = np.cumsum(diff[:-1], axis=0)
     segments = [frozenset(np.nonzero(active[k] > 0)[0].tolist()) for k in range(nodes.size - 1)]
     return CategoricalTrajectory(nodes, segments)
+
+
+def reference_runs(items, q):
+    """(item, state, onset, offset) of every maximal run, item by item, then state by state."""
+    runs = []
+    for i, it in enumerate(items):
+        b, segments = it.trajectory.breakpoints.tolist(), it.trajectory.segments
+        for j in range(q):
+            on = [j in s for s in segments] + [False]
+            runs += [(i, j, b[k], b[e])
+                     for k in range(len(segments)) if on[k] and (k == 0 or not on[k - 1])
+                     for e in [on.index(False, k)]]
+    return runs
 
 
 def ref_dominance(key, traj):
@@ -397,13 +413,12 @@ def ref_parse(records, space, mode, end_time, items=None):
         else:
             traj = ref_tcata_group(pairs, end, report)
         panel_items.append(PanelItem(subject, condition, traj))
-    # each state's on-time: the lengths of the segments that hold it, summed in panel order
-    lengths = np.array([length for it in panel_items
-                        for length in np.diff(it.trajectory.breakpoints)])
+    # each state's on-time: the lengths of its runs in panel order, summed by np.sum
+    runs = reference_runs(panel_items, space.q)
     for label, stats in report.per_state.items():
         j = space.index(label)
-        held = [j in segment for it in panel_items for segment in it.trajectory.segments]
-        stats["total_duration"] = float(lengths[np.array(held, dtype=bool)].sum())
+        lengths = np.array([off - on for _, state, on, off in runs if state == j], dtype=float)
+        stats["total_duration"] = float(lengths.sum())
     report.n_items = len(panel_items)
     return Panel(mode, space, panel_items), report
 

@@ -1,7 +1,9 @@
 """Property tests of ingest: any events file or record list either ingests or
 raises a CatfpcaError, records ingest exactly as the per-item reference does,
-panels survive write_panel -> read_panel, a panel's runs overlay back into
-the panel, and the keyed sorts order rows and nodes as np.lexsort does."""
+panels survive write_panel -> read_panel, every constructor stores maximal
+runs, intervals merge into the runs of the per-item reference, the TDS rule
+on runs finds the fault a segment scan finds, and the keyed sorts order rows
+and intervals as np.lexsort does."""
 import csv
 import math
 import tempfile
@@ -22,13 +24,16 @@ from catfpca import (
     StateSpace,
     apply_protocol_normalization,
     parse_events,
+    simulate_panel,
 )
 from catfpca import ingest
-from catfpca.ingest import _order, _overlay
+from catfpca.ingest import _dominance_faults, _order
 from catfpca.io import read_events_csv, read_panel, write_panel
 
 from conftest import fuzz
-from test_ingest import Rec, outcome, parse, ref_normalize, ref_overlay, ref_parse
+from test_ingest import (Rec, outcome, parse, reference_runs, ref_normalize, ref_overlay,
+                         ref_parse)
+from test_simulate import tcata_spec, two_state_spec
 
 FUZZ = fuzz(200)
 
@@ -170,26 +175,28 @@ def test_panel_round_trip_through_files_property(panel):
         for it in panel.items]
 
 
-def overlaid(mode, q, ends, intervals):
-    """The panel that _overlay makes of (item, state, start, stop) intervals."""
+def merged(mode, q, ends, intervals):
+    """The panel that Panel._of merges of (item, state, start, stop) intervals."""
     item, state, start, stop = np.array(intervals, dtype=float).reshape(-1, 4).T
     keys = [(f"s{i}", "p") for i in range(len(ends))]
-    return Panel._of(mode, StateSpace([f"S{j}" for j in range(q)]), keys, *_overlay(
-        item.astype(np.int64), start, stop, state.astype(np.int64), np.array(ends), q))
+    return Panel._of(mode, StateSpace([f"S{j}" for j in range(q)]), keys, ends,
+                     item.astype(np.int64), state.astype(np.int64), start, stop)
 
 
 @st.composite
 def interval_sets(draw):
     """(q, ends, intervals) on quarters of each horizon, where intervals of one state often
-    overlap (a count of two or more) or touch (one run made of two)."""
+    overlap (a count of two or more), touch (one run made of two) or have zero length, and
+    some start at -0.0."""
     q = draw(st.integers(1, 3))
     ends = draw(st.lists(st.sampled_from([1.0, 4.0]), min_size=1, max_size=4))
     intervals = []
-    for i, a, length, j in draw(st.lists(st.tuples(
-            st.integers(0, len(ends) - 1), st.integers(0, 3), st.integers(1, 4),
-            st.integers(0, q - 1)), max_size=12)):
+    for i, a, length, j, negative in draw(st.lists(st.tuples(
+            st.integers(0, len(ends) - 1), st.integers(0, 3), st.integers(0, 4),
+            st.integers(0, q - 1), st.booleans()), max_size=12)):
         quarter = ends[i] / 4
-        intervals.append((i, j, a * quarter, min(a + length, 4) * quarter))
+        start = -0.0 if negative and a == 0 else a * quarter
+        intervals.append((i, j, start, min(a + length, 4) * quarter))
     return q, ends, intervals
 
 
@@ -202,38 +209,123 @@ OVERLAPPING = (2, [4.0, 1.0], [(0, 0, 0.0, 2.0), (0, 0, 1.0, 3.0), (0, 0, 3.0, 4
 @given(interval_sets())
 @example(OVERLAPPING)
 def test_overlay_equals_the_per_item_reference(case):
+    """Merged intervals are the runs of the per-item overlay, and its trajectories."""
     q, ends, intervals = case
-    panel = overlaid("TCATA", q, ends, intervals)
-    assert [it.trajectory for it in panel.items] == [
-        ref_overlay([(on, off, j) for k, j, on, off in intervals if k == i], end)
+    panel = merged("TCATA", q, ends, intervals)
+    reference = [PanelItem(f"s{i}", "p", ref_overlay(
+        [(on, off, j) for k, j, on, off in intervals if k == i], end))
         for i, end in enumerate(ends)]
-
-
-def reference_runs(panel):
-    """(item, state, onset, offset) of every maximal run, item by item, then state by state."""
-    runs = []
-    for i, it in enumerate(panel.items):
-        b, segments = it.trajectory.breakpoints.tolist(), it.trajectory.segments
-        for j in range(panel.space.q):
-            on = [j in s for s in segments] + [False]
-            runs += [(i, j, b[k], b[e])
-                     for k in range(len(segments)) if on[k] and (k == 0 or not on[k - 1])
-                     for e in [on.index(False, k)]]
-    return runs
+    assert list(zip(*(a.tolist() for a in panel.runs()))) == reference_runs(reference, q)
+    assert [it.trajectory for it in panel.items] == [it.trajectory for it in reference]
 
 
 @FUZZ
 @given(st.sampled_from(["TDS", "TCATA"]).flatmap(lambda mode: st.one_of(
-    panels(mode), interval_sets().map(lambda case: overlaid(mode, *case)))))
-@example(overlaid("TCATA", *OVERLAPPING))
+    panels(mode), interval_sets().map(lambda case: merged(mode, *case)))))
+@example(merged("TCATA", *OVERLAPPING))
 def test_overlay_of_the_runs_rebuilds_the_panel(panel):
+    """A panel's runs are those of its items, and merging them again changes no bit."""
+    runs = panel.runs()
+    assert list(zip(*(a.tolist() for a in runs))) == reference_runs(panel.items, panel.space.q)
+    back = Panel._of(panel.mode, panel.space, panel.keys, panel.horizons, *runs)
+    for a, b in zip((back.horizons, *back.runs()), (panel.horizons, *runs)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_maximal_runs(panel):
+    """The stored runs: sorted, maximal, of positive length in [0, horizon], never -0.0, and
+    rebuilt bit for bit from the panel's items."""
     item, state, onset, offset = runs = panel.runs()
-    assert list(zip(*(a.tolist() for a in runs))) == reference_runs(panel)
-    back = Panel._of(panel.mode, panel.space, panel.keys, *_overlay(
-        item, onset, offset, state, panel.horizons, panel.space.q))
-    for name in ("breakpoints", "counts", "active"):
-        a, b = getattr(panel, name), getattr(back, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert [a.dtype for a in runs] == [np.int64, np.int64, np.float64, np.float64]
+    assert not any(a.flags.writeable for a in (panel.horizons, *runs))
+    assert ((0 <= item) & (item < panel.n) & (0 <= state) & (state < panel.space.q)).all()
+    assert np.lexsort((onset, state, item)).tolist() == list(range(item.size))
+    same = (item[1:] == item[:-1]) & (state[1:] == state[:-1])
+    assert (offset[:-1][same] < onset[1:][same]).all()  # neither overlapping nor touching
+    assert ((0.0 <= onset) & (onset < offset) & (offset <= panel.horizons[item])).all()
+    assert not np.signbit(onset).any() and not np.signbit(offset).any()
+    back = Panel(panel.mode, panel.space, panel.items)
+    for a, b in zip((back.horizons, *back.runs()), (panel.horizons, *runs)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@st.composite
+def constructed(draw, how):
+    """A panel made by ``how``, or None when the drawn input is refused."""
+    if how == "simulate_panel":
+        spec = draw(st.sampled_from([two_state_spec(3.0, 5.0, 0.5), tcata_spec()]))
+        return simulate_panel(spec, draw(st.integers(1, 6)), draw(st.integers(0, 50)))
+    if how in ("Panel", "read_panel"):
+        panel = draw(st.sampled_from(["TDS", "TCATA"]).flatmap(panels))
+        if how == "Panel":
+            return panel
+        with tempfile.TemporaryDirectory() as tmp:
+            write_panel(panel, Path(tmp) / "panel.csv")
+            return read_panel(Path(tmp) / "panel.csv")[0]
+    records, space, mode, end_time = draw(st.integers(1, 16).flatmap(tied_records))
+    try:
+        panel = parse(records, space, mode, end_time)[0]
+        return panel if how == "parse_events" else apply_protocol_normalization(
+            panel, tick=draw(st.sampled_from([1e-6, 0.3, 0.0])))
+    except CatfpcaError:
+        return None
+
+
+@pytest.mark.parametrize("how", ["parse_events", "apply_protocol_normalization",
+                                 "simulate_panel", "Panel", "read_panel"])
+@FUZZ
+@given(data=st.data())
+def test_every_constructor_stores_maximal_runs(how, data):
+    panel = data.draw(constructed(how))
+    if panel is not None:
+        assert_maximal_runs(panel)
+
+
+@st.composite
+def tds_interval_sets(draw):
+    """(ends, intervals) of two states on eighths of each horizon, drawn to break the TDS rule
+    in every way: overlaps, gaps, a run inside another, equal onsets, a latency, an item
+    with no click and a gap at the horizon; about one item in three holds the rule."""
+    ends = draw(st.lists(st.sampled_from([1.0, 4.0]), min_size=1, max_size=4))
+    intervals = []
+    for i, end in enumerate(ends):
+        eighth = end / 8
+        if draw(st.booleans()):  # a tiling of [lead, end); lead > 0 is a latency
+            lead = draw(st.sampled_from([0, 0, 1, 2]))
+            cuts = sorted(draw(st.sets(st.integers(lead + 1, 7), max_size=4)) | {lead, 8})
+            intervals += [(i, draw(st.integers(0, 1)), a * eighth, b * eighth)
+                          for a, b in zip(cuts[:-1], cuts[1:])]
+        extra = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 8),
+                                         st.integers(0, 1)), max_size=3))
+        intervals += [(i, j, a * eighth, min(a + length, 8) * eighth) for a, length, j in extra]
+    return ends, intervals
+
+
+def ref_tds_faults(items, latent):
+    """The first segment of each item's reference trajectory that holds other than one state;
+    with ``latent`` an empty first segment is allowed."""
+    faults = {}
+    for i, it in enumerate(items):
+        traj = it.trajectory
+        for k, subset in enumerate(traj.segments):
+            if len(subset) != 1 and not (latent and k == 0 and not subset):
+                kind = "overlapping dominance intervals" if subset else "dominance gap"
+                faults[i] = f"{it.key}: {kind} near t={traj.breakpoints[k]:g}"
+                break
+    return faults
+
+
+@FUZZ
+@given(tds_interval_sets(), st.booleans())
+@example(([4.0, 1.0, 1.0], [(0, 0, 0.0, 4.0), (0, 1, 1.0, 2.0), (2, 1, 0.25, 0.75)]), False)
+@example(([4.0, 1.0, 1.0], [(0, 0, 0.0, 4.0), (0, 1, 1.0, 2.0), (2, 1, 0.25, 0.75)]), True)
+def test_the_tds_rule_on_runs_equals_a_segment_scan(case, latent):
+    ends, intervals = case
+    panel = merged("TDS", 2, ends, intervals)
+    reference = [PanelItem(f"s{i}", "p", ref_overlay(
+        [(on, off, j) for k, j, on, off in intervals if k == i], end))
+        for i, end in enumerate(ends)]
+    assert _dominance_faults(panel, latent) == ref_tds_faults(reference, latent)
 
 
 # --- the keyed sorts against np.lexsort, the order they replace ---------------
@@ -257,14 +349,13 @@ def test_order_equals_lexsort(entries):
 
 
 def parsed_arrays(records, space, mode, end_time):
-    """The parsed panel's arrays and the report, bit for bit, or the error."""
+    """The parsed panel's horizons and runs and the report, bit for bit, or the error."""
     try:
         panel, report = parse(records, space, mode, end_time)
     except CatfpcaError as exc:
         return type(exc).__name__, str(exc)
-    assert not np.signbit(panel.breakpoints).any()
-    return ([(a.dtype, a.shape, a.tobytes()) for a in (panel.breakpoints, panel.counts,
-                                                       panel.active)], report.to_dict())
+    return ([(a.dtype, a.shape, a.tobytes()) for a in (panel.horizons, *panel.runs())],
+            report.to_dict())
 
 
 TIED_LABELS = ["A", "B", "C"]
