@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, get_args, get_type_hints
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,8 @@ __all__ = ["main", "RunConfig"]
 
 @dataclass
 class RunConfig:
-    """Knobs shared by the analysis subcommands; JSON-loadable with flag overrides."""
+    """The settings of ``ingest`` and ``mfpca``: defaults, flags, and checks run before any
+    input is read; ``to_dict`` is the ``config`` block of ``result.json``."""
 
     weights: str = "equal"
     grid: str = "union"            # union | uniform
@@ -42,28 +43,12 @@ class RunConfig:
     @classmethod
     def load(cls, args) -> "RunConfig":
         cfg = cls()
-        file_values = {}
-        if getattr(args, "config", None):
-            file_values = io.read_json(args.config)
-            if not isinstance(file_values, dict):
-                raise ValidationError("config file must hold a JSON object")
-            unknown = set(file_values) - set(cfg.__dict__)
-            if unknown:
-                raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-            hints = get_type_hints(cls)
-            for key, value in file_values.items():
-                _check_config_value(key, value, hints[key])
         for key in cfg.__dict__:
-            if key in file_values:
-                setattr(cfg, key, file_values[key])
             flag = getattr(args, key, None)
             if flag is not None:
                 setattr(cfg, key, flag)
         for key in ("tick", "band_c"):  # tick 0 turns rounding off, band_c 0 gives bare means
-            value = getattr(cfg, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(
-                    f"config key {key!r} must be a finite number >= 0, got {value}")
+            _check_nonnegative(f"config key {key!r}", getattr(cfg, key))
         check_weight_scheme(cfg.weights)
         if cfg.grid not in ("union", "uniform"):
             raise ValidationError(f"grid policy must be 'union' or 'uniform', got {cfg.grid!r}")
@@ -81,26 +66,10 @@ class RunConfig:
         return dict(self.__dict__)
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string"}
-
-
-def _check_config_value(key: str, value, hint) -> None:
-    """Raise ValidationError unless ``value`` has the type of the field annotated ``hint``.
-
-    A bool is not an int, an int that fits a float is accepted for a float,
-    and None fits an Optional field only.
-    """
-    args = get_args(hint)  # Optional[X] gives (X, NoneType)
-    kind = args[0] if args else hint
-    optional = type(None) in args
-    if (value is None and optional) or type(value) is kind:
-        return
-    if kind is float and type(value) is int:
-        if abs(value) <= sys.float_info.max:
-            return
-        raise ValidationError(f"config key {key!r} is too large for a float")
-    wanted = _JSON_TYPES[kind] + (" or null" if optional else "")
-    raise ValidationError(f"config key {key!r} must be {wanted}, got {json.dumps(value)}")
+def _check_nonnegative(name: str, value: float) -> None:
+    """ValidationError naming ``name`` unless ``value`` is a finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be a finite number >= 0, got {value}")
 
 
 def _load_normalized_panel(args, tick: float):
@@ -221,6 +190,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    _check_nonnegative("--tol", args.tol)
+    _check_nonnegative("--eig-tol", args.eig_tol)
     # only this command runs the oracles, so no other command pays for importing them
     from .oracles import (estimate_field, jacobi_eigenvalues, naive_operator_matrix,
                           oracle_covariance)
@@ -272,7 +243,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(p: argparse.ArgumentParser, *, analysis: bool) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
     if analysis:
         p.add_argument("--weights", help="equal | trace_normalizing | inverse_mean_probability")
         p.add_argument("--grid", help="union | uniform")

@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ProtocolError, SchemaError, ValidationError
-from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, _as_breakpoints, _union
+from .trajectory import CategoricalTrajectory, CellGrid, StateSpace, _union
 
 __all__ = [
     "EventTable",
@@ -325,6 +325,11 @@ def _end_for(end_time, subject: str, condition: str) -> float:
             f"end time of {subject}/{condition} is not a number: {value!r}") from None
 
 
+def _bad_end(subject: str, condition: str, end: float) -> SchemaError:
+    return SchemaError(
+        f"{subject}/{condition}: end time must be positive and finite, got {end}")
+
+
 def _end_times(end_time, keys) -> tuple[np.ndarray, np.ndarray]:
     """The end time of every (subject, condition) key, and whether it was found.
 
@@ -371,7 +376,7 @@ def _raise_row_error(table: EventTable, r: int, space: StateSpace, end_time) -> 
     space.index(table.labels[table.label[r]])  # raises ValidationError on unknown label
     end = _end_for(end_time, subject, condition)
     if end <= 0:
-        raise SchemaError(f"{subject}/{condition}: end time must be positive")
+        raise _bad_end(subject, condition, end)
     if onset >= end:
         raise SchemaError(f"row {row}: onset {onset} at or after tasting end {end}")
     raise SchemaError(f"row {row}: item {subject}/{condition} not declared in the item list")
@@ -562,7 +567,8 @@ def parse_events(
             raise SchemaError(
                 f"{subject}/{condition}: TDS rows mix present and missing offsets "
                 f"(rows {missing.tolist()})")
-        _as_breakpoints([0.0, end_i])  # raises for an impossible end time
+        if not 0 < end_i < math.inf:
+            raise _bad_end(subject, condition, end_i)
         raise ProtocolError(faults[i])
 
     # a state's on-time is the length of its runs, in the file's time units

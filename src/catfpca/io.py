@@ -31,8 +31,8 @@ import numpy as np
 from ._digits import format17
 from .errors import DomainError, SchemaError, ValidationError
 from .estimation import selection_count_curve
-from .ingest import (EVENT_COLUMNS, EventTable, IngestReport, Panel, _dominance_faults, _order,
-                     parse_events)
+from .ingest import (EVENT_COLUMNS, EventTable, IngestReport, Panel, _order, parse_events,
+                     validate_panel)
 from .mfpca import MfpcaResult
 from .trajectory import StateSpace
 
@@ -250,8 +250,8 @@ def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
     item and onset; the stretch before an item's first run is the latency,
     which the parser restores from the first onset.  TCATA: one
     onset/offset row per run, by item, state and onset.  The sidecar says
-    ``"normalized": true`` when every horizon is 1 and the panel holds the
-    TDS rule from time 0.
+    ``"normalized": true`` when the panel has items and ``validate_panel``
+    finds no violation.
     """
     meta_path = meta_path or sidecar_path(csv_path)
     item, states, onset, offset = panel.runs()
@@ -277,7 +277,7 @@ def write_panel(panel: Panel, csv_path, meta_path=None) -> None:
         "states": list(panel.space.states),
         "end_time": end_time,
         "items": [list(key) for key in panel.keys],
-        "normalized": distinct == [1.0] and not _dominance_faults(panel, latent=False),
+        "normalized": panel.n > 0 and not validate_panel(panel),
     }
     _write_text(meta_path, canonical_json(meta))
 

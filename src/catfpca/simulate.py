@@ -69,10 +69,9 @@ class SojournSpec:
                 raise ValidationError(
                     f"exponential rate must be positive and finite, got {self.rate}")
         elif self.dist == "uniform":
-            if not (0 < self.low < self.high):
-                raise ValidationError(
-                    f"uniform bounds must satisfy 0 < low < high, got ({self.low}, {self.high})"
-                )
+            if not 0 < self.low < self.high < math.inf:
+                raise ValidationError("uniform bounds must satisfy 0 < low < high < inf, "
+                                      f"got ({self.low}, {self.high})")
         else:
             raise ValidationError(f"unknown sojourn distribution {self.dist!r}")
 
@@ -112,17 +111,18 @@ class ProcessSpec:
             raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
         init = np.asarray(self.initial, dtype=np.float64)
         trans = np.asarray(self.transition, dtype=np.float64)
-        if init.shape != (q,) or np.any(init < 0) or abs(init.sum() - 1.0) > _ROW_TOL:
+        # each check is the condition a valid value meets, which NaN fails
+        if not (init.shape == (q,) and np.all(init >= 0) and abs(init.sum() - 1) <= _ROW_TOL):
             raise ValidationError("initial distribution must be nonnegative and sum to 1")
-        if trans.shape != (q, q) or np.any(trans < 0):
+        if not (trans.shape == (q, q) and np.all(trans >= 0)):
             raise ValidationError(f"transition matrix must be nonnegative with shape ({q}, {q})")
-        if np.any(np.diag(trans) != 0):
+        if not np.all(np.diag(trans) == 0):
             raise ValidationError("transition matrix must have a zero diagonal")
         rows = trans.sum(axis=1)
         if q == 1:
-            if rows[0] != 0:
+            if not rows[0] == 0:
                 raise ValidationError("single-state chain cannot transition")
-        elif np.any(np.abs(rows - 1.0) > _ROW_TOL):
+        elif not np.all(np.abs(rows - 1.0) <= _ROW_TOL):
             raise ValidationError("transition rows must sum to 1")
         if len(self.sojourn) != q:
             raise ValidationError(f"need one sojourn spec per state, got {len(self.sojourn)}")
@@ -170,7 +170,7 @@ def _too_many_sojourns(key: str) -> ValidationError:
 
 
 def _tds_intervals(spec: ProcessSpec, rng: np.random.Generator, key: str) -> list[tuple]:
-    """One trajectory's (on, off, state) sojourns; one too short to move the time vanishes."""
+    """One trajectory's (on, off, state) sojourns, a zero-length one included."""
     T = spec.horizon
     trans_cdf = np.cumsum(spec.transition, axis=1)
     state = _draw_categorical(rng, np.cumsum(spec.initial))
@@ -181,8 +181,7 @@ def _tds_intervals(spec: ProcessSpec, rng: np.random.Generator, key: str) -> lis
         if t_next >= T or spec.q == 1:
             intervals.append((t, T, state))
             return intervals
-        if t_next > t:
-            intervals.append((t, t_next, state))
+        intervals.append((t, t_next, state))
         t = t_next
         state = _draw_categorical(rng, trans_cdf[state])
     raise _too_many_sojourns(key)
@@ -203,8 +202,7 @@ def _tcata_intervals(spec: ProcessSpec, rng: np.random.Generator, key: str) -> l
             if t_on >= T:
                 break
             t_off = min(t_on + on_spec.draw(rng), T)
-            if t_off > t_on:
-                intervals.append((t_on, t_off, j))
+            intervals.append((t_on, t_off, j))
             if t_off >= T:
                 break
             t = t_off

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -289,6 +290,19 @@ def test_oracle_check_command(tmp_path, capsys):
     assert payload["orthonormality_deviation"] <= payload["eig_tolerance"]
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--eig-tol"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_oracle_check_tolerances_exit_2_before_reading_the_panel(tmp_path, capsys, flag, value):
+    # the panel does not exist: the tolerance must be refused before it is opened
+    assert run(["oracle-check", tmp_path / "missing.csv", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ValidationError",
+        "message": f"{flag} must be a finite number >= 0, got {float(value)}"}
+
+
 def test_oracle_check_fails_on_non_orthonormal_eigenfunctions(tmp_path, capsys, monkeypatch):
     events, meta = write_inputs(tmp_path, "TDS")
     out = tmp_path / "ingested"
@@ -356,11 +370,7 @@ def assert_config_refused(tmp_path, capsys, command, options, key):
 
     Returns the object on that line.
     """
-    # the input file does not exist: the config must be refused before it is opened
-    if isinstance(options[-1], dict):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(options[-1]))  # json writes NaN / -Infinity
-        options = [options[0], cfg]
+    # the input file does not exist: the option must be refused before it is opened
     argv = [command, tmp_path / "missing.csv", "--out", tmp_path / "out", *options]
     if command == "ingest":
         argv += ["--meta", tmp_path / "missing.json"]
@@ -380,15 +390,7 @@ def assert_config_refused(tmp_path, capsys, command, options, key):
     ("mfpca", ["--band-c", "nan"], "band_c"),
     ("mfpca", ["--tick", "nan"], "tick"),
     ("ingest", ["--tick", "inf"], "tick"),
-    ("mfpca", ["--config", {"band_c": float("nan")}], "band_c"),
-    ("ingest", ["--config", {"tick": float("-inf")}], "tick"),
-    # integers beyond the float range
-    ("ingest", ["--config", {"tick": 10 ** 400}], "tick"),
-    ("mfpca", ["--config", {"tick": 10 ** 400}], "tick"),
-    ("mfpca", ["--config", {"band_c": -10 ** 400}], "band_c"),
-], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag", "mfpca-band_c-config",
-        "ingest-tick-config", "ingest-tick-config-int", "mfpca-tick-config-int",
-        "mfpca-band_c-config-int"])
+], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag"])
 def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
                                                                options, key):
     assert_config_refused(tmp_path, capsys, command, options, key)
@@ -398,11 +400,7 @@ def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, 
     ("mfpca", ["--band-c=-1"], "band_c"),
     ("mfpca", ["--tick=-0.001"], "tick"),
     ("ingest", ["--tick=-0.001"], "tick"),
-    ("mfpca", ["--config", {"band_c": -1}], "band_c"),
-    ("mfpca", ["--config", {"tick": -1e-6}], "tick"),
-    ("ingest", ["--config", {"tick": -0.001}], "tick"),
-], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag", "mfpca-band_c-config",
-        "mfpca-tick-config", "ingest-tick-config"])
+], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag"])
 def test_negative_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
                                                             options, key):
     assert_config_refused(tmp_path, capsys, command, options, key)
@@ -410,11 +408,9 @@ def test_negative_config_values_exit_2_before_reading_input(tmp_path, capsys, co
 
 @pytest.mark.parametrize("command,options", [
     ("mfpca", ["--weights", "trace"]),
-    ("mfpca", ["--config", {"weights": "Equal"}]),
-    ("ingest", ["--config", {"weights": "trace"}]),
-], ids=["mfpca-flag", "mfpca-config", "ingest-config"])
+], ids=["mfpca-flag"])
 def test_unknown_weight_scheme_exits_2_before_reading_input(tmp_path, capsys, command, options):
-    scheme = options[-1]["weights"] if isinstance(options[-1], dict) else options[-1]
+    scheme = options[-1]
     with pytest.raises(catfpca.ValidationError) as expected:
         catfpca.compute_weights(None, None, None, None, scheme)
     error = assert_config_refused(tmp_path, capsys, command, options, scheme)
@@ -424,16 +420,11 @@ def test_unknown_weight_scheme_exits_2_before_reading_input(tmp_path, capsys, co
 
 @pytest.mark.parametrize("options", [
     ["--grid", "uniform", "--cells", 99999999999999999999],
-    ["--config", {"grid": "uniform", "cells": 99999999999999999999}],
-], ids=["flag", "config"])
+], ids=["flag"])
 def test_cell_count_beyond_an_array_length_exits_2(tmp_path, capsys, options):
     events, meta = write_inputs(tmp_path, "TDS")
     ingested = tmp_path / "ingested"
     assert run(["ingest", events, "--meta", meta, "--out", ingested]) == 0
-    if isinstance(options[-1], dict):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(options[-1]))
-        options = [options[0], cfg]
     capsys.readouterr()
     assert run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "res", *options]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
@@ -567,20 +558,6 @@ def test_mfpca_outputs_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_config_file_with_flag_overrides(tmp_path):
-    events, meta = write_inputs(tmp_path, "TDS")
-    ingested = tmp_path / "ingested"
-    run(["ingest", events, "--meta", meta, "--out", ingested])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"weights": "trace_normalizing", "cells": 64}))
-    out = tmp_path / "res"
-    assert run(["mfpca", ingested / "panel.csv", "--out", out,
-                "--config", cfg, "--weights", "equal"]) == 0
-    result = json.loads((out / "result.json").read_text())
-    assert result["weights"]["scheme"] == "equal"      # flag wins
-    assert result["config"]["cells"] == 64             # file value kept
-
-
 def test_config_rejects_conflicting_truncations(tmp_path, capsys):
     events, meta = write_inputs(tmp_path, "TDS")
     ingested = tmp_path / "ingested"
@@ -588,32 +565,6 @@ def test_config_rejects_conflicting_truncations(tmp_path, capsys):
     code = run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "z",
                 "--k", 1, "--var-frac", 0.9])
     assert code == 2
-
-
-@pytest.mark.parametrize("config,key", [
-    ({"cells": "512"}, "cells"),
-    ({"k": 2.5}, "k"),
-    ({"weights": 3}, "weights"),
-    ({"band_c": "x"}, "band_c"),
-    ({"var_frac": "0.5"}, "var_frac"),
-    ({"k": True}, "k"),
-    ({"band_c": True}, "band_c"),
-    ({"seed": 3}, "seed"),
-    ([{"k": 2}], "JSON object"),
-], ids=["cells-str", "k-float", "weights-int", "band_c-str", "var_frac-str", "k-bool",
-        "band_c-bool", "seed", "not-an-object"])
-def test_ill_typed_config_values_exit_2(tmp_path, capsys, config, key):
-    events, meta = write_inputs(tmp_path, "TDS")
-    ingested = tmp_path / "ingested"
-    run(["ingest", events, "--meta", meta, "--out", ingested])
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    capsys.readouterr()
-    assert run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "res", "--config", cfg]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    error = json.loads(lines[0])
-    assert error["error"] == "ValidationError" and key in error["message"]
 
 
 @pytest.mark.parametrize("exc", [MemoryError, np.linalg.LinAlgError])
@@ -650,10 +601,17 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     ({"end_time": True}, "end time of s1/p1 is not a number"),
     ({"end_time": {"default": "10"}}, "end time of s1/p1 is not a number"),
     ({"end_time": {"s1": True, "default": 10}}, "end time of s1/p1 is not a number"),
+    ({"end_time": math.nan}, "s1/p1: end time must be positive and finite, got nan"),
+    ({"end_time": math.inf}, "s1/p1: end time must be positive and finite, got inf"),
+    ({"end_time": {"s1": math.nan, "default": 10}},
+     "s1/p1: end time must be positive and finite, got nan"),
+    ({"end_time": {"s1/p1": math.inf, "default": 10}},
+     "s1/p1: end time must be positive and finite, got inf"),
     ({"normalized": "false"}, "'normalized'"),
     ({"normalized": 1}, "'normalized'"),
 ], ids=["not-an-object", "states-int", "states-str", "items-int", "items-null", "items-short",
         "end-time-str", "end-time-bool", "end-time-str-in-mapping", "end-time-bool-in-mapping",
+        "end-time-nan", "end-time-inf", "end-time-nan-in-mapping", "end-time-inf-in-mapping",
         "normalized-str", "normalized-int"])
 @pytest.mark.parametrize("command", ["ingest", "validate", "mfpca"])
 def test_malformed_sidecar_exits_2(tmp_path, capsys, command, sidecar, key):
@@ -683,14 +641,29 @@ def test_usage_errors_exit_2_with_one_json_line(capsys, argv):
     assert json.loads(lines[0])["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("command", ["ingest", "mfpca"])
+def test_config_file_option_is_a_usage_error(tmp_path, capsys, command):
+    events, meta = write_inputs(tmp_path, "TDS")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tick": 0.0}))
+    out = tmp_path / "out"
+    assert run([command, events, "--meta", meta, "--out", out, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValidationError" and "--config" in error["message"]
+    assert not out.exists()
+
+
 def test_ingest_help_lists_only_its_own_options(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["ingest", "-h"])
     assert exit_.value.code == 0
     text = capsys.readouterr().out
-    assert all(flag in text for flag in ("events", "--meta", "--out", "--config", "--tick"))
+    assert all(flag in text for flag in ("events", "--meta", "--out", "--tick"))
     assert not any(flag in text for flag in
-                   ("--weights", "--grid", "--cells", "--k ", "--var-frac", "--band-c"))
+                   ("--config", "--weights", "--grid", "--cells", "--k ", "--var-frac", "--band-c"))
 
 
 SPEC = {
@@ -735,6 +708,28 @@ def test_malformed_spec_exits_2(tmp_path, capsys, spec, message):
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("spec,message", [
+    ({**SPEC, "initial": [math.nan, math.nan]}, "initial distribution"),
+    ({**SPEC, "initial": [math.inf, 0.0]}, "initial distribution"),
+    ({**SPEC, "transition": [[0.0, math.nan], [1.0, 0.0]]}, "transition matrix"),
+    ({**SPEC, "transition": [[0.0, math.inf], [1.0, 0.0]]}, "transition rows"),
+    ({**SPEC, "sojourn": [{"dist": "uniform", "low": 0.1, "high": math.inf}] * 2},
+     "uniform bounds"),
+    ({**SPEC, "tcata": [{"off": {"dist": "uniform", "low": math.nan, "high": 1.0},
+                         "on": RENEWAL}] * 2}, "uniform bounds"),
+], ids=["initial-nan", "initial-inf", "transition-nan", "transition-inf", "high-inf",
+        "low-nan"])
+def test_non_finite_spec_values_exit_2(tmp_path, capsys, spec, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))  # json writes NaN / Infinity
+    assert run(["simulate", "--spec", spec_path, "--n", 3, "--out", tmp_path / "sim"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValidationError" and message in error["message"]
+    assert not (tmp_path / "sim").exists()
+
+
 def test_integer_numbers_in_spec_and_sidecar_are_accepted(tmp_path):
     spec = {**SPEC, "horizon": 1, "initial": [1, 0], "transition": [[0, 1], [1, 0]],
             "sojourn": [{"dist": "exponential", "rate": 2},
@@ -764,33 +759,28 @@ def test_ingest_and_mfpca_construct_no_trajectory_objects(tmp_path, monkeypatch,
     assert len(read_panel(tmp_path / "in" / "panel.csv")[0].trajectories) == len(built) == 2
 
 
-@pytest.mark.parametrize("command", ["ingest", "simulate", "mfpca-config"])
+@pytest.mark.parametrize("command", ["ingest", "simulate"])
 def test_input_json_that_is_not_utf8_exits_2(tmp_path, capsys, command):
-    events, meta = write_inputs(tmp_path, "TDS")
+    events, _ = write_inputs(tmp_path, "TDS")
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{"mode": "\xff"}')
     argv = {"ingest": ["ingest", events, "--meta", bad, "--out", tmp_path / "out"],
-            "simulate": ["simulate", "--spec", bad, "--n", 3, "--out", tmp_path / "out"],
-            "mfpca-config": ["mfpca", events, "--meta", meta, "--config", bad,
-                             "--out", tmp_path / "out"]}[command]
+            "simulate": ["simulate", "--spec", bad, "--n", 3, "--out", tmp_path / "out"]}[command]
     assert run(argv) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "UnicodeDecodeError"
 
 
-@pytest.mark.parametrize("command", ["ingest", "simulate", "mfpca-config"])
+@pytest.mark.parametrize("command", ["ingest", "simulate"])
 def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys, command):
-    events, meta = write_inputs(tmp_path, "TDS")
+    events, _ = write_inputs(tmp_path, "TDS")
     value = {"ingest": {"mode": "TDS", "states": ["A", "B"], "end_time": "BIG"},
-             "simulate": {**SPEC, "horizon": "BIG"},
-             "mfpca-config": {"tick": "BIG"}}[command]
+             "simulate": {**SPEC, "horizon": "BIG"}}[command]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(value).replace('"BIG"', "1" + "0" * 5000))
     argv = {"ingest": ["ingest", events, "--meta", bad, "--out", tmp_path / "out"],
-            "simulate": ["simulate", "--spec", bad, "--n", 3, "--out", tmp_path / "out"],
-            "mfpca-config": ["mfpca", events, "--meta", meta, "--config", bad,
-                             "--out", tmp_path / "out"]}[command]
+            "simulate": ["simulate", "--spec", bad, "--n", 3, "--out", tmp_path / "out"]}[command]
     assert run(argv) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1

@@ -325,6 +325,11 @@ def ref_dominance(key, traj):
             raise ProtocolError(f"{key}: dominance gap near t={traj.breakpoints[k]:g}")
 
 
+def ref_check_end(key, end):
+    if not 0 < end < math.inf:
+        raise SchemaError(f"{key}: end time must be positive and finite, got {end}")
+
+
 def ref_tds_group(pairs, end, report):
     first = pairs[0][0]
     key = f"{first.subject}/{first.condition}"
@@ -332,6 +337,7 @@ def ref_tds_group(pairs, end, report):
     if any(has_offsets) and not all(has_offsets):
         rows = [r.row for (r, _), h in zip(pairs, has_offsets) if not h]
         raise SchemaError(f"{key}: TDS rows mix present and missing offsets (rows {rows})")
+    ref_check_end(key, end)
     ordered = sorted(pairs, key=lambda p: (p[0].onset, p[0].row))
     if all(has_offsets):
         intervals = [(r.onset, min(r.offset, end), j) for r, j in ordered]
@@ -350,6 +356,8 @@ def ref_tds_group(pairs, end, report):
 
 
 def ref_tcata_group(pairs, end, report):
+    first = pairs[0][0]
+    ref_check_end(f"{first.subject}/{first.condition}", end)
     intervals = []
     for r, j in sorted(pairs, key=lambda p: (p[0].onset, p[0].row)):
         off = r.offset
@@ -393,7 +401,7 @@ def ref_parse(records, space, mode, end_time, items=None):
         j = space.index(rec.state)
         end = _end_for(end_time, rec.subject, rec.condition)
         if end <= 0:
-            raise SchemaError(f"{rec.subject}/{rec.condition}: end time must be positive")
+            ref_check_end(f"{rec.subject}/{rec.condition}", end)
         if rec.onset >= end:
             raise SchemaError(f"row {rec.row}: onset {rec.onset} at or after tasting end {end}")
         if items is not None and key not in groups:
@@ -407,6 +415,7 @@ def ref_parse(records, space, mode, end_time, items=None):
         pairs = groups[(subject, condition)]
         end = _end_for(end_time, subject, condition)
         if not pairs:
+            ref_check_end(f"{subject}/{condition}", end)
             traj = CategoricalTrajectory([0.0, end], [frozenset()])
         elif mode == "TDS":
             traj = ref_tds_group(pairs, end, report)

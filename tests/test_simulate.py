@@ -197,8 +197,9 @@ def test_spec_validation():
     for horizon in (0.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="horizon"):
             two_state_spec(horizon=horizon)
-    with pytest.raises(ValidationError, match="low < high"):
-        SojournSpec("uniform", low=0.5, high=0.5)
+    for low, high in ((0.5, 0.5), (0.1, math.inf), (math.nan, 1.0), (0.1, math.nan)):
+        with pytest.raises(ValidationError, match="low < high"):
+            SojournSpec("uniform", low=low, high=high)
     with pytest.raises(ValidationError):
         simulate_panel(two_state_spec(), 0, seed=1)
     with pytest.raises(ValidationError, match="sim000000/sim: more than"):
@@ -206,6 +207,17 @@ def test_spec_validation():
     busy = {"off": SojournSpec("exponential", rate=1e8), "on": SojournSpec("exponential", rate=1e8)}
     with pytest.raises(ValidationError, match="sim000000/sim: more than"):
         simulate_panel(dataclasses.replace(tcata_spec(), tcata=(busy, busy)), 1, seed=1)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("initial", [math.nan, math.nan], "initial distribution"),
+    ("initial", [0.5, math.nan], "initial distribution"),
+    ("transition", [[0.0, math.nan], [1.0, 0.0]], "nonnegative"),
+    ("transition", [[math.nan, 1.0], [1.0, 0.0]], "nonnegative"),
+], ids=["initial-nan", "initial-half-nan", "transition-nan", "diagonal-nan"])
+def test_spec_rejects_nan_entries(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(two_state_spec(), **{field: value})
 
 
 def test_spec_json_round_trip():
