@@ -13,9 +13,11 @@ on-runs.  Both orderings (rows, then intervals by item and state) sort one
 exact int64 key per entry, a group number times the count of distinct times
 plus the rank of its time (``_order``).  ``apply_protocol_normalization``
 maps the runs of every item onto [0, 1] and merges them the same way.
-Neither builds a trajectory object.  When a check fails, the first failing
-row (input order) or item (panel order) is checked again on its own, so the
-error raised is the one a row-by-row, item-by-item parse meets first.
+Neither builds a trajectory object.  ``parse_events`` states each check
+once, in one ordered list for rows and one for items, as the mask of the
+entries that fail it and the error it raises (``_raise_first``).  The first
+failing row (input order) or item (panel order) raises the error of its
+first failing check: the one a row-by-row, item-by-item parse meets first.
 """
 from __future__ import annotations
 
@@ -325,61 +327,40 @@ def _end_for(end_time, subject: str, condition: str) -> float:
             f"end time of {subject}/{condition} is not a number: {value!r}") from None
 
 
-def _bad_end(subject: str, condition: str, end: float) -> SchemaError:
-    return SchemaError(
-        f"{subject}/{condition}: end time must be positive and finite, got {end}")
+def _bad_end(key: str, end: float) -> SchemaError:
+    return SchemaError(f"{key}: end time must be positive and finite, got {end}")
 
 
-def _end_times(end_time, keys) -> tuple[np.ndarray, np.ndarray]:
-    """The end time of every (subject, condition) key, and whether it was found.
+def _end_times(end_time, keys) -> tuple[np.ndarray, dict]:
+    """The end time of every (subject, condition) key, and {key index: SchemaError}.
 
-    A failed lookup leaves NaN; its error is raised again by the first check
-    that needs that end time.  One value for all keys is converted once.
+    A failed lookup leaves NaN and its error in the mapping.  One value for
+    all keys is converted once.
     """
-    ends = np.full(len(keys), np.nan)
-    found = np.ones(len(keys), dtype=bool)
     if not isinstance(end_time, Mapping):
         try:
-            ends[:] = _number(end_time)
+            return np.full(len(keys), _number(end_time)), {}
         except (TypeError, OverflowError):
-            found[:] = False
-        return ends, found
+            pass  # every key fails, each with its own message
+    ends, failed = np.full(len(keys), np.nan), {}
     for i, (subject, condition) in enumerate(keys):
         try:
             ends[i] = _end_for(end_time, subject, condition)
-        except SchemaError:
-            found[i] = False
-    return ends, found
+        except SchemaError as exc:
+            failed[i] = exc
+    return ends, failed
 
 
-def _state_codes(space: StateSpace, labels) -> np.ndarray:
-    """The state index of every label, -1 for a label outside ``space``."""
-    codes = np.full(len(labels), -1, dtype=np.int64)
-    for i, label in enumerate(labels):
-        try:
-            codes[i] = space.index(label)
-        except ValidationError:
-            pass
-    return codes
+def _raise_first(checks) -> None:
+    """Raise the error of the first failing check at the first entry that fails any.
 
-
-def _raise_row_error(table: EventTable, r: int, space: StateSpace, end_time) -> None:
-    """Run the row checks on row ``r`` of ``table`` one by one; raise the first that fails."""
-    subject, condition = table.keys[table.item[r]]
-    onset, offset, row = float(table.onset[r]), float(table.offset[r]), r + FIRST_ROW
-    if onset != onset:  # only a table built directly holds one: from_rows rejects it
-        raise SchemaError(f"row {row}: onset {onset} is not a number")
-    if onset < 0:
-        raise SchemaError(f"row {row}: negative onset {onset}")
-    if offset <= onset:
-        raise SchemaError(f"row {row}: offset {offset} must exceed onset {onset}")
-    space.index(table.labels[table.label[r]])  # raises ValidationError on unknown label
-    end = _end_for(end_time, subject, condition)
-    if end <= 0:
-        raise _bad_end(subject, condition, end)
-    if onset >= end:
-        raise SchemaError(f"row {row}: onset {onset} at or after tasting end {end}")
-    raise SchemaError(f"row {row}: item {subject}/{condition} not declared in the item list")
+    ``checks`` are (mask, error) pairs in order: the mask marks the entries
+    that fail the check, and error(i) returns (or raises) entry i's exception.
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise next(error(i) for mask, error in checks if mask[i])
 
 
 def _intervals(mode: str, events: EventTable, row_item, codes, ends, keep, chained,
@@ -533,43 +514,58 @@ def parse_events(
     position = {key: i for i, key in enumerate(keys)}
     for key in events.keys:
         position.setdefault(key, len(position))
-    ends, found = _end_times(end_time, list(position))
+    ends, lookup = _end_times(end_time, list(position))
+    no_end = np.isin(np.arange(len(position)), list(lookup))
     row_item = np.array([position[key] for key in events.keys], dtype=np.int64)[events.item]
-    codes = _state_codes(space, events.labels)
+    codes = np.array([space._index.get(label, -1) for label in events.labels], dtype=np.int64)
     onset, offset = events.onset, events.offset
     row_end = ends[row_item]
-    bad = (~(onset >= 0) | (offset <= onset) | (codes[events.label] < 0) | ~found[row_item]
-           | (row_end <= 0) | (onset >= row_end) | (row_item >= n))
-    if bad.any():
-        _raise_row_error(events, int(np.argmax(bad)), space, end_time)
+
+    def name(i):  # only an error names an item
+        return "%s/%s" % list(position)[i]
+
+    def at(r, message):
+        return SchemaError(f"row {r + FIRST_ROW}: {message}")
+
+    # only a table built directly holds a NaN onset: from_rows rejects it
+    _raise_first([
+        (np.isnan(onset), lambda r: at(r, f"onset {onset[r]} is not a number")),
+        (onset < 0, lambda r: at(r, f"negative onset {onset[r]}")),
+        (offset <= onset, lambda r: at(r, f"offset {offset[r]} must exceed onset {onset[r]}")),
+        (codes[events.label] < 0,
+         lambda r: space.index(events.labels[events.label[r]])),  # StateSpace's error
+        (no_end[row_item], lambda r: lookup[row_item[r]]),
+        (row_end <= 0, lambda r: _bad_end(name(row_item[r]), row_end[r])),
+        (onset >= row_end,
+         lambda r: at(r, f"onset {onset[r]} at or after tasting end {row_end[r]}")),
+        (row_item >= n,
+         lambda r: at(r, f"item {name(row_item[r])} not declared in the item list")),
+    ])
 
     has_offset = ~np.isnan(offset)
-    del row_end, bad  # row-length temporaries go before the merge's peak
+    del row_end  # a row-length temporary goes before the merge's peak
     rows = np.bincount(row_item, minlength=n)
     with_offset = np.bincount(row_item[has_offset], minlength=n)
     mixed = (mode == "TDS") & (with_offset > 0) & (with_offset < rows)
 
     # an item whose end time no trajectory can have fails below; its rows are left out
     ends = ends[:n]
-    end_ok = found[:n] & (ends > 0) & np.isfinite(ends)
-    ends[~end_ok] = 1.0
-    panel = Panel._of(mode, space, keys, ends, *_intervals(
+    end_ok = (ends > 0) & np.isfinite(ends)
+    panel = Panel._of(mode, space, keys, np.where(end_ok, ends, 1.0), *_intervals(
         mode, events, row_item, codes, ends, end_ok, with_offset < rows, report.warnings))
-
     faults = _dominance_faults(panel, latent=True)
-    bad_item = ~end_ok | mixed | np.isin(np.arange(n), list(faults))
-    if bad_item.any():
-        i = int(np.argmax(bad_item))
-        subject, condition = keys[i]
-        end_i = _end_for(end_time, subject, condition)
-        if mixed[i]:
-            missing = np.flatnonzero((row_item == i) & ~has_offset) + FIRST_ROW
-            raise SchemaError(
-                f"{subject}/{condition}: TDS rows mix present and missing offsets "
-                f"(rows {missing.tolist()})")
-        if not 0 < end_i < math.inf:
-            raise _bad_end(subject, condition, end_i)
-        raise ProtocolError(faults[i])
+
+    def mix(i):
+        missing = np.flatnonzero((row_item == i) & ~has_offset) + FIRST_ROW
+        return SchemaError(
+            f"{name(i)}: TDS rows mix present and missing offsets (rows {missing.tolist()})")
+
+    _raise_first([
+        (no_end[:n], lookup.get),
+        (mixed, mix),
+        (~end_ok, lambda i: _bad_end(name(i), ends[i])),
+        (np.isin(np.arange(n), list(faults)), lambda i: ProtocolError(faults[i])),
+    ])
 
     # a state's on-time is the length of its runs, in the file's time units
     lengths = panel.offset - panel.onset

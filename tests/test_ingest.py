@@ -617,6 +617,75 @@ def test_first_bad_row_in_file_order_is_reported():
         assert type(new.value) is type(ref.value)
 
 
+def table_of(records):
+    """The EventTable of records, built directly: from_rows would reject a NaN onset."""
+    keys = list(dict.fromkeys((r.subject, r.condition) for r in records))
+    labels = list(dict.fromkeys(r.state for r in records))
+    return EventTable(
+        tuple(keys), tuple(labels),
+        np.array([keys.index((r.subject, r.condition)) for r in records], dtype=np.int64),
+        np.array([labels.index(r.state) for r in records], dtype=np.int64),
+        np.array([r.onset for r in records], dtype=np.float64),
+        np.array([math.nan if r.offset is None else r.offset for r in records]))
+
+
+NO_END = {"s1/p1": 10.0}  # s9/p1 has no end time
+BELOW_ZERO = {"default": -5.0}  # s1/p1 is declared, s9/p1 ends at -5
+
+
+@pytest.mark.parametrize("record,end_time,message", [
+    # each row fails its check and every later one that can hold with it; an end time
+    # that is missing excludes one at or below zero and one at or before the onset
+    (rec("s9", "Z", math.nan, 5.0), NO_END, "row 2: onset nan is not a number"),
+    (rec("s9", "Z", math.nan, 5.0), BELOW_ZERO, "row 2: onset nan is not a number"),
+    (rec("s9", "Z", -1.0, -3.0), NO_END, "row 2: negative onset -1.0"),
+    (rec("s9", "Z", -1.0, -3.0), BELOW_ZERO, "row 2: negative onset -1.0"),
+    (rec("s9", "Z", 2.0, 1.0), NO_END, "row 2: offset 1.0 must exceed onset 2.0"),
+    (rec("s9", "Z", 2.0, 1.0), BELOW_ZERO, "row 2: offset 1.0 must exceed onset 2.0"),
+    (rec("s9", "Z", 1.0, 2.0), NO_END, "unknown state label 'Z'"),
+    (rec("s9", "Z", 1.0, 2.0), BELOW_ZERO, "unknown state label 'Z'"),
+    (rec("s9", "A", 1.0, 2.0), NO_END, "no end time declared for s9/p1"),
+    (rec("s9", "A", 1.0, 2.0), {"s9": "x"}, "end time of s9/p1 is not a number: 'x'"),
+    (rec("s9", "A", 1.0, 2.0), BELOW_ZERO,
+     "s9/p1: end time must be positive and finite, got -5.0"),
+    (rec("s9", "A", 12.0, 13.0), {"default": 10.0},
+     "row 2: onset 12.0 at or after tasting end 10.0"),
+    (rec("s9", "A", 1.0, 2.0), {"default": 10.0},
+     "row 2: item s9/p1 not declared in the item list"),
+])
+def test_a_row_raises_its_first_failing_check(record, end_time, message):
+    items = [("s1", "p1")]
+    with pytest.raises(ValidationError) as new:
+        parse_events(table_of([record]), SP2, "TCATA", end_time, items=items)
+    with pytest.raises(ValidationError) as ref:
+        ref_parse([record], SP2, "TCATA", end_time, items=items)
+    assert str(new.value) == str(ref.value) == message
+    assert type(new.value) is type(ref.value)
+
+
+@pytest.mark.parametrize("records,end_time,message", [
+    # each item fails its check and every later one that can hold with it: a bad end time
+    # leaves the item's rows out, so no dominance fault can hold with one
+    ([], {}, "no end time declared for s1/p1"),
+    ([rec("s1", "A", 0.0, 6.0), rec("s1", "B", 6.0)], math.nan,
+     "s1/p1: TDS rows mix present and missing offsets (rows [3])"),
+    ([rec("s1", "A", 0.0, 6.0), rec("s1", "B", 6.0)], math.inf,
+     "s1/p1: TDS rows mix present and missing offsets (rows [3])"),
+    ([rec("s1", "A", 0.0, 6.0), rec("s1", "B", 4.0, 10.0)], math.inf,
+     "s1/p1: end time must be positive and finite, got inf"),
+    ([rec("s1", "A", 0.0, 6.0), rec("s1", "B", 4.0, 10.0)], 10.0,
+     "s1/p1: overlapping dominance intervals near t=4"),
+])
+def test_an_item_raises_its_first_failing_check(records, end_time, message):
+    items = [("s1", "p1")]
+    with pytest.raises(ValidationError) as new:
+        parse_events(table_of(records), SP2, "TDS", end_time, items=items)
+    with pytest.raises(ValidationError) as ref:
+        ref_parse(records, SP2, "TDS", end_time, items=items)
+    assert str(new.value) == str(ref.value) == message
+    assert type(new.value) is type(ref.value)
+
+
 EVENTS_HEADER = "subject,product,descriptor,onset,offset"
 OFFSET_FIRST = "offset,onset,subject,product,descriptor"  # a short row lacks its subject fields
 
