@@ -10,70 +10,26 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import io
 from .errors import NumericalError, ProtocolError, ValidationError
-from .estimation import WeightScheme, check_weight_scheme
-from .ingest import DEFAULT_TICK, apply_protocol_normalization, validate_panel
+from .estimation import WEIGHT_SCHEMES
+from .ingest import DEFAULT_TICK, apply_protocol_normalization, tick_fault, validate_panel
 from .mfpca import _weight_diag, run_mfpca
 from .simulate import ProcessSpec, simulate_panel
 from .trajectory import CellGrid
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
-
-@dataclass
-class RunConfig:
-    """The settings of ``ingest`` and ``mfpca``: defaults, flags, and checks run before any
-    input is read; ``to_dict`` is the ``config`` block of ``result.json``."""
-
-    weights: str = "equal"
-    grid: str = "union"            # union | uniform
-    cells: int = 512               # uniform cell count, and cap for union grids
-    k: Optional[int] = None
-    var_frac: Optional[float] = None
-    band_c: float = 1.0
-    tick: float = DEFAULT_TICK
-
-    @classmethod
-    def load(cls, args) -> "RunConfig":
-        cfg = cls()
-        for key in cfg.__dict__:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                setattr(cfg, key, flag)
-        for key in ("tick", "band_c"):  # tick 0 turns rounding off, band_c 0 gives bare means
-            _check_nonnegative(f"config key {key!r}", getattr(cfg, key))
-        check_weight_scheme(cfg.weights)
-        if cfg.grid not in ("union", "uniform"):
-            raise ValidationError(f"grid policy must be 'union' or 'uniform', got {cfg.grid!r}")
-        if cfg.k is not None and cfg.var_frac is not None:
-            raise ValidationError("give either a truncation order k or a variance fraction, not both")
-        if cfg.var_frac is not None and not (0.0 < cfg.var_frac <= 1.0):
-            raise ValidationError(f"variance fraction must be in (0, 1], got {cfg.var_frac}")
-        if cfg.cells < 1:
-            raise ValidationError("cells must be >= 1")
-        if cfg.k is not None and cfg.k < 0:
-            raise ValidationError(f"k must be >= 0, got {cfg.k}")
-        return cfg
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def _check_nonnegative(name: str, value: float) -> None:
-    """ValidationError naming ``name`` unless ``value`` is a finite number >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValidationError(f"{name} must be a finite number >= 0, got {value}")
+# the settings of `mfpca`, echoed as the `config` block of result.json
+SETTINGS = ("weights", "grid", "cells", "k", "var_frac", "band_c", "tick")
 
 
 def _load_normalized_panel(args, tick: float):
-    panel, report, meta = io.read_panel(args.panel, getattr(args, "meta", None))
+    panel, report, meta = io.read_panel(args.panel, args.meta)
     if not meta.get("normalized"):
         panel = apply_protocol_normalization(panel, tick=tick, report=report)
     return panel, report, meta
@@ -90,9 +46,8 @@ def _analysed_panel(args, tick: float):
 
 
 def cmd_ingest(args) -> int:
-    cfg = RunConfig.load(args)
     panel, report, _ = io.read_panel(args.events, args.meta)
-    panel = apply_protocol_normalization(panel, tick=cfg.tick, report=report)
+    panel = apply_protocol_normalization(panel, tick=args.tick, report=report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_panel(panel, out / "panel.csv", out / "panel.json")
@@ -117,28 +72,27 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mfpca(args) -> int:
-    cfg = RunConfig.load(args)
-    panel = _analysed_panel(args, cfg.tick)
+    panel = _analysed_panel(args, args.tick)
     union = panel.grid()
-    grid = (union if cfg.grid == "union" and union.m <= cfg.cells
-            else CellGrid.uniform(cfg.cells, union.horizon))
-    result = run_mfpca(panel, scheme=cfg.weights, grid=grid)
+    grid = (union if args.grid == "union" and union.m <= args.cells
+            else CellGrid.uniform(args.cells, union.horizon))
+    result = run_mfpca(panel, scheme=args.weights, grid=grid)
 
-    if cfg.k is not None:
-        k = min(cfg.k, result.R)
-    elif cfg.var_frac is not None:
-        k = result.components_for_fraction(cfg.var_frac)
+    if args.k is not None:
+        k = min(args.k, result.R)
+    elif args.var_frac is not None:
+        k = result.components_for_fraction(args.var_frac)
     else:
         k = result.R
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    echo = cfg.to_dict()
+    echo = {key: getattr(args, key) for key in SETTINGS}
     echo["exported_components"] = k
     io._write_text(out / "result.json", io.canonical_json(io.result_to_dict(result, echo)))
     io.write_scores(result, out / "scores.csv", k)
     io.write_eigenfunctions(result, out / "eigenfunctions.csv", k)
-    io.write_bands(result, out / "bands.csv", k, cfg.band_c)
+    io.write_bands(result, out / "bands.csv", k, args.band_c)
     io.write_mean_curves(result, out / "mean_curves.csv")
     io.write_variance_curves(result, out / "variance_curves.csv")
     io.write_selection_count(result, out / "selection_count.csv")
@@ -190,8 +144,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    _check_nonnegative("--tol", args.tol)
-    _check_nonnegative("--eig-tol", args.eig_tol)
     # only this command runs the oracles, so no other command pays for importing them
     from .oracles import (estimate_field, jacobi_eigenvalues, naive_operator_matrix,
                           oracle_covariance)
@@ -207,16 +159,17 @@ def cmd_oracle_check(args) -> int:
     mean_dev = float(np.abs(field.mean - oracle.mean).max())
     cov_dev = float(np.abs(field.cov_matrix - oracle.cov_matrix).max())
 
-    # the retained eigenvalues of the path `mfpca` runs, zero-padded to all q*m of the oracle's
-    weights = WeightScheme.equal(panel.space.q)
-    result = run_mfpca(panel, grid=grid, weights=weights)
-    evals = np.zeros(panel.space.q * grid.m)
+    # the retained eigenvalues of the path `mfpca` runs (equal weights), zero-padded to all q*m
+    # of the oracle's
+    qm = panel.space.q * grid.m
+    result = run_mfpca(panel, grid=grid)
+    evals = np.zeros(qm)
     evals[:result.R] = result.eigenvalues
-    evals_naive = jacobi_eigenvalues(naive_operator_matrix(oracle, weights))
+    evals_naive = jacobi_eigenvalues(naive_operator_matrix(oracle, result.weights))
     eig_dev = float(np.abs(evals - evals_naive).max())
-    # H-Gram of every retained eigenfunction
-    phis = result.eigenfunctions.reshape(result.R, -1)
-    gram = (phis * _weight_diag(weights, grid)) @ phis.T
+    # H-Gram of every retained eigenfunction, of which there may be none
+    phis = result.eigenfunctions.reshape(result.R, qm)
+    gram = (phis * _weight_diag(result.weights, grid)) @ phis.T
     orth_dev = float(np.abs(gram - np.eye(result.R)).max(initial=0.0))
 
     ok = (mean_dev <= args.tol and cov_dev <= args.tol and eig_dev <= args.eig_tol
@@ -242,16 +195,48 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *, analysis: bool) -> None:
+def _number(kind, rule: str, ok):
+    """An argparse type: the text as ``kind``, refused unless ``ok`` holds for it (``rule``
+    says what ``ok`` asks).  A refusal exits 2 naming the flag, before any input is read."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = kind.__name__  # a ValueError reads "invalid int value: 'abc'"
+    return parse
+
+
+_NONNEGATIVE = _number(float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
+
+
+def _tick(text: str) -> float:
+    tick = _NONNEGATIVE(text)
+    fault = tick_fault(tick)
+    if fault:
+        raise argparse.ArgumentTypeError(fault)
+    return tick
+
+
+def _add_settings(p: argparse.ArgumentParser, *, analysis: bool) -> None:
     if analysis:
-        p.add_argument("--weights", help="equal | trace_normalizing | inverse_mean_probability")
-        p.add_argument("--grid", help="union | uniform")
-        p.add_argument("--cells", type=int, help="uniform cell count / cap for union grids")
-        p.add_argument("--k", type=int, help="number of components to export")
-        p.add_argument("--var-frac", dest="var_frac", type=float,
-                       help="export enough components to reach this variance fraction")
-        p.add_argument("--band-c", dest="band_c", type=float, help="band half-width multiplier")
-    p.add_argument("--tick", type=float, help="timestamp rounding tick (fraction of horizon)")
+        p.add_argument("--weights", choices=WEIGHT_SCHEMES, default="equal",
+                       help="weight scheme of the inner product (default: %(default)s)")
+        p.add_argument("--grid", choices=("union", "uniform"), default="union",
+                       help="cell grid (default: %(default)s)")
+        p.add_argument("--cells", type=_number(int, ">= 1", lambda v: v >= 1), default=512,
+                       help="uniform cell count / cap for union grids (default: %(default)s)")
+        export = p.add_mutually_exclusive_group()
+        export.add_argument("--k", type=_number(int, ">= 0", lambda v: v >= 0),
+                            help="number of components to export (default: all retained)")
+        export.add_argument("--var-frac", dest="var_frac",
+                            type=_number(float, "in (0, 1]", lambda v: 0 < v <= 1),
+                            help="export enough components to reach this variance fraction")
+        p.add_argument("--band-c", dest="band_c", type=_NONNEGATIVE, default=1.0,
+                       help="band half-width multiplier (default: %(default)s)")
+    p.add_argument("--tick", type=_tick, default=DEFAULT_TICK,
+                   help="timestamp rounding tick, a fraction of the horizon; 0 turns rounding "
+                        "off (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("events", help="events CSV (subject, product, descriptor, onset[, offset])")
     p.add_argument("--meta", required=True, help="sidecar JSON (mode, states, end_time)")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, analysis=False)
+    _add_settings(p, analysis=False)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("validate", help="check panel invariants")
@@ -278,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("panel")
     p.add_argument("--meta")
     p.add_argument("--out", required=True)
-    _add_config_flags(p, analysis=True)
+    _add_settings(p, analysis=True)
     p.set_defaults(func=cmd_mfpca)
 
     p = sub.add_parser("simulate", help="draw a synthetic panel")
@@ -291,8 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="compare optimized and brute-force paths")
     p.add_argument("panel")
     p.add_argument("--meta")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--eig-tol", dest="eig_tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_NONNEGATIVE, default=1e-12,
+                   help="mean and covariance tolerance (default: %(default)s)")
+    p.add_argument("--eig-tol", dest="eig_tol", type=_NONNEGATIVE, default=1e-8,
+                   help="eigenvalue and orthonormality tolerance (default: %(default)s)")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -118,12 +118,6 @@ def mean_on_grid(panel: Panel, grid: CellGrid) -> np.ndarray:
     return np.cumsum(diff.reshape(q, m + 1)[:, :-1], axis=1) / panel.n
 
 
-def check_weight_scheme(scheme: str) -> None:
-    """Raise ValidationError unless ``scheme`` is one of WEIGHT_SCHEMES, named exactly."""
-    if scheme not in WEIGHT_SCHEMES:
-        raise ValidationError(f"unknown weight scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
-
-
 def compute_weights(mean: np.ndarray, variance: np.ndarray, grid: CellGrid, space: StateSpace,
                     scheme: str) -> WeightScheme:
     """Weights for the inner product from the (q, m) mean and variance curves on ``grid``.
@@ -134,7 +128,8 @@ def compute_weights(mean: np.ndarray, variance: np.ndarray, grid: CellGrid, spac
     inverse_mean_probability: w_j is the reciprocal of the average
     probability of occurrence.
     """
-    check_weight_scheme(scheme)
+    if scheme not in WEIGHT_SCHEMES:
+        raise ValidationError(f"unknown weight scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
     if scheme == "equal":
         return WeightScheme.equal(space.q)
     if scheme == "trace_normalizing":

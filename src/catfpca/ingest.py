@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_TICK = 1e-6  # fraction of the unit horizon; applied after rescaling
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal double
 
 MODES = ("TDS", "TCATA")
 
@@ -593,7 +594,7 @@ def apply_protocol_normalization(
     T goes to exactly 1.  A run mapped to zero length is dropped, and the
     rest are merged into runs as ``parse_events`` merges its intervals.  A TDS
     item that breaks the TDS rule after its first click, or has no click,
-    raises ProtocolError; a tick that is not finite raises ValidationError.
+    raises ProtocolError; a tick that :func:`tick_fault` refuses raises ValidationError.
     A failure leaves ``report`` untouched.
     """
     faults = _dominance_faults(panel, latent=True)
@@ -607,8 +608,9 @@ def apply_protocol_normalization(
             raise ProtocolError("TDS items without any click: "
                                 + ", ".join(map(panel.key, np.flatnonzero(silent).tolist())))
         t0 = np.minimum.reduceat(onset, np.searchsorted(item, np.arange(panel.n)))
-    if not math.isfinite(tick):
-        raise ValidationError(f"tick {tick} is not finite")
+    fault = tick_fault(tick)
+    if fault:
+        raise ValidationError(fault)
     at_end = offset == horizon[item]
     span = horizon - t0
     onset, offset = onset.copy(), offset.copy()  # mapped in place
@@ -625,6 +627,16 @@ def apply_protocol_normalization(
         report.latency.update(zip(map(panel.key, range(panel.n)), (t0 / horizon).tolist()))
     return Panel._of(panel.mode, panel.space, panel.keys, np.ones(panel.n), item, state, onset,
                      offset)
+
+
+def tick_fault(tick: float) -> Optional[str]:
+    """Why ``tick`` cannot round the unit map, or None.  It must be finite, and a positive tick
+    at least the smallest normal double: a time divided by a smaller one overflows to inf."""
+    if not math.isfinite(tick):
+        return f"tick {tick} is not finite"
+    if 0 < tick < _TINY:
+        return f"tick {tick} is below the smallest normal double {_TINY}"
+    return None
 
 
 def validate_panel(panel: Panel) -> list[str]:

@@ -300,7 +300,8 @@ def test_oracle_check_tolerances_exit_2_before_reading_the_panel(tmp_path, capsy
     assert captured.out == "" and len(lines) == 1
     assert json.loads(lines[0]) == {
         "error": "ValidationError",
-        "message": f"{flag} must be a finite number >= 0, got {float(value)}"}
+        "message": f"catfpca oracle-check: argument {flag}: must be a finite number >= 0, "
+                   f"got {float(value)}"}
 
 
 def test_oracle_check_fails_on_non_orthonormal_eigenfunctions(tmp_path, capsys, monkeypatch):
@@ -365,8 +366,29 @@ def test_oracle_check_covers_every_retained_component_of_a_rank_deficient_panel(
     assert payload["orthonormality_deviation"] == pytest.approx(1.01 ** 2 - 1.0, rel=1e-6)
 
 
-def assert_config_refused(tmp_path, capsys, command, options, key):
-    """``command`` exits 2 with one JSON line naming ``key``, before reading its input.
+@pytest.mark.parametrize("rows", [
+    ["s1,p1,A,0,1"],
+    ["s1,p1,A,0,1", "s2,p1,A,0,1", "s3,p1,A,0,1"],
+], ids=["one-item", "identical-items"])
+def test_oracle_check_passes_a_panel_with_no_retained_component(tmp_path, capsys, rows):
+    events = tmp_path / "events.csv"
+    events.write_text("subject,product,descriptor,onset,offset\n" + "\n".join(rows) + "\n")
+    meta = tmp_path / "meta.json"
+    meta.write_text(json.dumps({"mode": "TCATA", "states": ["A", "B"], "end_time": 2.0}))
+    out = tmp_path / "ingested"
+    assert run(["ingest", events, "--meta", meta, "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["oracle-check", out / "panel.csv"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["ok"] is True
+    assert payload["orthonormality_deviation"] == payload["eigenvalue_deviation"] == 0
+
+
+def assert_config_refused(tmp_path, capsys, command, options, flag):
+    """``command`` exits 2 with one JSON line naming ``flag``, before reading its input.
 
     Returns the object on that line.
     """
@@ -381,40 +403,53 @@ def assert_config_refused(tmp_path, capsys, command, options, key):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     error = json.loads(lines[0])
-    assert error["error"] == "ValidationError" and repr(key) in error["message"]
+    assert error["error"] == "ValidationError"
+    assert error["message"].startswith(f"catfpca {command}: argument {flag}: ")
     assert not (tmp_path / "out").exists()
     return error
 
 
-@pytest.mark.parametrize("command,options,key", [
-    ("mfpca", ["--band-c", "nan"], "band_c"),
-    ("mfpca", ["--tick", "nan"], "tick"),
-    ("ingest", ["--tick", "inf"], "tick"),
+@pytest.mark.parametrize("command,options,flag", [
+    ("mfpca", ["--band-c", "nan"], "--band-c"),
+    ("mfpca", ["--tick", "nan"], "--tick"),
+    ("ingest", ["--tick", "inf"], "--tick"),
 ], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag"])
 def test_non_finite_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
-                                                               options, key):
-    assert_config_refused(tmp_path, capsys, command, options, key)
+                                                               options, flag):
+    error = assert_config_refused(tmp_path, capsys, command, options, flag)
+    assert error["message"].endswith(f"must be a finite number >= 0, got {float(options[-1])}")
 
 
-@pytest.mark.parametrize("command,options,key", [
-    ("mfpca", ["--band-c=-1"], "band_c"),
-    ("mfpca", ["--tick=-0.001"], "tick"),
-    ("ingest", ["--tick=-0.001"], "tick"),
+@pytest.mark.parametrize("command,options,flag", [
+    ("mfpca", ["--band-c=-1"], "--band-c"),
+    ("mfpca", ["--tick=-0.001"], "--tick"),
+    ("ingest", ["--tick=-0.001"], "--tick"),
 ], ids=["mfpca-band_c-flag", "mfpca-tick-flag", "ingest-tick-flag"])
 def test_negative_config_values_exit_2_before_reading_input(tmp_path, capsys, command,
-                                                            options, key):
-    assert_config_refused(tmp_path, capsys, command, options, key)
+                                                            options, flag):
+    error = assert_config_refused(tmp_path, capsys, command, options, flag)
+    value = float(options[-1].split("=")[1])
+    assert error["message"].endswith(f"must be a finite number >= 0, got {value}")
+
+
+# the last tick is the largest subnormal double
+@pytest.mark.parametrize("tick", ["1e-320", "5e-324", "2.225073858507201e-308"])
+@pytest.mark.parametrize("command", ["ingest", "mfpca"])
+def test_a_subnormal_tick_exits_2_before_reading_input(tmp_path, capsys, command, tick):
+    # t / tick would overflow to inf and clip every time above 0 to 1
+    error = assert_config_refused(tmp_path, capsys, command, ["--tick", tick], "--tick")
+    assert error["message"] == (f"catfpca {command}: argument --tick: tick {float(tick)} is "
+                                "below the smallest normal double 2.2250738585072014e-308")
 
 
 @pytest.mark.parametrize("command,options", [
     ("mfpca", ["--weights", "trace"]),
 ], ids=["mfpca-flag"])
 def test_unknown_weight_scheme_exits_2_before_reading_input(tmp_path, capsys, command, options):
-    scheme = options[-1]
-    with pytest.raises(catfpca.ValidationError) as expected:
-        catfpca.compute_weights(None, None, None, None, scheme)
-    error = assert_config_refused(tmp_path, capsys, command, options, scheme)
-    assert error["message"] == str(expected.value)
+    error = assert_config_refused(tmp_path, capsys, command, options, "--weights")
+    assert error["message"] == ("catfpca mfpca: argument --weights: invalid choice: 'trace' "
+                                "(choose from 'equal', 'trace_normalizing', "
+                                "'inverse_mean_probability')")
     assert all(repr(name) in error["message"] for name in catfpca.estimation.WEIGHT_SCHEMES)
 
 
@@ -434,17 +469,16 @@ def test_cell_count_beyond_an_array_length_exits_2(tmp_path, capsys, options):
 
 
 @pytest.mark.parametrize("options,message", [
-    (["--grid", "bogus"], "grid policy must be 'union' or 'uniform', got 'bogus'"),
-    (["--var-frac", 1.5], "variance fraction must be in (0, 1], got 1.5"),
-    (["--cells", 0], "cells must be >= 1"),
-], ids=["grid", "var-frac", "cells"])
+    (["--grid", "bogus"], "invalid choice: 'bogus' (choose from 'union', 'uniform')"),
+    (["--var-frac", 1.5], "must be in (0, 1], got 1.5"),
+    (["--var-frac", 0], "must be in (0, 1], got 0.0"),
+    (["--cells", 0], "must be >= 1, got 0"),
+], ids=["grid", "var-frac", "var-frac-zero", "cells"])
 def test_analysis_options_out_of_range_exit_2_before_reading_input(tmp_path, capsys, options,
                                                                     message):
-    assert run(["mfpca", tmp_path / "missing.csv", "--out", tmp_path / "out", *options]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert [json.loads(line) for line in lines] == [
-        {"error": "ValidationError", "message": message}]
-    assert not (tmp_path / "out").exists()
+    flag = options[0]
+    error = assert_config_refused(tmp_path, capsys, "mfpca", options, flag)
+    assert error["message"] == f"catfpca mfpca: argument {flag}: {message}"
 
 
 def simulated_panel(tmp_path, n=12):
@@ -498,6 +532,29 @@ def test_validate_and_mfpca_normalize_a_raw_events_file(tmp_path, capsys):
     assert len(names) == 8
     for name in names:  # the same normalized panel, so the same bytes
         assert (tmp_path / "raw" / name).read_bytes() == (tmp_path / "panel" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags,config", [
+    ([], {"weights": "equal", "grid": "union", "cells": 512, "k": None, "var_frac": None,
+          "band_c": 1.0, "tick": 1e-6}),
+    (["--weights", "inverse_mean_probability", "--grid", "uniform", "--cells", "8", "--k", "1",
+      "--band-c", "2", "--tick", "0.001"],
+     {"weights": "inverse_mean_probability", "grid": "uniform", "cells": 8, "k": 1,
+      "var_frac": None, "band_c": 2.0, "tick": 0.001}),
+    (["--weights", "trace_normalizing", "--grid", "union", "--cells", "64", "--var-frac", "0.5",
+      "--band-c", "0", "--tick", "0"],
+     {"weights": "trace_normalizing", "grid": "union", "cells": 64, "k": None,
+      "var_frac": 0.5, "band_c": 0.0, "tick": 0.0}),
+], ids=["defaults", "every-flag-with-k", "every-flag-with-var-frac"])
+def test_result_config_block_echoes_the_seven_settings(tmp_path, flags, config):
+    panel = simulated_panel(tmp_path)
+    out = tmp_path / "res"
+    assert run(["mfpca", panel, "--out", out, *flags]) == 0
+    result = json.loads((out / "result.json").read_text())
+    echo = result["config"]
+    assert sorted(echo) == sorted([*config, "exported_components"])
+    assert {key: echo[key] for key in config} == config
+    assert 0 < echo["exported_components"] <= len(result["eigenvalues"])
 
 
 def test_zero_tick_and_band_multiplier_are_accepted(tmp_path):
@@ -559,12 +616,9 @@ def test_mfpca_outputs_are_byte_identical(tmp_path):
 
 
 def test_config_rejects_conflicting_truncations(tmp_path, capsys):
-    events, meta = write_inputs(tmp_path, "TDS")
-    ingested = tmp_path / "ingested"
-    run(["ingest", events, "--meta", meta, "--out", ingested])
-    code = run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "z",
-                "--k", 1, "--var-frac", 0.9])
-    assert code == 2
+    error = assert_config_refused(tmp_path, capsys, "mfpca", ["--k", 1, "--var-frac", 0.5],
+                                  "--var-frac")
+    assert error["message"] == "catfpca mfpca: argument --var-frac: not allowed with argument --k"
 
 
 @pytest.mark.parametrize("exc", [MemoryError, np.linalg.LinAlgError])
@@ -817,11 +871,9 @@ def test_summary_names_the_grid(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines()[0] == first
 
 
-def test_negative_k_exits_2(tmp_path):
-    events, meta = write_inputs(tmp_path, "TDS")
-    ingested = tmp_path / "ingested"
-    run(["ingest", events, "--meta", meta, "--out", ingested])
-    assert run(["mfpca", ingested / "panel.csv", "--out", tmp_path / "res", "--k", -1]) == 2
+def test_negative_k_exits_2(tmp_path, capsys):
+    error = assert_config_refused(tmp_path, capsys, "mfpca", ["--k", -1], "--k")
+    assert error["message"] == "catfpca mfpca: argument --k: must be >= 0, got -1"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

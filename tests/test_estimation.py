@@ -258,8 +258,10 @@ def test_weight_scheme_validation():
     for scheme in WEIGHT_SCHEMES:
         assert field_weights(field, scheme).scheme == scheme
     for scheme in ("bogus", "trace", "Equal"):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as refused:
             field_weights(field, scheme)
+        assert str(refused.value) == (f"unknown weight scheme {scheme!r}; choose from "
+                                      "('equal', 'trace_normalizing', 'inverse_mean_probability')")
     with pytest.raises(ValidationError):
         WeightScheme("equal", np.array([0.5, -0.5]))
 

@@ -208,6 +208,21 @@ def test_a_tick_that_is_not_finite_is_a_validation_error(tick):
         apply_protocol_normalization(panel, tick=tick)
 
 
+@pytest.mark.parametrize("tick", [1e-320, 5e-324, float(np.nextafter(2.0 ** -1022, 0))])
+def test_a_subnormal_tick_is_a_validation_error(tick):
+    # t / tick would overflow to inf, and the clip would send every time above 0 to 1
+    rows = [rec("s1", "A", 0.0, 5.0), rec("s1", "B", 5.0, 10.0), rec("s2", "A", 0.0, 10.0)]
+    panel = parse(rows, SP2, "TCATA", 10.0)[0]
+    with pytest.raises(ValidationError, match=f"^tick {tick} is below the smallest normal "
+                                              r"double 2\.2250738585072014e-308$"):
+        apply_protocol_normalization(panel, tick=tick)
+    # the smallest normal tick divides without overflow: rounding to it leaves every time as is
+    runs = [[a.tolist() for a in apply_protocol_normalization(panel, tick=t).runs()]
+            for t in (2.0 ** -1022, 0.0)]
+    assert runs[0] == runs[1]
+    assert runs[0][1:] == [[0, 1, 0], [0.0, 0.5, 0.0], [0.5, 1.0, 1.0]]  # state, onset, offset
+
+
 def test_validate_panel_reports_problems():
     rows = [rec("s1", "A", 0.0), rec("s1", "B", 4.0)]
     panel = apply_protocol_normalization(parse(rows, SP2, "TDS", 10.0)[0])
