@@ -39,7 +39,6 @@ from .estimation import (
 from .mfpca import (
     MfpcaResult,
     eigendecompose,
-    importance,
     reconstruct,
     run_mfpca,
 )

@@ -493,7 +493,8 @@ def parse_events(
         ``"subject/condition"`` (falling back to ``subject``, then ``"default"``).
     items : optional explicit (subject, condition) list
         Fixes membership and output order; items without records become
-        constant-empty trajectories (rejected later for TDS).
+        constant-empty trajectories (rejected later for TDS).  A pair listed
+        twice raises SchemaError before any row is checked.
 
     Returns
     -------
@@ -508,7 +509,11 @@ def parse_events(
 
     # panel order: the declared items, else all items seen, sorted; undeclared ones after
     if items is not None:
-        keys = list(dict.fromkeys((str(s), str(c)) for s, c in items))
+        keys, seen = [(str(s), str(c)) for s, c in items], set()
+        for key in keys:
+            if key in seen:
+                raise SchemaError("item %s/%s listed twice in the item list" % key)
+            seen.add(key)
     else:
         keys = sorted(events.keys)
     n = len(keys)

@@ -20,9 +20,9 @@ tests compare against live in ``oracles``.
 
 Memory: after the eigh, the decomposition holds A, the (R, q*m)
 eigenfunction block and one (n, R) block of eigenvectors, which becomes the
-scores in place; every per-row reduction over the eigenfunction block runs
-in row blocks of bounded size.  numpy's eigh needs, beyond its (N, N) input
-and output, a workspace of about 2 N^2 doubles of its own, N = min(n, q*m).
+scores in place; one pass over bounded row blocks scales and sign-fixes the
+eigenfunctions and gives their importance.  numpy's eigh needs, beyond its
+(N, N) input and output, its own workspace of about 2 N^2 doubles, N = min(n, q*m).
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ from .trajectory import CellGrid
 __all__ = [
     "MfpcaResult",
     "eigendecompose",
-    "importance",
     "reconstruct",
     "run_mfpca",
 ]
@@ -64,8 +63,8 @@ def eigendecompose(
     A: np.ndarray,
     weights: WeightScheme,
     grid: CellGrid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Descending eigenvalues, eigenfunction blocks and scores from one eigh.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Descending eigenvalues, eigenfunction blocks, scores and importance from one eigh.
 
     The solve is ``eigh`` of the smaller Gram matrix of A (p = q*m):
 
@@ -95,12 +94,14 @@ def eigendecompose(
 
     Returns
     -------
-    (eigenvalues (R,), eigenfunctions (R, q, m), scores (n, R))
+    (eigenvalues (R,), eigenfunctions (R, q, m), scores (n, R), importance (R, q))
 
-    Eigenfunctions are orthonormal under the weighted inner product, and
-    each is sign-fixed so its first entry within 1e-10 (relative) of its
-    largest absolute value is positive; its score column follows the same
-    sign.
+    One pass over bounded row blocks finishes the eigenfunctions: each block
+    is divided by sqrt(d), sign-fixed with its score columns so its first
+    entry within 1e-10 (relative) of its largest absolute value is positive,
+    and reduced to its importance rows ``w_j * ||phi_rj||^2``.  Eigenfunctions
+    are orthonormal under the weighted inner product, so each importance row
+    sums to 1.
     """
     n, p = A.shape
     primal = p <= n
@@ -120,18 +121,21 @@ def eigendecompose(
         scores = vecs[:, ::-1][:, :R].copy()
         del vecs
         phis = _dual_pairs(A, scores, mu[:R])
-    phis /= np.sqrt(_weight_diag(weights, grid))
-    # deterministic sign: the first cell entry within _PIVOT_RTOL of the largest |value| made
-    # positive, so entries that tie up to rounding cannot flip the component
-    pivot = np.empty(R, dtype=np.intp)
+    root_d = np.sqrt(_weight_diag(weights, grid))
+    imp = np.empty((R, weights.q))
     for rows in _row_blocks(R, p):
-        size = np.abs(phis[rows])
-        pivot[rows] = (size >= size.max(axis=1, keepdims=True) * (1 - _PIVOT_RTOL)).argmax(axis=1)
-        del size  # before the next block is made
-    sign = np.where(phis[np.arange(R), pivot] < 0, -1.0, 1.0)
-    phis *= sign[:, None]
-    scores *= sign
-    return evals[:R], phis.reshape(R, weights.q, grid.m), scores
+        block = phis[rows]
+        block /= root_d
+        # deterministic sign: the first cell entry within _PIVOT_RTOL of the largest |value|
+        # made positive, so entries that tie up to rounding cannot flip the component
+        size = np.abs(block)
+        pivot = (size >= size.max(axis=1, keepdims=True) * (1 - _PIVOT_RTOL)).argmax(axis=1)
+        del size  # before the block's square is made
+        sign = np.where(block[np.arange(block.shape[0]), pivot] < 0, -1.0, 1.0)
+        block *= sign[:, None]
+        scores[:, rows] *= sign
+        imp[rows] = block.reshape(-1, weights.q, grid.m) ** 2 @ grid.lengths * weights.weights
+    return evals[:R], phis.reshape(R, weights.q, grid.m), scores, imp
 
 
 def _row_blocks(rows: int, width: int) -> list[slice]:
@@ -171,15 +175,6 @@ def _orthonormalize_tail(phis: np.ndarray, lo: int) -> None:
         for _ in range(2):
             block -= (block @ above.T) @ above
         block[:] = np.linalg.qr(block.T)[0].T
-
-
-def importance(weights: WeightScheme, grid: CellGrid, eigenfunctions: np.ndarray) -> np.ndarray:
-    """Importance matrix imp[r, j] = w_j * ||phi_rj||^2; rows sum to 1."""
-    R = eigenfunctions.shape[0]
-    sq = np.empty((R, weights.q))
-    for rows in _row_blocks(R, weights.q * grid.m):
-        sq[rows] = eigenfunctions[rows] ** 2 @ grid.lengths
-    return sq * weights.weights[None, :]
 
 
 def reconstruct(result: "MfpcaResult", i: int, k: int) -> np.ndarray:
@@ -273,12 +268,12 @@ def run_mfpca(
     d = _weight_diag(weights, grid)
     A *= np.sqrt(d)
     total_variance = float(np.sum(variance * d))  # no BLAS: the same at every thread count
-    evals, phis, scores = eigendecompose(A, weights, grid)
+    evals, phis, scores, imp = eigendecompose(A, weights, grid)
     return MfpcaResult(
         eigenvalues=evals,
         eigenfunctions=phis,
         scores=scores,
-        importance=importance(weights, grid, phis),
+        importance=imp,
         total_variance=total_variance,
         mean=mean.reshape(q, m),
         variance=variance.reshape(q, m),

@@ -209,7 +209,7 @@ def union_grid(trajectories: Sequence) -> CellGrid:
 def _union(breakpoints: np.ndarray, horizons: np.ndarray) -> CellGrid:
     """The union grid of trajectories with these breakpoints, one after another, and horizons."""
     if horizons.size == 0:
-        raise ValidationError("union_grid needs at least one trajectory")
+        raise ValidationError("need at least one trajectory")
     if np.any(horizons != horizons[0]):
         bad = np.flatnonzero(horizons != horizons[0]).tolist()
         raise ValidationError(

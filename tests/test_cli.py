@@ -681,6 +681,30 @@ def test_malformed_sidecar_exits_2(tmp_path, capsys, command, sidecar, key):
     assert error["error"] == "SchemaError" and key in error["message"]
 
 
+def test_a_sidecar_listing_an_item_twice_exits_2(tmp_path, capsys):
+    events, meta = write_inputs(tmp_path, "TCATA")
+    meta.write_text(json.dumps({**json.loads(meta.read_text()),
+                                "items": [["s1", "p1"], ["s2", "p1"], ["s1", "p1"]]}))
+    assert run(["ingest", events, "--meta", meta, "--out", tmp_path / "out"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "SchemaError", "message": "item s1/p1 listed twice in the item list"}]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["mfpca", "oracle-check"])
+def test_analysis_of_an_empty_panel_exits_2(tmp_path, capsys, command):
+    events, meta = write_inputs(tmp_path, "TCATA")
+    events.write_text(TCATA_EVENTS.splitlines()[0] + "\n")  # the header alone
+    assert run(["ingest", events, "--meta", meta, "--out", tmp_path / "ingested"]) == 0
+    capsys.readouterr()
+    out = ["--out", tmp_path / "out"] if command == "mfpca" else []
+    assert run([command, tmp_path / "ingested" / "panel.csv", *out]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ValidationError", "message": "need at least one trajectory"}]
+
+
 @pytest.mark.parametrize("argv", [
     ["mfpca", "panel.csv", "--out", "out", "--cells", "abc"],
     ["mfpca", "panel.csv"],

@@ -394,6 +394,13 @@ Row = namedtuple("Row", Rec._fields + ("row",))  # a record and its row number
 def ref_parse(records, space, mode, end_time, items=None):
     if mode not in ("TDS", "TCATA"):
         raise ValidationError(f"mode must be one of ('TDS', 'TCATA'), got {mode!r}")
+    groups = {}
+    if items is not None:  # a repeated item fails before any row check, as in parse_events
+        for subject, condition in items:
+            key = (str(subject), str(condition))
+            if key in groups:
+                raise SchemaError(f"item {key[0]}/{key[1]} listed twice in the item list")
+            groups[key] = []
     records = [Row(*rec, number) for number, rec in enumerate(records, start=2)]
     for rec in records:  # NaN timestamps are rejected while the rows are read
         if rec.onset != rec.onset:
@@ -401,10 +408,6 @@ def ref_parse(records, space, mode, end_time, items=None):
         if rec.offset is not None and rec.offset != rec.offset:
             raise SchemaError(f"row {rec.row}: offset {rec.offset} is not a number")
     report = IngestReport(mode=mode)
-    groups = {}
-    if items is not None:
-        for subject, condition in items:
-            groups[(str(subject), str(condition))] = []
     for rec in records:
         report.n_rows += 1
         key = (rec.subject, rec.condition)
@@ -676,6 +679,16 @@ def test_a_row_raises_its_first_failing_check(record, end_time, message):
         ref_parse([record], SP2, "TCATA", end_time, items=items)
     assert str(new.value) == str(ref.value) == message
     assert type(new.value) is type(ref.value)
+
+
+def test_an_item_listed_twice_is_refused_before_any_row_check():
+    items = [("s1", "p1"), ("s2", "p1"), ("s2", "p1"), ("s1", "p1")]
+    record = rec("s9", "Z", math.nan, 5.0)  # fails every row check
+    with pytest.raises(SchemaError) as new:
+        parse_events(table_of([record]), SP2, "TCATA", 10.0, items=items)
+    with pytest.raises(SchemaError) as ref:
+        ref_parse([record], SP2, "TCATA", 10.0, items=items)
+    assert str(new.value) == str(ref.value) == "item s2/p1 listed twice in the item list"
 
 
 @pytest.mark.parametrize("records,end_time,message", [

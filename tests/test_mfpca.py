@@ -21,7 +21,7 @@ from catfpca import (
     reconstruct,
 )
 from catfpca.estimation import WeightScheme
-from catfpca.mfpca import _weight_diag, eigendecompose, importance, run_mfpca
+from catfpca.mfpca import _weight_diag, eigendecompose, run_mfpca
 from catfpca.oracles import ProbabilityField, assemble_operator, estimate_field, mercer_check
 
 from conftest import mirror_panel, random_panel, traced_peak
@@ -86,7 +86,7 @@ def test_synthetic_identity_kernel_gives_diagonal_eigenvalues():
     assert np.allclose(S, np.diag(d), atol=1e-15)
     # the n = 2*q*m centred rows of A = sqrt(q*m) [D^{1/2}; -D^{1/2}] have A^T A / n = S
     A = np.sqrt(qm) * np.vstack([np.diag(np.sqrt(d)), -np.diag(np.sqrt(d))])
-    evals, phis, _ = eigendecompose(A, weights, grid)
+    evals, phis, _, _ = eigendecompose(A, weights, grid)
     assert np.allclose(evals, np.sort(d)[::-1], atol=1e-15)
 
 
@@ -201,24 +201,37 @@ def test_sign_of_a_component_with_tied_extremes_survives_last_bit_noise():
     grid, weights = CellGrid.uniform(64), WeightScheme.equal(2)
     Z = panel_cell_values(panel, grid).reshape(panel.n, -1)
     A = (Z - Z.mean(axis=0)) * np.sqrt(_weight_diag(weights, grid))
-    evals, phis, scores = eigendecompose(A, weights, grid)
+    evals, phis, scores, _ = eigendecompose(A, weights, grid)
     size = np.abs(phis[0])
     tied = phis[0][size >= size.max() * (1 - 1e-10)]
     assert evals.size == 1 and tied.min() < 0 < tied.max()
     rng = np.random.default_rng(5)
     for _ in range(16):  # a few ulps on every entry move the tied entries by a few ulps
         nudged = A * (1 + rng.integers(-4, 5, A.shape) * np.finfo(float).eps)
-        _, phis2, scores2 = eigendecompose(nudged, weights, grid)
+        _, phis2, scores2, _ = eigendecompose(nudged, weights, grid)
         assert np.abs(phis2 - phis).max() < 1e-12 and np.abs(scores2 - scores).max() < 1e-12
 
 
 def test_importance_single_state_support():
     grid = CellGrid.uniform(4)
     weights = WeightScheme("equal", np.array([0.5, 0.5]))
-    phi = np.zeros((1, 2, 4))
-    phi[0, 1, :] = np.sqrt(2.0)  # unit H-norm, supported on state 2 only
-    imp = importance(weights, grid, phi)
+    # two centred rows: rank one, supported on state 2 only
+    A = np.outer([1.0, -1.0], np.r_[np.zeros(4), np.ones(4)])
+    evals, phis, _, imp = eigendecompose(A, weights, grid)
+    assert evals.size == 1 and np.all(phis[0, 0] == 0)
     assert np.allclose(imp, [[0.0, 1.0]], atol=1e-15)
+
+
+@pytest.mark.parametrize("n, cells", [(8, None), (40, 6)])  # dual, primal
+def test_importance_is_each_state_share_of_the_component_norm(rng, n, cells):
+    panel = random_panel(rng, "TCATA", n=n, q=3)
+    result = run_mfpca(panel, grid=None if cells is None else CellGrid.uniform(cells))
+    assert result.R > 0 and (3 * result.grid.m > n) == (cells is None)
+    # imp[r, j] = w_j * sum_a len_a * phi_rja^2, from the returned eigenfunctions
+    want = result.weights.weights * np.einsum("rja,a->rj", result.eigenfunctions ** 2,
+                                              result.grid.lengths)
+    np.testing.assert_allclose(result.importance, want, rtol=1e-14, atol=0)
+    assert np.abs(result.importance.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_assemble_operator_error_paths():
@@ -260,7 +273,7 @@ def test_eigendecompose_keeps_eigenvalues_above_the_relative_cut(rng, n, q, m):
     # 1e-10 of lambda_1 is above the 1e-12 cut and 1e-14 is below it
     A = spectral_rows(rng, n, q, m, [2.0, 2e-3, 2e-10, 2e-14])
     weights = WeightScheme("equal", np.ones(q))
-    evals, phis, scores = eigendecompose(A, weights, CellGrid.uniform(m))
+    evals, phis, scores, _ = eigendecompose(A, weights, CellGrid.uniform(m))
     assert evals == pytest.approx([2.0, 2e-3, 2e-10], rel=1e-5)
     assert phis.shape == (3, q, m)
     assert scores.shape == (n, 3)
@@ -270,8 +283,8 @@ def test_eigendecompose_keeps_at_most_n_minus_one_components(rng):
     # uncentred rows of full rank n: n positive eigenvalues, n - 1 retained
     n, q, m = 5, 2, 4
     A = spectral_rows(rng, n, q, m, [5.0, 4.0, 3.0, 2.0, 1.0])
-    evals, phis, scores = eigendecompose(A, WeightScheme("equal", np.ones(q)),
-                                         CellGrid.uniform(m))
+    evals, phis, scores, _ = eigendecompose(A, WeightScheme("equal", np.ones(q)),
+                                            CellGrid.uniform(m))
     assert evals == pytest.approx([5.0, 4.0, 3.0, 2.0], rel=1e-12)
     assert phis.shape == (n - 1, q, m)
     assert scores.shape == (n, n - 1)
