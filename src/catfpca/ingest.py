@@ -229,7 +229,7 @@ class EventTable:
     @classmethod
     def from_rows(cls, rows, where: str = "", header: Sequence[str] = EVENT_COLUMNS
                   ) -> "EventTable":
-        """Columns of ``rows``, taken one at a time.
+        """Columns of ``rows``, taken one at a time by ``_Columns.add_rows``.
 
         Rows are the lists of fields below a file's header line, or records
         held in memory: (subject, product, descriptor, onset, offset) tuples
@@ -238,19 +238,55 @@ class EventTable:
         row lacks its last fields.  A None, empty or absent offset is NaN.
         The first row that fails raises SchemaError naming its row, after
         ``where``; a row fails on a bad onset, then a bad offset, too few
-        fields, a NaN onset and a NaN offset.  Values are appended to lists,
-        which move into typed buffers every _BUFFER_ROWS rows.
+        fields, a NaN onset and a NaN offset.
         """
-        numbered = enumerate(rows, start=FIRST_ROW)
-        column = {name: i for i, name in enumerate(header)}
-        fields = (*(column[name] for name in EVENT_COLUMNS[:4]), column.get("offset"))
-        s, c, d, o, f = fields
-        keys: dict = {}
-        labels: dict = {}
-        key_code, label_code = keys.setdefault, labels.setdefault
+        columns = _Columns(where, header)
+        columns.add_rows(rows)
+        return columns.table()
+
+
+class _Codes(dict):
+    """Codes in order of first appearance: a key not yet seen gets the next code."""
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        code = self[key] = len(self)
+        return code
+
+
+class _Columns:
+    """An EventTable's columns, filled in row order by the row loop or by whole blocks.
+
+    ``fields`` are the header positions of subject, product, descriptor,
+    onset and offset (None without one).  Item and label codes are numbered
+    in order of first appearance, and every row adds 32 B to four typed
+    buffers, which the table's arrays share.
+    """
+
+    __slots__ = ("where", "fields", "keys", "labels", "buffers")
+
+    def __init__(self, where: str, header: Sequence[str]):
+        column = {name: i for i, name in enumerate(header)}  # a repeated name: its last field
+        self.fields = (*(column[name] for name in EVENT_COLUMNS[:4]), column.get("offset"))
+        self.where = where
+        self.keys, self.labels = _Codes(), _Codes()
+        self.buffers = array("q"), array("q"), array("d"), array("d")
+
+    def __len__(self) -> int:
+        return len(self.buffers[0])
+
+    def add_rows(self, rows) -> None:
+        """Check and append rows one at a time, numbered on from the rows before them.
+
+        Values are appended to lists, which move into the buffers every
+        _BUFFER_ROWS rows.
+        """
+        numbered = enumerate(rows, start=FIRST_ROW + len(self))
+        s, c, d, o, f = fields = self.fields
+        key_code, label_code = self.keys.__getitem__, self.labels.__getitem__
         lists = [], [], [], []
         add_item, add_label, add_onset, add_offset = (values.append for values in lists)
-        buffers = array("q"), array("q"), array("d"), array("d")
         while True:
             for number, r in islice(numbered, _BUFFER_ROWS):
                 try:
@@ -260,17 +296,33 @@ class EventTable:
                     if on != on or off != off and text:
                         raise ValueError  # a NaN fails on the checked path too
                 except (IndexError, TypeError, ValueError):
-                    key, state, on, off = _checked_row(r, number, fields, where)
-                add_item(key_code(key, len(keys)))
-                add_label(label_code(state, len(labels)))
+                    key, state, on, off = _checked_row(r, number, fields, self.where)
+                add_item(key_code(key))
+                add_label(label_code(state))
                 add_onset(on)
                 add_offset(off)
             if not lists[0]:
-                break
-            for buffer, values in zip(buffers, lists):
+                return
+            for buffer, values in zip(self.buffers, lists):
                 buffer.fromlist(values)
                 values.clear()
-        return cls(tuple(keys), tuple(labels), *map(_column, buffers))
+
+    def add_columns(self, subject, product, descriptor, onset, offset=None) -> None:
+        """Append a block of rows that passed every row check, given as columns.
+
+        ``subject``, ``product`` and ``descriptor`` are sequences of strings,
+        ``onset`` and ``offset`` float64 arrays free of NaN; no ``offset``
+        means none for any row.
+        """
+        n = len(subject)
+        for buffer, values in zip(self.buffers, (
+                np.fromiter(map(self.keys.__getitem__, zip(subject, product)), np.int64, n),
+                np.fromiter(map(self.labels.__getitem__, descriptor), np.int64, n),
+                onset, np.full(n, math.nan) if offset is None else offset)):
+            buffer.frombytes(memoryview(np.ascontiguousarray(values)).cast("B"))
+
+    def table(self) -> EventTable:
+        return EventTable(tuple(self.keys), tuple(self.labels), *map(_column, self.buffers))
 
 
 def _checked_row(r, number, fields, where: str) -> tuple:

@@ -22,7 +22,7 @@ import csv
 import functools
 import json
 from io import StringIO
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -31,8 +31,8 @@ import numpy as np
 from ._digits import format17
 from .errors import DomainError, SchemaError, ValidationError
 from .estimation import selection_count_curve
-from .ingest import (EVENT_COLUMNS, EventTable, IngestReport, Panel, _order, parse_events,
-                     validate_panel)
+from .ingest import (EVENT_COLUMNS, EventTable, IngestReport, Panel, _Columns, _order,
+                     parse_events, validate_panel)
 from .mfpca import MfpcaResult
 from .trajectory import StateSpace
 
@@ -59,6 +59,11 @@ _SLOT = b"%s"  # a template slot, filled with format17's text of one float
 # once leave partly used allocator arenas that raise the process's later peak RSS
 _BLOCK_ROWS = 1024
 _FORMAT_BLOCKS = 4  # blocks whose floats one format17 call formats
+# lines of an events file one np.loadtxt call reads, its transients one block of rows; at
+# 2 048 they read as fast and leave the process a higher peak RSS
+_BLOCK_LINES = 512
+# separators np.loadtxt strips from a number as whitespace, where float() refuses them
+_LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def fmt(x: float) -> str:
@@ -185,24 +190,91 @@ def _write_table(path, header, count: int, prefix, keys: list[Sequence[bytes]], 
 def read_events_csv(path) -> EventTable:
     """Rows of (subject, product, descriptor, onset[, offset]) as an EventTable.
 
-    Rows are streamed from the file into the table's columns.  Row numbers are
-    1-based with the header as row 1; blank lines are skipped and not counted.
-    A timestamp that does not parse, or parses to NaN, raises SchemaError
-    naming its row; so does text that is not UTF-8 CSV.  A leading UTF-8 byte
-    order mark is skipped.
+    Row numbers are 1-based with the header, the first non-blank row, as
+    row 1; blank lines are skipped and not counted.  A timestamp that does
+    not parse, or parses to NaN, raises SchemaError naming its row; so does
+    text that is not UTF-8 CSV.  A leading UTF-8 byte order mark is skipped.
+
+    Below the header, np.loadtxt reads the file in blocks of _BLOCK_LINES
+    lines, each into the columns it needs; ``float`` and np.loadtxt take
+    every number both accept to the same double.  ``EventTable.from_rows``'s row
+    loop (``_Columns.add_rows``) reads a block that np.loadtxt refuses, or
+    that holds a NaN time or a character only np.loadtxt strips from a
+    number, and it raises that block's first error or appends its rows,
+    such as an empty offset.  From the first block that holds a ``"`` on,
+    csv reads the rest of the file for the row loop, since a quoted field
+    may span lines.  Either way the table is the row loop's, bit for bit.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        done, reader = 0, csv.reader(fh)  # the lines read before ``reader``'s first
         try:
-            header = next(reader, None)
+            header = next(filter(None, reader), None)
             if header is None:
                 raise SchemaError(f"{path}: empty file")
             missing = [c for c in EVENT_COLUMNS[:4] if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}")
-            return EventTable.from_rows(filter(None, reader), f"{path} ", header=header)
+            columns = _Columns(f"{path} ", header)
+            usecols = [i for i in columns.fields if i is not None]
+            dtype = np.dtype([(name, object if k < 3 else np.float64)
+                              for k, name in enumerate(EVENT_COLUMNS[:len(usecols)])])
+            done, reader = reader.line_num, None
+            while True:
+                lines, rest = [], fh
+                try:
+                    lines.extend(islice(fh, _BLOCK_LINES))  # the lines read stay on an error
+                except UnicodeDecodeError as exc:  # csv meets it after those lines
+                    rest = _raising(exc)
+                text = "".join(lines)
+                if rest is not fh or '"' in text:  # a quoted field may span lines: csv reads on
+                    reader = csv.reader(chain(lines, rest))
+                    columns.add_rows(filter(None, reader))
+                    break
+                block = _block_columns(lines, text, dtype, usecols)
+                if block is None:
+                    reader = csv.reader(lines)
+                    columns.add_rows(filter(None, reader))
+                    reader = None
+                else:
+                    columns.add_columns(*block)
+                done += len(lines)
+                if len(lines) < _BLOCK_LINES:
+                    break
+            return columns.table()
         except (csv.Error, UnicodeDecodeError) as exc:
-            raise SchemaError(f"{path}: unreadable after line {reader.line_num}: {exc}") from None
+            line = done + (0 if reader is None else reader.line_num)
+            raise SchemaError(f"{path}: unreadable after line {line}: {exc}") from None
+
+
+def _raising(exc):
+    """An iterator that raises ``exc`` when its first item is read."""
+    raise exc
+    yield  # makes this function a generator
+
+
+def _block_columns(lines: list, text: str, dtype: np.dtype, usecols: list):
+    """The columns of a quote-free block of lines read by np.loadtxt, as
+    ``_Columns.add_columns`` takes them, or None for the row loop.
+
+    ``text`` is the lines joined.  None when np.loadtxt refuses the block,
+    or when it holds a NaN time, a character that np.loadtxt strips from a
+    number and ``float`` refuses, a line longer than csv's field limit, or
+    blank lines only, on which np.loadtxt warns.  np.loadtxt skips exactly
+    the lines csv reads as no row: empty ones.
+    """
+    limit = csv.field_size_limit()
+    if not text.strip("\r\n") or any(c in text for c in _LOADTXT_SPACE) or len(
+            text) > limit and max(map(len, lines)) > limit:
+        return None
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols,
+                          ndmin=1)
+    except ValueError:
+        return None
+    times = [rows[name] for name in dtype.names[3:]]
+    if any(np.isnan(t).any() for t in times):
+        return None
+    return (*(rows[name].tolist() for name in dtype.names[:3]), *times)
 
 
 def sidecar_path(csv_path) -> Path:

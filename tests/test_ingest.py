@@ -750,6 +750,23 @@ def test_events_file_short_rows_blank_lines_and_byte_order_mark(tmp_path):
     assert math.isnan(table.offset[0]) and table.offset[1] == 3.0
 
 
+@pytest.mark.parametrize("bom", ["", "\ufeff"])
+@pytest.mark.parametrize("lead", ["\n", "\r\n\n", "\r\r"])
+def test_blank_lines_before_the_header_are_skipped(tmp_path, bom, lead):
+    """The header is the first non-blank row, and still row 1."""
+    body = f"{EVENTS_HEADER}\ns1,p1,A,1,2\n\ns1,p1,A,x,3\n"
+    plain, led = tmp_path / "plain.csv", tmp_path / "led.csv"
+    plain.write_bytes((bom + body.replace(",x,", ",0,")).encode())
+    led.write_bytes((bom + lead + body.replace(",x,", ",0,")).encode())
+    a, b = read_events_csv(plain), read_events_csv(led)
+    assert (a.keys, a.labels) == (b.keys, b.labels) == ((("s1", "p1"),), ("A",))
+    for column in ("item", "label", "onset", "offset"):
+        assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+    led.write_bytes((bom + lead + body).encode())
+    with pytest.raises(SchemaError, match=r"row 3: bad onset 'x'$"):
+        read_events_csv(led)
+
+
 def test_records_in_memory_read_as_file_rows():
     table = EventTable.from_rows([rec("s1", "A", 1.0, 0.0), rec("s1", "B", 2.0)])
     assert len(table) == 2 and table.onset.tolist() == [1.0, 2.0]
@@ -866,3 +883,22 @@ def test_ingest_steps_peak_memory_per_row_is_bounded(tmp_path):
     _, peaks["write_panel"] = traced_peak(write_panel, panel, tmp_path / "panel.csv")
     per_row = {step: round(peak / rows) for step, peak in peaks.items()}
     assert all(peak <= ROW_BYTES[step] * rows + ALLOWANCE for step, peak in peaks.items()), per_row
+
+
+def test_read_events_csv_peak_memory_per_row_is_bounded_on_every_route(tmp_path):
+    """The log of the test above with a few empty offsets scattered through it, read by the
+    row loop block by block, and one quoted label in its last thousand rows, from which csv
+    reads the rest of the file: the same bound holds."""
+    path = tmp_path / "events.csv"
+    tcata_log(path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    unclosed = range(1_000, len(lines), 5_000)
+    for i in unclosed:
+        lines[i] = lines[i][:lines[i].rindex(",") + 1] + "\n"
+    subject, product, label, rest = lines[-500].split(",", 3)
+    lines[-500] = f'{subject},{product},"{label}",{rest}'
+    path.write_text("".join(lines), encoding="utf-8")
+    events, peak = traced_peak(read_events_csv, path)
+    rows = len(events)
+    assert rows == len(lines) - 1 and np.isnan(events.offset).sum() == len(unclosed)
+    assert peak <= ROW_BYTES["read_events_csv"] * rows + ALLOWANCE, round(peak / rows)

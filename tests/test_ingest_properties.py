@@ -1,9 +1,10 @@
 """Property tests of ingest: any events file or record list either ingests or
 raises a CatfpcaError, records ingest exactly as the per-item reference does,
-panels survive write_panel -> read_panel, every constructor stores maximal
-runs, intervals merge into the runs of the per-item reference, the TDS rule
-on runs finds the fault a segment scan finds, and the keyed sorts order rows
-and intervals as np.lexsort does."""
+read_events_csv's blocks read a file as the row loop alone does, panels
+survive write_panel -> read_panel, every constructor stores maximal runs,
+intervals merge into the runs of the per-item reference, the TDS rule on runs
+finds the fault a segment scan finds, and the keyed sorts order rows and
+intervals as np.lexsort does."""
 import csv
 import math
 import tempfile
@@ -26,8 +27,9 @@ from catfpca import (
     parse_events,
     simulate_panel,
 )
-from catfpca import ingest
-from catfpca.ingest import _dominance_faults, _order
+from catfpca import EventTable, ingest
+from catfpca import io as catfpca_io
+from catfpca.ingest import EVENT_COLUMNS, _dominance_faults, _order
 from catfpca.io import read_events_csv, read_panel, write_panel
 
 from conftest import fuzz
@@ -132,6 +134,127 @@ def test_any_events_file_ingests_or_raises(case, data):
         apply_protocol_normalization(panel, report=report)
     except CatfpcaError:
         pass
+
+
+def row_loop_read(path):
+    """The events file as the row loop alone reads it: csv rows into EventTable.from_rows."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(filter(None, reader), None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            missing = [c for c in EVENT_COLUMNS[:4] if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
+            return EventTable.from_rows(filter(None, reader), f"{path} ", header=header)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path}: unreadable after line {reader.line_num}: {exc}") from None
+
+
+def read_outcome(read, path):
+    """The table's keys, labels and column bytes, or the SchemaError text."""
+    try:
+        table = read(path)
+    except SchemaError as exc:
+        return str(exc)
+    return (table.keys, table.labels,
+            *((a.dtype, a.tobytes()) for a in (table.item, table.label, table.onset, table.offset)))
+
+
+def assert_reads_as_the_row_loop(data: bytes, block: int):
+    """read_events_csv, with blocks of ``block`` lines, gives the row loop's outcome."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        path.write_bytes(data)
+        with mock.patch.object(catfpca_io, "_BLOCK_LINES", block):
+            assert read_outcome(read_events_csv, path) == read_outcome(row_loop_read, path)
+
+
+# plain fields, then fields that need quotes, one with a newline
+PLAIN_TEXTS = ["s1", "p1", "A", "B", " s1 ", "é", "", "→ß"]
+QUOTED_TEXTS = ["a,b", 'say "hi"', "two\nlines"]
+# times csv and np.loadtxt might read apart, after a few common ones
+ODD_TIMES = st.sampled_from(["-0", "nan", "NaN", "inf", "-inf", "1e400", "1_0", " 2.5 ", "",
+                             "x", "٣", "\x1c1", "1\x1f", "\t3\x0c", "0x1"])
+CSV_TIMES = st.one_of(*[COMMON_TIMES.map(repr)] * 6, TIMES.map(repr), ODD_TIMES)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def csv_field(draw, text: str) -> str:
+    """``text`` as one CSV field: quoted when it must be, and sometimes when it need not."""
+    if any(c in text for c in ',"\r\n') or draw(st.integers(0, 29)) == 0:
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+@st.composite
+def events_files(draw):
+    """The bytes of an events file: a byte order mark and blank lines before the header, a
+    permuted header with extra and repeated columns, rows short and long, blank and
+    whitespace-only lines, and mixed line endings.  In one file of three some fields need
+    quotes."""
+    header = list(draw(st.permutations(list(EVENT_COLUMNS[:4]) + draw(st.sampled_from(
+        [[], ["offset"], ["offset", "x"], ["onset"], ["offset", "offset"], ["subject"]])))))
+    if draw(st.integers(0, 19)) == 0:
+        header.remove(draw(st.sampled_from(header)))  # a missing column
+    texts = st.sampled_from(PLAIN_TEXTS + QUOTED_TEXTS * draw(st.sampled_from([0, 0, 1])))
+    lines = [draw(st.sampled_from(["", "\n", "\r\n\n"])) + ",".join(header)]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", ",,"])))
+            continue
+        row = [csv_field(draw, draw(CSV_TIMES if name in ("onset", "offset") else texts))
+               for name in header]
+        if kind == 1:
+            row = row[:draw(st.integers(0, len(row)))]
+        elif kind == 2:
+            row.append(csv_field(draw, draw(texts)))
+        lines.append(",".join(row))
+    text = "".join(line + draw(LINE_ENDS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode()
+
+
+# a quoted newline across a block boundary; a block of blank lines only
+QUOTED_ACROSS = b'subject,product,descriptor,onset,offset\ns1,p1,A,0,1\ns1,p1,"two\nlines",1,2\n'
+BLANK_BLOCK = b"subject,product,descriptor,onset\r\ns1,p1,A,0\r\n\r\n\r\n\r\n\r\ns1,p1,B,1\r\n"
+
+
+@FUZZ
+@given(events_files(), st.integers(1, 4))
+@example(QUOTED_ACROSS, 2)
+@example(BLANK_BLOCK, 2)
+@example(b"subject,product,descriptor,onset,offset\rs1,p1,A,1,\rs1,p1,A,1_0,nan\r", 1)
+def test_blocks_read_as_the_row_loop(data, block):
+    assert_reads_as_the_row_loop(data, block)
+
+
+def large_events_file(rows: int) -> bytes:
+    return ("subject,product,descriptor,onset,offset\n" + "".join(
+        f"s{i % 7},p1,D{i % 3},{i / 8},{i / 8 + 1}\n" for i in range(rows))).encode()
+
+
+@pytest.mark.parametrize("at", [100, 2_500, 2_999])
+def test_undecodable_bytes_are_met_at_the_row_loops_line(at):
+    """The text decoder reads ahead by chunks of bytes, so the line that meets an undecodable
+    byte depends on how the file is read; the block route meets it where the row loop does."""
+    lines = large_events_file(3_000).splitlines(keepends=True)
+    lines[at] = lines[at].replace(b"p1", b"p\xff")
+    assert_reads_as_the_row_loop(b"".join(lines), 64)
+
+
+@pytest.mark.parametrize("at", [0, 40, 299])
+def test_a_field_over_csvs_limit_fails_at_the_row_loops_line(at):
+    lines = large_events_file(300).splitlines(keepends=True)
+    lines[1 + at] = lines[1 + at].replace(b"p1", b"p" * 200)
+    limit = csv.field_size_limit(100)
+    try:
+        assert_reads_as_the_row_loop(b"".join(lines), 16)
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_unreadable_events_file_is_a_schema_error(tmp_path):
