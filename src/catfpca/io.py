@@ -197,13 +197,13 @@ def read_events_csv(path) -> EventTable:
 
     Below the header, np.loadtxt reads the file in blocks of _BLOCK_LINES
     lines, each into the columns it needs; ``float`` and np.loadtxt take
-    every number both accept to the same double.  ``EventTable.from_rows``'s row
-    loop (``_Columns.add_rows``) reads a block that np.loadtxt refuses, or
-    that holds a NaN time or a character only np.loadtxt strips from a
-    number, and it raises that block's first error or appends its rows,
-    such as an empty offset.  From the first block that holds a ``"`` on,
-    csv reads the rest of the file for the row loop, since a quoted field
-    may span lines.  Either way the table is the row loop's, bit for bit.
+    every number both accept to the same double.  From the first block that
+    holds a ``"`` (a quoted field may span lines), that np.loadtxt refuses,
+    or that holds a NaN time or a character only np.loadtxt strips from a
+    number, csv reads the rest of the file for ``EventTable.from_rows``'s
+    row loop (``_Columns.add_rows``), which raises the first error or
+    appends the rows, such as an empty offset.  Either way the table is the
+    row loop's, bit for bit.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         done, reader = 0, csv.reader(fh)  # the lines read before ``reader``'s first
@@ -226,17 +226,13 @@ def read_events_csv(path) -> EventTable:
                 except UnicodeDecodeError as exc:  # csv meets it after those lines
                     rest = _raising(exc)
                 text = "".join(lines)
-                if rest is not fh or '"' in text:  # a quoted field may span lines: csv reads on
+                block = None if rest is not fh or '"' in text else _block_columns(
+                    lines, text, dtype, usecols)
+                if block is None:  # csv reads the rest: a quoted field may span lines
                     reader = csv.reader(chain(lines, rest))
                     columns.add_rows(filter(None, reader))
                     break
-                block = _block_columns(lines, text, dtype, usecols)
-                if block is None:
-                    reader = csv.reader(lines)
-                    columns.add_rows(filter(None, reader))
-                    reader = None
-                else:
-                    columns.add_columns(*block)
+                columns.add_columns(*block)
                 done += len(lines)
                 if len(lines) < _BLOCK_LINES:
                     break
